@@ -41,17 +41,16 @@ print(f"fiber-wreath subgroup order {wreath.order}; "
 
 # each base orbit representative lifts to m cycles sweeping 1..m fibers,
 # and these hit every orbit of the blow-up's consistent cycles exactly once
-ids = cw.family_orbit_ids(family, blow_aut)
+table = cw.consistent_cycle_orbits(blow_aut, blowup)
+ids = cw.family_orbit_ids(family, blow_aut, table=table)
 print("\nlifted cycle family (orbit representative index, fibers swept):")
 for (i, j), cycle in sorted(family.cycles.items()):
     print(f"  rep {i}, {j} fiber(s): length {len(cycle) - 1:>2} "
           f"-> blow-up orbit {ids[i, j]}")
 print(f"orbits hit, pairwise distinct: {sorted(ids.values())}")
 
-ok, offender = cw.verify_no_trivial_stabilizer(blow_aut, blowup)
+ok, offender = cw.verify_no_trivial_stabilizer(blow_aut, blowup, table=table)
 print(f"\nno consistent cycle with trivial stabilizer: {ok}")
-
-table = cw.consistent_cycle_orbits(blow_aut, blowup)
 print("stabilizer orders across the six orbits:",
       [rec.stabilizer_order for rec in table.records])
 

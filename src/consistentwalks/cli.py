@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -35,7 +34,7 @@ from .localactions import (
 from .perms import DEFAULT_GROUP_CAP, Perm, PermutationGroup
 from .products import blowup_cycle_family, family_orbit_ids, verify_no_trivial_stabilizer
 from .reachability import reachability_by_chase, reachability_by_shunt_group
-from .walks import consistent_cycle_orbits, enumerate_consistent_cycles, partition_cycles
+from .walks import consistent_cycle_orbits
 
 DEFAULT_WALK_DEPTH = 64
 
@@ -60,7 +59,10 @@ def _load_graph(source: str) -> tuple[Graph, list[list[int]] | None]:
                              f"column {exc.colno}") from exc
         if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
             raise ParseError(f"{source}: graph JSON needs 'vertices' and 'edges'")
-        return Graph.from_json(data), data.get("generators")
+        try:
+            return Graph.from_json(data), data.get("generators")
+        except (TypeError, IndexError, ValueError) as exc:
+            raise ParseError(f"{source}: malformed 'vertices' or 'edges': {exc}") from exc
     try:
         return Graph.from_edge_list_text(text), None
     except BadParameters as exc:
@@ -75,7 +77,7 @@ def _load_generators(path: str) -> tuple[int | None, list[list[int]]]:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} "
                          f"column {exc.colno}") from exc
-    if isinstance(data, dict):
+    if isinstance(data, dict) and "generators" in data:
         return data.get("degree"), data["generators"]
     if isinstance(data, list):
         return None, data
@@ -151,10 +153,8 @@ def _payload_wps_check(graph, group, args) -> dict:
 def _payload_blowup_demo(graph, group, args) -> dict:
     family = blowup_cycle_family(graph, group, args.m)
     blowup_group = automorphism_group(family.blowup, cap=args.cap_group)
-    cycles = enumerate_consistent_cycles(blowup_group, family.blowup)
-    orbits = partition_cycles(blowup_group, cycles)
-    table = consistent_cycle_orbits(blowup_group, family.blowup, cycles=cycles)
-    ids = family_orbit_ids(family, blowup_group, orbits=orbits)
+    table = consistent_cycle_orbits(blowup_group, family.blowup)
+    ids = family_orbit_ids(family, blowup_group, table=table)
     verdict, offender = verify_no_trivial_stabilizer(blowup_group, family.blowup,
                                                      table=table)
     return {"family": family.to_json(),
@@ -191,23 +191,9 @@ PAYLOADS = {
 }
 
 
-def _thread_limit() -> int:
-    """CW_THREADS caps worker parallelism; execution here is sequential,
-    which satisfies any positive limit."""
-    raw = os.environ.get("CW_THREADS", "1")
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise ParseError(f"CW_THREADS must be an integer, got {raw!r}") from None
-    if limit < 1:
-        raise ParseError(f"CW_THREADS must be >= 1, got {limit}")
-    return limit
-
-
 def run(args: argparse.Namespace) -> dict:
     """Dispatch one subcommand and wrap its payload in the report envelope."""
     started = time.perf_counter()
-    threads = _thread_limit()
     graph, group, source = parse_inputs(args)
     payload = PAYLOADS[args.subcommand](graph, group, args)
     return {
@@ -216,8 +202,7 @@ def run(args: argparse.Namespace) -> dict:
                   "vertices": graph.vertex_count,
                   "edges": graph.edge_count(),
                   "group_order": group.order,
-                  "group_source": source,
-                  "threads": threads},
+                  "group_source": source},
         "payload": payload,
         "elapsed_s": round(time.perf_counter() - started, 6),
         "version": __version__,
@@ -236,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group-file", help="JSON generator file; default: full Aut")
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP)
-        p.add_argument("--json", action="store_true", default=True,
-                       help="JSON output (default and only format)")
 
     common(sub.add_parser("orbits", help="consistent-cycle orbit census"))
 

@@ -9,7 +9,9 @@ safe to share.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+import math
+import operator
+from collections.abc import Callable, Iterable, Sequence
 
 from .errors import (
     BadParameters,
@@ -105,6 +107,36 @@ def _as_perms(generators: Iterable[Sequence[int]]) -> list[Perm]:
     return [g if isinstance(g, Perm) else Perm.from_images(g) for g in generators]
 
 
+def _closure(seen: set, frontier: list, gens: Sequence[Perm],
+             act: Callable, limit: float = math.inf) -> set:
+    """Breadth-first closure of ``seen`` under ``x -> act(x, g)`` for g in ``gens``.
+
+    ``frontier`` holds the members of ``seen`` whose images are unexplored.
+    Grows ``seen`` in place and returns it, early once it holds more than
+    ``limit`` items.
+    """
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = act(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    if len(seen) > limit:
+                        return seen
+                    new.append(y)
+        frontier = new
+    return seen
+
+
+def _point_image(x: int, g: Perm) -> int:
+    return g[x]
+
+
+def _tuple_image(t: tuple[int, ...], g: Perm) -> tuple[int, ...]:
+    return tuple(g[v] for v in t)
+
+
 class PermutationGroup:
     """A finite permutation group with a materialized element set.
 
@@ -144,19 +176,9 @@ class PermutationGroup:
             if g.degree != degree:
                 raise DegreeMismatch(f"generator degree {g.degree} != {degree}")
         ident = Perm.identity(degree)
-        elements = {ident}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    b = a * g
-                    if b not in elements:
-                        elements.add(b)
-                        if len(elements) > cap:
-                            raise CapExceeded(f"group closure exceeded cap {cap}")
-                        new.append(b)
-            frontier = new
+        elements = _closure({ident}, [ident], gens, operator.mul, cap)
+        if len(elements) > cap:
+            raise CapExceeded(f"group closure exceeded cap {cap}")
         return cls(degree, elements, generators=gens)
 
     def to_json(self) -> dict:
@@ -196,23 +218,22 @@ class PermutationGroup:
         return f"<PermutationGroup degree={self.degree} order={self.order}>"
 
     def small_generating_set(self) -> tuple[Perm, ...]:
-        """A short (greedy, not necessarily minimal) generating sequence."""
+        """A short (greedy, not necessarily minimal) generating sequence.
+
+        Each element outside the subgroup generated so far joins the
+        sequence.  The subgroup H grows to <H, p> from the coset H*p, which
+        is disjoint from H; every new element is h*p*w for a word w in the
+        sequence.
+        """
         if self._small_gens is None:
             gens: list[Perm] = []
             closure = {Perm.identity(self.degree)}
             for p in self.elements:
                 if p not in closure:
                     gens.append(p)
-                    frontier = list(closure)
-                    while frontier:
-                        new = []
-                        for a in frontier:
-                            for g in gens:
-                                b = a * g
-                                if b not in closure:
-                                    closure.add(b)
-                                    new.append(b)
-                        frontier = new
+                    coset = [h * p for h in closure]
+                    closure.update(coset)
+                    _closure(closure, coset, gens, operator.mul)
                 if len(closure) == len(self.elements):
                     break
             self._small_gens = tuple(gens)
@@ -224,38 +245,28 @@ class PermutationGroup:
         """Smallest generator-closed set of points containing ``point``."""
         if not 0 <= point < self.degree:
             raise BadParameters(f"point {point} outside degree {self.degree}")
-        gens = self.generators
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = g[x]
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        return frozenset(seen)
+        return frozenset(_closure({point}, [point], self.generators, _point_image))
 
     def tuple_orbit(self, tup: Sequence[int], cap: int | None = None) -> set[tuple[int, ...]]:
         """Orbit of a point tuple under the coordinatewise action."""
         start = tuple(tup)
-        gens = self.generators
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for t in frontier:
-                for g in gens:
-                    s = tuple(g[v] for v in t)
-                    if s not in seen:
-                        seen.add(s)
-                        if cap is not None and len(seen) > cap:
-                            raise CapExceeded(f"tuple orbit exceeded cap {cap}")
-                        new.append(s)
-            frontier = new
+        limit = math.inf if cap is None else cap
+        seen = _closure({start}, [start], self.generators, _tuple_image, limit)
+        if len(seen) > limit:
+            raise CapExceeded(f"tuple orbit exceeded cap {cap}")
         return seen
+
+    def transporter(self, src: Sequence[int], dst: Sequence[int]) -> list[Perm]:
+        """All elements mapping ``src`` onto ``dst`` pointwise, sorted.
+
+        A coset of the pointwise stabilizer of ``src``, or empty.
+        """
+        if len(src) != len(dst):
+            raise BadParameters(f"point tuples {tuple(src)} and {tuple(dst)} differ in length")
+        found = self.elements
+        for a, b in zip(src, dst):
+            found = [g for g in found if g[a] == b]
+        return list(found)
 
     def pointwise_stabilizer(self, points: Sequence[int]) -> "PermutationGroup":
         """Subgroup fixing every listed point; the empty tuple gives the group itself."""
@@ -265,10 +276,7 @@ class PermutationGroup:
                 raise BadParameters(f"point {p} outside degree {self.degree}")
         if not pts:
             return self
-        kept = self.elements
-        for p in pts:
-            kept = [g for g in kept if g[p] == p]
-        return PermutationGroup(self.degree, kept)
+        return PermutationGroup(self.degree, self.transporter(pts, pts))
 
     def is_transitive(self, domain: Iterable[int] | None = None) -> bool:
         """True iff one orbit covers ``domain`` (default: all points)."""
@@ -281,18 +289,7 @@ class PermutationGroup:
                 if g[x] not in dom:
                     raise DomainNotInvariant(f"generator moves {x} to {g[x]} outside domain")
         start = min(dom)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = g[x]
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        return seen == set(dom)
+        return _closure({start}, [start], gens, _point_image) == dom
 
     def subgroup_equals(self, other: "PermutationGroup") -> bool:
         """True iff the element sets coincide."""
@@ -316,29 +313,14 @@ class PermutationGroup:
         for p in nontrivial:
             if p.order() == self.order:
                 return 1
+        ident = Perm.identity(self.degree)
         for size in range(2, search_cap + 1):
             for combo in itertools.combinations(nontrivial, size):
-                if self._closure_size(combo) == self.order:
+                # the closure stops as soon as it fills the group
+                if len(_closure({ident}, [ident], combo, operator.mul,
+                                self.order - 1)) == self.order:
                     return size
         return None
-
-    def _closure_size(self, gens: Sequence[Perm]) -> int:
-        ident = Perm.identity(self.degree)
-        elements = {ident}
-        frontier = [ident]
-        target = self.order
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    b = a * g
-                    if b not in elements:
-                        elements.add(b)
-                        if len(elements) == target:
-                            return target
-                        new.append(b)
-            frontier = new
-        return len(elements)
 
 
 def close_group(generators, degree: int | None = None,

@@ -23,14 +23,7 @@ from .graphs import (
     verify_automorphisms,
 )
 from .perms import Perm, PermutationGroup
-from .walks import (
-    Walk,
-    CycleOrbitTable,
-    consistent_cycle_orbits,
-    enumerate_consistent_cycles,
-    partition_cycles,
-    shunts,
-)
+from .walks import Walk, CycleOrbitTable, consistent_cycle_orbits, shunts
 
 
 def lift_base_perm(p: Perm, m: int) -> Perm:
@@ -149,14 +142,17 @@ def blowup_cycle_family(graph: Graph, group: PermutationGroup,
 
 def family_orbit_ids(family: BlowupCycleFamily,
                      blowup_group: PermutationGroup,
-                     orbits: list[list[Walk]] | None = None,
+                     table: CycleOrbitTable | None = None,
                      ) -> dict[tuple[int, int], int]:
-    """Index of each family cycle in the blow-up's consistent-cycle orbits."""
-    if orbits is None:
-        cycles = enumerate_consistent_cycles(blowup_group, family.blowup)
-        orbits = partition_cycles(blowup_group, cycles)
-    locate = {c: k for k, orbit in enumerate(orbits) for c in orbit}
-    return {key: locate[cycle] for key, cycle in family.cycles.items()}
+    """Index of each family cycle's orbit in the blow-up's census table.
+
+    A census representative is the smallest member of its orbit.
+    """
+    if table is None:
+        table = consistent_cycle_orbits(blowup_group, family.blowup)
+    locate = {r.representative: k for k, r in enumerate(table.records)}
+    return {key: locate[min(blowup_group.tuple_orbit(cycle))]
+            for key, cycle in family.cycles.items()}
 
 
 def verify_no_trivial_stabilizer(group: PermutationGroup, graph: Graph,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .errors import (
+    BadParameters,
     CapExceeded,
     NotArcTransitive,
     NotConnected,
@@ -23,7 +24,6 @@ from .graphs import Graph, is_arc_transitive
 from .perms import Perm, PermutationGroup, close_group
 from .walks import (
     Walk,
-    _raw_shunts,
     apply_perm,
     shunts,
     successor_count,
@@ -76,7 +76,9 @@ def reachability_by_chase(group: PermutationGroup, graph: Graph,
     graph is the last vertex of some reachable walk.
     """
     w = validate_walk(graph, walk)
-    if not _raw_shunts(group, w):
+    if target is not None and not 0 <= target < graph.vertex_count:
+        raise BadParameters(f"target {target} outside 0..{graph.vertex_count - 1}")
+    if not group.transporter(w[:-1], w[1:]):
         raise NotConsistent(f"walk {w} has no shunt in the group")
     total = graph.vertex_count
     reached = {w[-1]}
@@ -86,7 +88,7 @@ def reachability_by_chase(group: PermutationGroup, graph: Graph,
     while frontier and len(reached) < total:
         next_frontier = []
         for cur in frontier:
-            succ = sorted({apply_perm(g, cur) for g in _raw_shunts(group, cur)})
+            succ = sorted({apply_perm(g, cur) for g in group.transporter(cur[:-1], cur[1:])})
             for s in succ:
                 if s not in parent:
                     parent[s] = cur
@@ -262,7 +264,7 @@ def successor_reachability_classes(group: PermutationGroup, graph: Graph,
     w = validate_walk(graph, walk)
     if len(w) < 3:
         raise WalkTooShort(f"the relation needs walk length >= 2, got {w}")
-    if not _raw_shunts(group, w):
+    if not group.transporter(w[:-1], w[1:]):
         raise NotConsistent(f"walk {w} has no shunt in the group")
     try:
         prefix_orbit = group.tuple_orbit(w[:-1], cap=cap)

@@ -49,14 +49,6 @@ class ConsistencyWitness:
                 raise NotConsistent(f"{self.shunt} does not shunt {self.walk}")
 
 
-def _raw_shunts(group: PermutationGroup, walk: Walk) -> list[Perm]:
-    """Chained element filter, no validation or asserts (hot path)."""
-    found = group.elements
-    for a, b in zip(walk, walk[1:]):
-        found = [g for g in found if g[a] == b]
-    return list(found)
-
-
 def shunts(group: PermutationGroup, graph: Graph, walk: Sequence[int]) -> list[Perm]:
     """All g in G mapping the walk's prefix onto its suffix, sorted.
 
@@ -64,7 +56,7 @@ def shunts(group: PermutationGroup, graph: Graph, walk: Sequence[int]) -> list[P
     suffix stabilizer (empty when the walk is not consistent).
     """
     w = validate_walk(graph, walk)
-    found = _raw_shunts(group, w)
+    found = group.transporter(w[:-1], w[1:])
     if found:
         g0 = found[0]
         suffix_stab = group.pointwise_stabilizer(w[1:])
@@ -191,27 +183,6 @@ class CycleOrbitTable:
         return rec
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 def enumerate_consistent_cycles(group: PermutationGroup, graph: Graph) -> set[Walk]:
     """Every G-consistent rooted directed cycle.
 
@@ -245,32 +216,24 @@ def enumerate_consistent_cycles(group: PermutationGroup, graph: Graph) -> set[Wa
 def partition_cycles(group: PermutationGroup,
                      cycles: set[Walk]) -> list[list[Walk]]:
     """Group-orbit partition of a G-closed set of cycle tuples."""
-    uf = _UnionFind()
+    placed: set[Walk] = set()
+    orbits = []
     for c in cycles:
-        uf.add(c)
-    for c in cycles:
-        for g in group.generators:
-            image = apply_perm(g, c)
-            uf.add(image)
-            uf.union(c, image)
-    buckets: dict[Walk, list[Walk]] = {}
-    for c in cycles:
-        buckets.setdefault(uf.find(c), []).append(c)
-    orbits = [sorted(members) for members in buckets.values()]
+        if c not in placed:
+            orbit = group.tuple_orbit(c)
+            placed |= orbit
+            orbits.append(sorted(orbit))
     return sorted(orbits, key=lambda orbit: (len(orbit[0]), orbit[0]))
 
 
-def consistent_cycle_orbits(group: PermutationGroup, graph: Graph,
-                            cycles: set[Walk] | None = None) -> CycleOrbitTable:
+def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbitTable:
     """The census of G-orbits of G-consistent cycles.
 
     For a vertex-transitive group on a connected d-valent graph the table
     has exactly d records; otherwise the count assertion is suppressed and
     the table is still returned.
     """
-    if cycles is None:
-        cycles = enumerate_consistent_cycles(group, graph)
-    orbits = partition_cycles(group, cycles)
+    orbits = partition_cycles(group, enumerate_consistent_cycles(group, graph))
     records = []
     for orbit in orbits:
         rep = orbit[0]

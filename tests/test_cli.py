@@ -72,6 +72,10 @@ def test_property_r(capsys):
     payload = json.loads(out)["payload"]
     assert payload["verdict"] is True
     assert payload["chase"]["witness"]["chain"]
+    code, _, err = run_cli(["property-r", "--graph", "cycle:6",
+                            "--walk", "0,1", "--target", "99"], capsys)
+    assert code == 1
+    assert json.loads(err)["error"] == "BadParameters"
 
 
 def test_graph_json_file_with_generators(tmp_path, capsys):
@@ -151,6 +155,20 @@ def test_parse_errors(tmp_path, capsys):
     code, _, err = run_cli(["orbits", "--graph", str(not_auto)], capsys)
     assert code == 1
     assert json.loads(err)["error"] == "NotAutomorphisms"
+
+    for name, edges in (("int_edges", 5), ("short_edge", [[0, 1], [1]])):
+        malformed = tmp_path / f"{name}.json"
+        malformed.write_text(json.dumps({"vertices": 6, "edges": edges}))
+        code, _, err = run_cli(["orbits", "--graph", str(malformed)], capsys)
+        assert code == 1
+        assert json.loads(err)["error"] == "ParseError"
+
+    no_gens = tmp_path / "nogens.json"
+    no_gens.write_text(json.dumps({"degree": 6}))
+    code, _, err = run_cli(["orbits", "--graph", "cycle:6",
+                            "--group-file", str(no_gens)], capsys)
+    assert code == 1
+    assert json.loads(err)["error"] == "ParseError"
 
 
 def test_blowup_demo_small(capsys):

@@ -178,6 +178,32 @@ def test_min_generating_size_petersen(family):
     assert cw.close_group(list(witness), degree=aut.degree).subgroup_equals(aut)
 
 
+# greedy generators, frozen: how the closure is regrown must not change them
+SMALL_GENERATORS = {
+    "petersen": [(0, 1, 3, 2, 4, 6, 5, 8, 7, 9), (0, 2, 1, 3, 5, 4, 6, 7, 9, 8),
+                 (0, 4, 5, 6, 1, 2, 3, 7, 8, 9), (1, 0, 2, 3, 4, 7, 8, 5, 6, 9)],
+    "q3k2": [(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 14),
+             (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 12, 14, 15),
+             (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10, 12, 13, 14, 15),
+             (0, 1, 2, 3, 4, 5, 6, 7, 9, 8, 10, 11, 12, 13, 14, 15),
+             (0, 1, 2, 3, 4, 5, 7, 6, 8, 9, 10, 11, 12, 13, 14, 15),
+             (0, 1, 2, 3, 5, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+             (0, 1, 2, 3, 8, 9, 10, 11, 4, 5, 6, 7, 12, 13, 14, 15),
+             (0, 1, 3, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+             (0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13, 10, 11, 14, 15),
+             (1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+             (2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13)],
+}
+
+
+def test_small_generating_set_generates(family):
+    for name, (_, group) in family.items():
+        gens = group.small_generating_set()
+        assert cw.close_group(gens, degree=group.degree).subgroup_equals(group)
+        if name in SMALL_GENERATORS:
+            assert [tuple(g) for g in gens] == SMALL_GENERATORS[name]
+
+
 def test_serialization_round_trip():
     d4 = cw.close_group([ROTATION, REFLECTION])
     data = d4.to_json()

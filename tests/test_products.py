@@ -45,10 +45,11 @@ def test_family_lengths_differ_between_fiber_counts(q3_family):
         assert len(lengths) == 2
 
 
-def test_family_distinct_orbits(q3_family, family):
+def test_family_distinct_orbits(q3_family, family, censuses):
     _, blow_group = family["q3k2"]
     ids = cw.family_orbit_ids(q3_family, blow_group)
     assert sorted(ids.values()) == [0, 1, 2, 3, 4, 5]
+    assert cw.family_orbit_ids(q3_family, blow_group, table=censuses["q3k2"]) == ids
 
 
 def test_fiber_swap_fixes_family_cycle(q3_family):

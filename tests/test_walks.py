@@ -51,9 +51,12 @@ def test_shunt_coset_identities(family):
             walk = oracles.random_consistent_walk(group, graph, rng, max_length=4)
             shs = set(cw.shunts(group, graph, walk))
             assert shs == set(oracles.oracle_shunts(group, walk))
+            assert group.transporter(walk[:-1], walk[1:]) == oracles.oracle_shunts(group, walk)
             g0 = min(shs)
             suffix = oracles.oracle_stabilizer(group, walk[1:])
             prefix = oracles.oracle_stabilizer(group, walk[:-1])
+            assert group.transporter(walk[1:], walk[1:]) == suffix
+            assert group.transporter(walk[:-1], walk[:-1]) == prefix
             assert shs == {g0 * h for h in suffix} == {h * g0 for h in prefix}
 
 
