@@ -103,7 +103,7 @@ class NoWitness(ConsistentWalksError):
 
 
 class SelectionFailed(ConsistentWalksError):
-    """Overlap-maximal representative selection failed even after fallback."""
+    """Overlap-maximal representative selection hit its step cap or found no tuple."""
 
 
 class ParseError(ConsistentWalksError):

@@ -23,7 +23,7 @@ from .walks import (
 )
 
 EXACT_DELTA_ORDER_LIMIT = 200
-FALLBACK_STEP_CAP = 500_000
+SELECTION_STEP_CAP = 500_000
 
 
 def overlap(a: Sequence[int], b: Sequence[int]) -> int:
@@ -84,51 +84,14 @@ def _prefix_tree(rooted: list[list[Walk]]) -> dict[Walk, set[int]]:
 
 
 def _select_representatives(rooted: list[list[Walk]],
-                            tree: dict[Walk, set[int]],
-                            matrix: list[list[int]],
-                            members: list[int],
-                            node: Walk) -> dict[int, Walk]:
-    """Recursive cluster assignment over the shared-prefix tree.
+                            matrix: list[list[int]]) -> list[Walk]:
+    """Lexicographically first tuple of rooted cycles realizing the matrix.
 
-    All orbits in ``members`` pass through ``node``.  They need a common
-    prefix at depth equal to their smallest pairwise orbit overlap; inside
-    it, subclusters with strictly larger pairwise overlaps recurse deeper.
-    Candidate nodes are tried lexicographically with backtracking.
+    Depth-first over the orbits in order; a cycle is placed when its
+    overlap with every placed representative equals the matrix entry.
     """
-    if len(members) == 1:
-        i = members[0]
-        chosen = min(c for c in rooted[i] if c[: len(node)] == node)
-        return {i: chosen}
-    threshold = min(matrix[i][j] for i in members for j in members if i < j)
-    depth = threshold + 1  # prefix length realizing overlap == threshold
-    candidates = sorted(
-        q for q, orbs in tree.items()
-        if len(q) == depth and q[: len(node)] == node and orbs >= set(members))
-    member_set = set(members)
-    for q in candidates:
-        clusters: list[list[int]] = []
-        for i in sorted(member_set):
-            for cluster in clusters:
-                if matrix[i][cluster[0]] > threshold:
-                    cluster.append(i)
-                    break
-            else:
-                clusters.append([i])
-        try:
-            chosen: dict[int, Walk] = {}
-            for cluster in clusters:
-                chosen.update(_select_representatives(rooted, tree, matrix, cluster, q))
-            return chosen
-        except SelectionFailed:
-            continue
-    raise SelectionFailed(f"no common prefix of length {depth} for orbits {members}")
-
-
-def _fallback_exhaustive(rooted: list[list[Walk]],
-                         matrix: list[list[int]]) -> dict[int, Walk]:
-    """Depth-first product search over per-orbit rooted cycles, capped."""
     d = len(rooted)
-    chosen: dict[int, Walk] = {}
+    chosen: list[Walk] = []
     steps = 0
 
     def place(i: int) -> bool:
@@ -137,13 +100,13 @@ def _fallback_exhaustive(rooted: list[list[Walk]],
             return True
         for cycle in rooted[i]:
             steps += 1
-            if steps > FALLBACK_STEP_CAP:
-                raise SelectionFailed("fallback representative search exceeded its cap")
+            if steps > SELECTION_STEP_CAP:
+                raise SelectionFailed("representative search exceeded its cap")
             if all(overlap(cycle, chosen[j]) == matrix[i][j] for j in range(i)):
-                chosen[i] = cycle
+                chosen.append(cycle)
                 if place(i + 1):
                     return True
-                del chosen[i]
+                chosen.pop()
         return False
 
     if not place(0):
@@ -153,21 +116,18 @@ def _fallback_exhaustive(rooted: list[list[Walk]],
     return chosen
 
 
-def overlap_maximal_representatives(group: PermutationGroup, graph: Graph,
-                                    orbits: list[list[Walk]] | None = None,
+def overlap_maximal_representatives(group: PermutationGroup, graph: Graph
                                     ) -> tuple[list[Walk], OverlapMatrix]:
     """One cycle per orbit with pairwise overlaps equal to the orbit maxima.
 
     All consistent cycles rooted at vertex 0 are organized in a prefix
-    tree; the orbit-overlap matrix is read off shared prefixes, and
-    representatives are assigned cluster by cluster from the deepest shared
-    prefixes outward.  The result is re-verified against a full orbit
-    sweep, with an exhaustive fallback on greedy failure.
+    tree; the orbit-overlap matrix is read off shared prefixes, and the
+    lexicographically first tuple realizing it is found by depth-first
+    search.  The matrix is re-verified against a full orbit sweep.
     """
     if not is_vertex_transitive(group, graph):
         raise NotVertexTransitive("representative selection needs a vertex-transitive group")
-    if orbits is None:
-        orbits = partition_cycles(group, enumerate_consistent_cycles(group, graph))
+    orbits = partition_cycles(group, enumerate_consistent_cycles(group, graph))
     rooted = [[c for c in orbit if c[0] == 0] for orbit in orbits]
     assert all(rooted), "vertex transitivity puts a rooted cycle in every orbit"
     d = len(rooted)
@@ -184,18 +144,7 @@ def overlap_maximal_representatives(group: PermutationGroup, graph: Graph,
             for j in pairs[ai + 1:]:
                 if depth > matrix[i][j]:
                     matrix[i][j] = matrix[j][i] = depth
-    def realizes(reps: list[Walk]) -> bool:
-        return all(overlap(reps[i], reps[j]) == matrix[i][j]
-                   for i in range(d) for j in range(d) if i != j)
-
-    try:
-        chosen = _select_representatives(rooted, tree, matrix, list(range(d)), (0,))
-        reps = [chosen[i] for i in range(d)]
-        if not realizes(reps):
-            raise SelectionFailed("greedy selection missed an orbit overlap")
-    except SelectionFailed:
-        chosen = _fallback_exhaustive(rooted, matrix)
-        reps = [chosen[i] for i in range(d)]
+    reps = _select_representatives(rooted, matrix)
     walk_overlaps = [[overlap(reps[i], reps[j]) for j in range(d)] for i in range(d)]
     orbit_overlaps = [[orbit_overlap(group, reps[i], reps[j]) if i != j
                        else matrix[i][i] for j in range(d)] for i in range(d)]
@@ -253,8 +202,7 @@ class GenerationReport:
         }
 
 
-def verify_generation(group: PermutationGroup, graph: Graph,
-                      orbits: list[list[Walk]] | None = None) -> GenerationReport:
+def verify_generation(group: PermutationGroup, graph: Graph) -> GenerationReport:
     """Build the shunt set, verify it generates, report generator bounds.
 
     The chosen walk is the representative with the smallest stabilizer
@@ -264,7 +212,7 @@ def verify_generation(group: PermutationGroup, graph: Graph,
     """
     if not is_vertex_transitive(group, graph):
         raise NotVertexTransitive("generation needs a vertex-transitive group")
-    reps, matrix = overlap_maximal_representatives(group, graph, orbits)
+    reps, matrix = overlap_maximal_representatives(group, graph)
     shunt_set = shunt_generating_set(group, graph, reps)
     shunt_group = close_group(shunt_set, degree=group.degree)
     generates = shunt_group.order == group.order

@@ -22,6 +22,8 @@ from .errors import (
 )
 from .perms import DEFAULT_GROUP_CAP, Perm, PermutationGroup
 
+AUTOMORPHISM_VERTEX_LIMIT = 64
+
 
 class Graph:
     """Immutable simple graph with sorted adjacency lists and bitmask rows."""
@@ -67,12 +69,6 @@ class Graph:
         return seen == (1 << self.vertex_count) - 1
 
     # -- queries -----------------------------------------------------------
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.masks[u] >> v & 1)
@@ -203,9 +199,13 @@ def automorphism_group(graph: Graph, cap: int = DEFAULT_GROUP_CAP) -> Permutatio
     """The full automorphism group, by degree-refined backtracking.
 
     Every element is re-verified against the adjacency relation before the
-    group is returned.
+    group is returned.  The search recurses once per vertex, so graphs over
+    ``AUTOMORPHISM_VERTEX_LIMIT`` vertices are refused.
     """
     n = graph.vertex_count
+    if n > AUTOMORPHISM_VERTEX_LIMIT:
+        raise CapExceeded(f"automorphism search on {n} vertices exceeds the "
+                          f"limit of {AUTOMORPHISM_VERTEX_LIMIT}")
     adj = graph.masks
     degs = graph.degrees
     by_degree: dict[int, int] = {}

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    BadParameters,
     BadStabilizerOrder,
     NoWitness,
     NotArcTransitive,
@@ -199,6 +200,8 @@ def find_trivial_walk_exhaustive(group: PermutationGroup, graph: Graph,
     Fallback for graphs the structural searches do not cover; no
     certificate beyond the recomputed stabilizer order.
     """
+    if depth_cap < 1:
+        raise BadParameters(f"depth cap must be at least 1, got {depth_cap}")
     if not graph.connected:
         raise NotConnected("the search needs a connected graph")
     stack: list[Walk] = sorted(

@@ -79,9 +79,6 @@ class BlowupCycleFamily:
     cycles: dict[tuple[int, int], Walk]   # (orbit index, fiber count j) -> cycle
     shunts: dict[tuple[int, int], Perm]
 
-    def all_cycles(self) -> list[Walk]:
-        return [self.cycles[key] for key in sorted(self.cycles)]
-
     def to_json(self) -> dict:
         return {
             "m": self.m,

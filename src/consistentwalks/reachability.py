@@ -197,7 +197,6 @@ def stabilizer_fixes_successors(group: PermutationGroup, graph: Graph,
 
 def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
                                walk: Sequence[int],
-                               reports: Sequence[ConditionReport] | None = None,
                                seed_length: int = 1) -> dict:
     """Certificate that the walk's pointwise stabilizer is trivial.
 
@@ -230,9 +229,8 @@ def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
         cert["certified"] = False
         cert["failure_reason"] = f"seed walk {list(seed_walk)} is not reaching every vertex"
         return cert
-    if reports is None:
-        reports = [check_conditions(group, graph, w[: n + 2], g)
-                   for n in range(seed_length, r)]
+    reports = [check_conditions(group, graph, w[: n + 2], g)
+               for n in range(seed_length, r)]
     for offset, report in enumerate(reports):
         n = seed_length + offset
         cert["prefix_conditions"].append(

@@ -119,6 +119,11 @@ def test_domain_error_exit_code(capsys):
                             "--method", "4valent"], capsys)
     assert code == 1
     assert json.loads(err)["error"] == "WrongValence"
+    for cap in ("0", "-1"):
+        code, out, err = run_cli(["trivial-walk", "--graph", "cycle:6",
+                                  "--method", "exhaustive", "--depth-cap", cap], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "BadParameters"
 
 
 def test_cap_exceeded_exit_code(capsys):
@@ -126,6 +131,16 @@ def test_cap_exceeded_exit_code(capsys):
                             "--cap-group", "10"], capsys)
     assert code == 2
     assert json.loads(err)["error"] == "CapExceeded"
+    for spec, n in (("cycle:65", 65), ("cycle:2000", 2000)):
+        code, out, err = run_cli(["orbits", "--graph", spec], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        message = json.loads(err)
+        assert message["error"] == "CapExceeded"
+        assert str(n) in message["message"] and "64" in message["message"]
+    code, out, _ = run_cli(["orbits", "--graph", "cycle:64"], capsys)
+    assert code == 0
+    assert json.loads(out)["payload"]["orbit_count"] == 2
 
 
 def test_parse_errors(tmp_path, capsys):

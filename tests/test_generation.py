@@ -49,13 +49,31 @@ def test_representatives_c6(family):
     assert matrix.walk_overlaps[0][1] == 1
 
 
+# exact representatives, frozen: how the selector searches must not change them
+REPRESENTATIVES = {
+    "c6": ((0, 1, 0), (0, 1, 2, 3, 4, 5, 0)),
+    "k4": ((0, 1, 0), (0, 1, 2, 0), (0, 1, 2, 3, 0)),
+    "q3": ((0, 1, 0), (0, 1, 3, 2, 0), (0, 1, 3, 7, 6, 4, 0)),
+    "petersen": ((0, 7, 0), (0, 7, 3, 4, 9, 0), (0, 7, 3, 4, 2, 8, 0)),
+    "k5": ((0, 1, 0), (0, 1, 2, 0), (0, 1, 2, 3, 0), (0, 1, 2, 3, 4, 0)),
+    "q4": ((0, 1, 0), (0, 1, 3, 2, 0), (0, 1, 3, 7, 6, 4, 0),
+           (0, 1, 3, 7, 15, 14, 12, 8, 0)),
+    "c4k2": ((0, 2, 0), (0, 2, 1, 3, 0), (0, 2, 1, 3, 4, 6, 0),
+             (0, 2, 1, 3, 4, 6, 5, 7, 0)),
+    "q3k2": ((0, 2, 0), (0, 2, 1, 3, 0), (0, 2, 6, 4, 0), (0, 2, 6, 14, 12, 8, 0),
+             (0, 2, 6, 4, 1, 3, 7, 5, 0),
+             (0, 2, 6, 14, 12, 8, 1, 3, 7, 15, 13, 9, 0)),
+}
+
+
 @pytest.mark.parametrize("name,orbit_count", [
     ("c6", 2), ("k4", 3), ("q3", 3), ("petersen", 3), ("k5", 4), ("q4", 4),
+    ("c4k2", 4), ("q3k2", 6),
 ])
 def test_representatives_realize_orbit_overlaps(name, orbit_count, family, censuses):
     graph, group = family[name]
-    orbits = cw.partition_cycles(group, cw.enumerate_consistent_cycles(group, graph))
-    reps, matrix = cw.overlap_maximal_representatives(group, graph, orbits)
+    reps, matrix = cw.overlap_maximal_representatives(group, graph)
+    assert tuple(reps) == REPRESENTATIVES[name]
     assert len(reps) == orbit_count
     for i in range(orbit_count):
         for j in range(orbit_count):
@@ -72,17 +90,18 @@ def test_representatives_need_vertex_transitivity():
         cw.overlap_maximal_representatives(aut, path)
 
 
-def test_fallback_search_realizes_matrix(family):
-    # the exhaustive fallback must reproduce a valid tuple on its own
-    from consistentwalks.generation import _fallback_exhaustive
+def test_selector_realizes_matrix(family):
+    # the depth-first selector, run on its own, returns a tuple realizing
+    # the orbit-overlap matrix
+    from consistentwalks.generation import _select_representatives
 
     graph, group = family["petersen"]
     orbits = cw.partition_cycles(group, cw.enumerate_consistent_cycles(group, graph))
     rooted = [[c for c in orbit if c[0] == 0] for orbit in orbits]
-    _, matrix = cw.overlap_maximal_representatives(group, graph, orbits)
+    _, matrix = cw.overlap_maximal_representatives(group, graph)
     wanted = [list(row) for row in matrix.orbit_overlaps]
-    chosen = _fallback_exhaustive(rooted, wanted)
-    reps = [chosen[i] for i in range(len(rooted))]
+    reps = _select_representatives(rooted, wanted)
+    assert len(reps) == len(rooted)
     for i in range(len(reps)):
         for j in range(len(reps)):
             if i != j:
