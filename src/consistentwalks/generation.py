@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .errors import NotConsistent, NotVertexTransitive, SelectionFailed
+from .errors import NotConnected, NotConsistent, NotVertexTransitive, SelectionFailed
 from .graphs import Graph, is_vertex_transitive
 from .perms import Perm, PermutationGroup, close_group
 from .walks import (
@@ -47,9 +47,7 @@ def orbit_overlap(group: PermutationGroup, rep_a: Sequence[int],
     """
     a = tuple(rep_a)
     best = -1
-    for g in group.elements:
-        if g[rep_b[0]] != a[0]:
-            continue
+    for g in group.transporter(rep_b[:1], a[:1]):
         t = 0
         for v, x in zip(rep_b[1:], a[1:]):
             if g[v] != x:
@@ -210,6 +208,8 @@ def verify_generation(group: PermutationGroup, graph: Graph) -> GenerationReport
     stabilizer must be the whole group, and the shunts alone must generate
     whenever that stabilizer is trivial.
     """
+    if not graph.connected:
+        raise NotConnected("generation needs a connected graph")
     if not is_vertex_transitive(group, graph):
         raise NotVertexTransitive("generation needs a vertex-transitive group")
     reps, matrix = overlap_maximal_representatives(group, graph)

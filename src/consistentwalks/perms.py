@@ -4,6 +4,15 @@ Permutations act on the right throughout: ``v ** (g*h) == (v ** g) ** h``
 in exponent notation, i.e. ``(g*h)[v] == h[g[v]]``.  Groups are fully
 materialized by breadth-first closure; everything here is immutable and
 safe to share.
+
+``PermutationGroup.transporter``, behind every stabilizer and shunt query,
+answers from a per-source-point bucket index: for a point ``a`` it holds
+the element positions grouped by the image of ``a``, so a query starts
+from the |G|/|orbit| elements sending ``src[0]`` to ``dst[0]`` instead of
+all of G.  A point's row is built on its first query, at 2 bytes per
+element (4 above 65,536 elements); a group that is never queried builds
+none.  Rows are a cache of the immutable element list: two racing builds
+of one row store equal rows.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from array import array
 from collections.abc import Callable, Iterable, Sequence
 
 from .errors import (
@@ -145,7 +155,7 @@ class PermutationGroup:
     downstream is deterministic.
     """
 
-    __slots__ = ("degree", "elements", "_eset", "_generators", "_small_gens")
+    __slots__ = ("degree", "elements", "_eset", "_generators", "_small_gens", "_index")
 
     def __init__(self, degree: int, elements: Iterable[Perm], generators=None):
         self.degree = degree
@@ -153,6 +163,8 @@ class PermutationGroup:
         self._eset = frozenset(self.elements)
         self._generators = tuple(generators) if generators is not None else None
         self._small_gens = None
+        # source point -> (element positions grouped by image, bucket offsets)
+        self._index: dict[int, tuple[array, list[int]]] = {}
         ident = Perm.identity(degree)
         if ident not in self._eset:
             raise BadParameters("identity missing from element set")
@@ -259,21 +271,43 @@ class PermutationGroup:
     def transporter(self, src: Sequence[int], dst: Sequence[int]) -> list[Perm]:
         """All elements mapping ``src`` onto ``dst`` pointwise, sorted.
 
-        A coset of the pointwise stabilizer of ``src``, or empty.
+        A coset of the pointwise stabilizer of ``src``, or empty; the empty
+        tuples give every element.
         """
         if len(src) != len(dst):
             raise BadParameters(f"point tuples {tuple(src)} and {tuple(dst)} differ in length")
-        found = self.elements
-        for a, b in zip(src, dst):
+        for p in itertools.chain(src, dst):
+            if not 0 <= p < self.degree:
+                raise BadParameters(f"point {p} outside degree {self.degree}")
+        if not src:
+            return list(self.elements)
+        order, offsets = self._index_row(src[0])
+        elements = self.elements
+        found = [elements[i] for i in order[offsets[dst[0]]:offsets[dst[0] + 1]]]
+        for a, b in itertools.islice(zip(src, dst), 1, None):
             found = [g for g in found if g[a] == b]
-        return list(found)
+        return found
+
+    def _index_row(self, a: int) -> tuple[array, list[int]]:
+        """Element positions stably sorted by the image of ``a``, and the
+        offsets where each image's bucket starts (``degree + 1`` of them).
+
+        Buckets keep the lexicographic order of ``elements``.
+        """
+        row = self._index.get(a)
+        if row is None:
+            buckets: list[list[int]] = [[] for _ in range(self.degree)]
+            for i, g in enumerate(self.elements):
+                buckets[g[a]].append(i)
+            typecode = "H" if len(self.elements) <= 1 << 16 else "I"
+            row = (array(typecode, itertools.chain.from_iterable(buckets)),
+                   list(itertools.accumulate(map(len, buckets), initial=0)))
+            self._index[a] = row
+        return row
 
     def pointwise_stabilizer(self, points: Sequence[int]) -> "PermutationGroup":
         """Subgroup fixing every listed point; the empty tuple gives the group itself."""
         pts = tuple(points)
-        for p in pts:
-            if not 0 <= p < self.degree:
-                raise BadParameters(f"point {p} outside degree {self.degree}")
         if not pts:
             return self
         return PermutationGroup(self.degree, self.transporter(pts, pts))

@@ -39,6 +39,10 @@ def oracle_stabilizer(group: cw.PermutationGroup, points) -> list[cw.Perm]:
     return [g for g in group.elements if all(g[p] == p for p in points)]
 
 
+def oracle_transporter(group: cw.PermutationGroup, src, dst) -> list[cw.Perm]:
+    return [g for g in group.elements if all(g[a] == b for a, b in zip(src, dst))]
+
+
 def all_rooted_cycles(graph: cw.Graph) -> set[tuple[int, ...]]:
     """Every rooted directed cycle (including trivial ones) by path DFS."""
     out: set[tuple[int, ...]] = set()

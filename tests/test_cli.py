@@ -124,6 +124,11 @@ def test_domain_error_exit_code(capsys):
                                   "--method", "exhaustive", "--depth-cap", cap], capsys)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "BadParameters"
+    for spec in ("circulant:8:4", "circulant:12:2"):  # two disjoint cycles each
+        code, out, err = run_cli(["generators", "--graph", spec], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "NotConnected"
 
 
 def test_cap_exceeded_exit_code(capsys):

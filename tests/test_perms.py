@@ -120,6 +120,39 @@ def test_pointwise_stabilizer_chains():
     assert chained.subgroup_equals(direct)
 
 
+def test_transporter_rejects_points_outside_degree():
+    aut = cw.automorphism_group(cw.named_graph("cycle:6"))
+    for src, dst in (((-1,), (0,)), ((6,), (0,)), ((0,), (-1,)), ((0,), (6,)),
+                     ((0, 1), (1, 6)), ((0, 7), (0, 1))):
+        with pytest.raises(BadParameters):
+            aut.transporter(src, dst)
+    with pytest.raises(BadParameters):
+        aut.pointwise_stabilizer((0, -1))
+
+
+def test_transporter_matches_plain_scan(family):
+    rng = random.Random(20261018)
+    for name in ("petersen", "q4", "c4k2"):
+        full = family[name][1]
+        for group in (full, full.pointwise_stabilizer((0,))):
+            assert group.transporter((), ()) == list(group.elements)
+            queries = [((a,), (b,)) for a in range(group.degree)
+                       for b in range(group.degree)]
+            for _ in range(60):
+                src = tuple(rng.randrange(group.degree) for _ in range(rng.randint(2, 3)))
+                if rng.random() < 0.5:
+                    dst = tuple(rng.randrange(group.degree) for _ in src)
+                else:
+                    g = group.elements[rng.randrange(group.order)]
+                    dst = tuple(g[a] for a in src)
+                queries.append((src, dst))
+            for src, dst in queries:
+                found = group.transporter(src, dst)
+                assert isinstance(found, list)
+                assert found == sorted(found), (name, src, dst)
+                assert found == oracles.oracle_transporter(group, src, dst), (name, src, dst)
+
+
 def test_orbit_stabilizer_identity_on_random_tuples():
     rng = random.Random(20240809)
     groups = [cw.close_group([ROTATION, REFLECTION]),
