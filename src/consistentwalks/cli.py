@@ -50,7 +50,7 @@ def _load_graph(source: str) -> tuple[Graph, list[list[int]] | None]:
     path = Path(source)
     if not path.exists():
         raise ParseError(f"graph source {source!r} is neither a named spec nor a file")
-    text = path.read_text()
+    text = _read_text(path, "graph file")
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
@@ -69,11 +69,20 @@ def _load_graph(source: str) -> tuple[Graph, list[list[int]] | None]:
         raise ParseError(f"{source}: {exc}") from exc
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The file's UTF-8 text; a missing, unreadable or undecodable file is a ParseError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ParseError(f"{what} {str(path)!r} not found") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{what} {str(path)!r} cannot be read as UTF-8 text: "
+                         f"{type(exc).__name__}") from None
+
+
 def _load_generators(path: str) -> tuple[int | None, list[list[int]]]:
     try:
-        data = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ParseError(f"group file {path!r} not found") from None
+        data = json.loads(_read_text(Path(path), "group file"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} "
                          f"column {exc.colno}") from exc
@@ -94,7 +103,10 @@ def parse_inputs(args: argparse.Namespace) -> tuple[Graph, PermutationGroup, str
     raw = embedded
     source = "embedded"
     if getattr(args, "group_file", None):
-        _, raw = _load_generators(args.group_file)
+        degree, raw = _load_generators(args.group_file)
+        if degree is not None and (type(degree) is not int or degree != graph.vertex_count):
+            raise ParseError(f"{args.group_file}: declared degree {degree!r} differs "
+                             f"from the graph's {graph.vertex_count} vertices")
         source = "file"
     if raw is not None:
         try:

@@ -202,6 +202,8 @@ def automorphism_group(graph: Graph, cap: int = DEFAULT_GROUP_CAP) -> Permutatio
     group is returned.  The search recurses once per vertex, so graphs over
     ``AUTOMORPHISM_VERTEX_LIMIT`` vertices are refused.
     """
+    if cap < 1:
+        raise BadParameters("cap must be >= 1")
     n = graph.vertex_count
     if n > AUTOMORPHISM_VERTEX_LIMIT:
         raise CapExceeded(f"automorphism search on {n} vertices exceeds the "
@@ -219,7 +221,8 @@ def automorphism_group(graph: Graph, cap: int = DEFAULT_GROUP_CAP) -> Permutatio
         if v == n:
             found.append(Perm(images))
             if len(found) > cap:
-                raise CapExceeded(f"automorphism count exceeded cap {cap}")
+                raise CapExceeded(f"automorphism search found {len(found)} "
+                                  f"automorphisms, over the cap of {cap}")
             return
         avail = cand[v] & ~used
         while avail:

@@ -2,8 +2,10 @@
 
 Permutations act on the right throughout: ``v ** (g*h) == (v ** g) ** h``
 in exponent notation, i.e. ``(g*h)[v] == h[g[v]]``.  Groups are fully
-materialized by breadth-first closure; everything here is immutable and
-safe to share.
+materialized by Dimino's closure, which grows the subgroup generated so
+far a whole right coset at a time, so each new element costs one product
+instead of one per generator; point and tuple orbits use a breadth-first
+closure.  Everything here is immutable and safe to share.
 
 ``PermutationGroup.transporter``, behind every stabilizer and shunt query,
 answers from a per-source-point bucket index: for a point ``a`` it holds
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from array import array
 from collections.abc import Callable, Iterable, Sequence
 
@@ -139,6 +140,38 @@ def _closure(seen: set, frontier: list, gens: Sequence[Perm],
     return seen
 
 
+def _dimino(degree: int, candidates: Iterable[Perm],
+            limit: float = math.inf) -> tuple[set[Perm], list[Perm]]:
+    """Dimino's closure: the group generated by ``candidates``, a right coset at a time.
+
+    Walks ``candidates`` in order and skips each one already in the
+    subgroup H generated so far.  Any other p is kept, and H grows to
+    <H, p>: first the coset H*p, then H*y for each y = x*g not yet seen,
+    where x runs over the new coset representatives and g over the kept
+    candidates.  A new coset costs |H| products and a representative one
+    product per kept candidate.  Returns the element set and the kept
+    candidates, early once the set holds more than ``limit`` elements.
+    """
+    seen = {Perm.identity(degree)}
+    kept: list[Perm] = []
+    for p in candidates:
+        if p in seen:
+            continue
+        kept.append(p)
+        subgroup = list(seen)
+        seen.update(h * p for h in subgroup)
+        reps = [p]
+        for x in reps:  # grows while it is walked
+            if len(seen) > limit:
+                return seen, kept
+            for g in kept:
+                y = x * g
+                if y not in seen:
+                    seen.update(h * y for h in subgroup)
+                    reps.append(y)
+    return seen, kept
+
+
 def _point_image(x: int, g: Perm) -> int:
     return g[x]
 
@@ -177,6 +210,11 @@ class PermutationGroup:
     @classmethod
     def close(cls, generators, degree: int | None = None,
               cap: int = DEFAULT_GROUP_CAP) -> "PermutationGroup":
+        """The group generated by ``generators``, closed coset by coset.
+
+        Raises :class:`CapExceeded` once the closure holds more than ``cap``
+        elements.
+        """
         gens = _as_perms(generators)
         if cap < 1:
             raise BadParameters("cap must be >= 1")
@@ -187,10 +225,10 @@ class PermutationGroup:
         for g in gens:
             if g.degree != degree:
                 raise DegreeMismatch(f"generator degree {g.degree} != {degree}")
-        ident = Perm.identity(degree)
-        elements = _closure({ident}, [ident], gens, operator.mul, cap)
+        elements, _ = _dimino(degree, gens, cap)
         if len(elements) > cap:
-            raise CapExceeded(f"group closure exceeded cap {cap}")
+            raise CapExceeded(f"group closure reached {len(elements)} elements, "
+                              f"over the cap of {cap}")
         return cls(degree, elements, generators=gens)
 
     def to_json(self) -> dict:
@@ -232,22 +270,12 @@ class PermutationGroup:
     def small_generating_set(self) -> tuple[Perm, ...]:
         """A short (greedy, not necessarily minimal) generating sequence.
 
-        Each element outside the subgroup generated so far joins the
-        sequence.  The subgroup H grows to <H, p> from the coset H*p, which
-        is disjoint from H; every new element is h*p*w for a word w in the
-        sequence.
+        Each element, in lexicographic order, that lies outside the subgroup
+        H generated so far joins the sequence, and H grows to <H, p> coset
+        by coset (Dimino's closure) until it is the whole group.
         """
         if self._small_gens is None:
-            gens: list[Perm] = []
-            closure = {Perm.identity(self.degree)}
-            for p in self.elements:
-                if p not in closure:
-                    gens.append(p)
-                    coset = [h * p for h in closure]
-                    closure.update(coset)
-                    _closure(closure, coset, gens, operator.mul)
-                if len(closure) == len(self.elements):
-                    break
+            _, gens = _dimino(self.degree, self.elements, self.order - 1)
             self._small_gens = tuple(gens)
         return self._small_gens
 
@@ -265,7 +293,8 @@ class PermutationGroup:
         limit = math.inf if cap is None else cap
         seen = _closure({start}, [start], self.generators, _tuple_image, limit)
         if len(seen) > limit:
-            raise CapExceeded(f"tuple orbit exceeded cap {cap}")
+            raise CapExceeded(f"tuple orbit reached {len(seen)} tuples, "
+                              f"over the cap of {cap}")
         return seen
 
     def transporter(self, src: Sequence[int], dst: Sequence[int]) -> list[Perm]:
@@ -347,17 +376,15 @@ class PermutationGroup:
         for p in nontrivial:
             if p.order() == self.order:
                 return 1
-        ident = Perm.identity(self.degree)
         for size in range(2, search_cap + 1):
             for combo in itertools.combinations(nontrivial, size):
                 # the closure stops as soon as it fills the group
-                if len(_closure({ident}, [ident], combo, operator.mul,
-                                self.order - 1)) == self.order:
+                if len(_dimino(self.degree, combo, self.order - 1)[0]) == self.order:
                     return size
         return None
 
 
 def close_group(generators, degree: int | None = None,
                 cap: int = DEFAULT_GROUP_CAP) -> PermutationGroup:
-    """Breadth-first closure of ``generators`` into a materialized group."""
+    """Closure of ``generators`` into a materialized group, coset by coset."""
     return PermutationGroup.close(generators, degree=degree, cap=cap)

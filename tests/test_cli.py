@@ -131,7 +131,7 @@ def test_domain_error_exit_code(capsys):
         assert json.loads(err)["error"] == "NotConnected"
 
 
-def test_cap_exceeded_exit_code(capsys):
+def test_cap_exceeded_exit_code(tmp_path, capsys):
     code, _, err = run_cli(["orbits", "--graph", "petersen",
                             "--cap-group", "10"], capsys)
     assert code == 2
@@ -146,6 +146,26 @@ def test_cap_exceeded_exit_code(capsys):
     code, out, _ = run_cli(["orbits", "--graph", "cycle:64"], capsys)
     assert code == 0
     assert json.loads(out)["payload"]["orbit_count"] == 2
+
+    rot = tmp_path / "rot.json"
+    rot.write_text(json.dumps({"degree": 6, "generators": [[1, 2, 3, 4, 5, 0]]}))
+    for extra in ([], ["--group-file", str(rot)]):
+        for cap in ("0", "-3"):
+            code, out, err = run_cli(["orbits", "--graph", "cycle:6",
+                                      "--cap-group", cap, *extra], capsys)
+            assert code == 1 and out == ""
+            assert len(err.splitlines()) == 1
+            assert json.loads(err)["error"] == "BadParameters"
+    # the automorphism search stops at its 6th element, the closure at the whole group
+    for extra, stage in (([], "automorphism search found 6 "),
+                         (["--group-file", str(rot)], "group closure reached 6 ")):
+        code, out, err = run_cli(["orbits", "--graph", "cycle:6",
+                                  "--cap-group", "5", *extra], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        message = json.loads(err)
+        assert message["error"] == "CapExceeded"
+        assert message["message"].startswith(stage) and "cap of 5" in message["message"]
 
 
 def test_parse_errors(tmp_path, capsys):
@@ -189,6 +209,27 @@ def test_parse_errors(tmp_path, capsys):
                             "--group-file", str(no_gens)], capsys)
     assert code == 1
     assert json.loads(err)["error"] == "ParseError"
+
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe\x00 0 1\n")
+    for unreadable in (tmp_path, binary):
+        for flag in (["--graph", str(unreadable)],
+                     ["--graph", "cycle:6", "--group-file", str(unreadable)]):
+            code, out, err = run_cli(["orbits", *flag], capsys)
+            assert code == 1 and out == ""
+            assert len(err.splitlines()) == 1
+            assert json.loads(err)["error"] == "ParseError"
+
+    for degree in (5, 7, "6"):
+        declared = tmp_path / f"degree_{degree}.json"
+        declared.write_text(json.dumps({"degree": degree,
+                                        "generators": [[1, 2, 3, 4, 5, 0]]}))
+        code, out, err = run_cli(["orbits", "--graph", "cycle:6",
+                                  "--group-file", str(declared)], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        message = json.loads(err)
+        assert message["error"] == "ParseError" and "degree" in message["message"]
 
 
 def test_blowup_demo_small(capsys):

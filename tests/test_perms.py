@@ -75,9 +75,18 @@ def test_close_group_transpositions_give_symmetric_group():
     assert set(group.elements) == {Perm(p) for p in permutations(range(5))}
 
 
-def test_close_group_cap():
+def test_close_group_cap(family):
     with pytest.raises(CapExceeded):
         cw.close_group([ROTATION, REFLECTION], cap=5)
+    for name in ("c6", "petersen", "c4k2"):
+        group = family[name][1]
+        gens = group.small_generating_set()
+        with pytest.raises(CapExceeded, match=f"group closure reached {group.order} "):
+            cw.close_group(gens, degree=group.degree, cap=group.order - 1)
+        assert cw.close_group(gens, degree=group.degree, cap=group.order).order == group.order
+    for cap in (0, -3):
+        with pytest.raises(BadParameters):
+            cw.close_group([ROTATION], cap=cap)
 
 
 def test_full_closure_on_small_groups():
@@ -226,15 +235,50 @@ SMALL_GENERATORS = {
              (0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13, 10, 11, 14, 15),
              (1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
              (2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13)],
+    "c4k2": [(0, 1, 2, 3, 4, 5, 7, 6), (0, 1, 2, 3, 5, 4, 6, 7), (0, 1, 2, 6, 4, 5, 3, 7),
+             (0, 1, 3, 2, 4, 5, 6, 7), (0, 4, 2, 3, 1, 5, 6, 7), (1, 0, 2, 3, 4, 5, 6, 7),
+             (2, 3, 0, 1, 6, 7, 4, 5)],
+    "q5": [(0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23,
+            8, 9, 10, 11, 12, 13, 14, 15, 24, 25, 26, 27, 28, 29, 30, 31),
+           (0, 1, 2, 3, 8, 9, 10, 11, 4, 5, 6, 7, 12, 13, 14, 15,
+            16, 17, 18, 19, 24, 25, 26, 27, 20, 21, 22, 23, 28, 29, 30, 31),
+           (0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13, 10, 11, 14, 15,
+            16, 17, 20, 21, 18, 19, 22, 23, 24, 25, 28, 29, 26, 27, 30, 31),
+           (0, 2, 1, 3, 4, 6, 5, 7, 8, 10, 9, 11, 12, 14, 13, 15,
+            16, 18, 17, 19, 20, 22, 21, 23, 24, 26, 25, 27, 28, 30, 29, 31),
+           (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14,
+            17, 16, 19, 18, 21, 20, 23, 22, 25, 24, 27, 26, 29, 28, 31, 30)],
 }
 
 
-def test_small_generating_set_generates(family):
-    for name, (_, group) in family.items():
+@pytest.fixture(scope="module")
+def ladder(family):
+    """The graph ladder's groups: cycle:6, petersen, hypercube:4 and :5, C4[2K1], Q3[2K1]."""
+    q5 = cw.named_graph("hypercube:5")
+    groups = {name: family[name] for name in ("c6", "petersen", "q4", "c4k2", "q3k2")}
+    groups["q5"] = (q5, cw.automorphism_group(q5))
+    return groups
+
+
+def test_small_generating_set_generates(family, ladder):
+    for name, (_, group) in {**family, **ladder}.items():
         gens = group.small_generating_set()
         assert cw.close_group(gens, degree=group.degree).subgroup_equals(group)
         if name in SMALL_GENERATORS:
             assert [tuple(g) for g in gens] == SMALL_GENERATORS[name]
+
+
+def test_close_group_orders_match_sympy(ladder):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for name, (graph, group) in ladder.items():
+        arc = (0, graph.adj[0][0])
+        for sub in (group, group.pointwise_stabilizer(arc[:1]), group.pointwise_stabilizer(arc)):
+            gens = sub.small_generating_set()
+            closed = cw.close_group(gens, degree=group.degree)
+            assert closed.subgroup_equals(sub), name
+            oracle = combinatorics.PermutationGroup(
+                [combinatorics.Permutation(list(g)) for g in gens])
+            assert closed.order == oracle.order(), name
 
 
 def test_serialization_round_trip():
