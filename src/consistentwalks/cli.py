@@ -22,6 +22,7 @@ from .errors import (
     ConsistentWalksError,
     InvalidPermutation,
     ParseError,
+    invariant,
 )
 from .generation import verify_generation
 from .graphs import Graph, automorphism_group, local_group, named_graph, verify_automorphisms
@@ -188,7 +189,7 @@ def _payload_property_r(graph, group, args) -> dict:
     walk = _parse_walk(args.walk)
     by_group = reachability_by_shunt_group(group, graph, walk)
     by_chase = reachability_by_chase(group, graph, walk, target=args.target)
-    assert by_group.verdict == by_chase.verdict, "the two deciders must agree"
+    invariant(by_group.verdict == by_chase.verdict, "the two deciders must agree")
     return {"walk": list(walk), "verdict": by_group.verdict,
             "shunt_group": by_group.to_json(), "chase": by_chase.to_json()}
 

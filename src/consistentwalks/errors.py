@@ -3,6 +3,8 @@
 Every domain failure raises a subclass of :class:`ConsistentWalksError`;
 cap overruns raise :class:`CapExceeded` (or a subclass) so callers can tell
 "the instance is too big for desk scale" apart from "the input is wrong".
+A failed internal invariant raises :class:`InvariantViolation`: that is a
+defect of the library, not of the input.
 """
 
 
@@ -108,3 +110,16 @@ class SelectionFailed(ConsistentWalksError):
 
 class ParseError(ConsistentWalksError):
     """An input file or flag could not be parsed."""
+
+
+class InvariantViolation(ConsistentWalksError):
+    """A mathematical identity the library relies on failed: a library defect."""
+
+
+def invariant(ok: bool, message: str) -> None:
+    """Raise :class:`InvariantViolation` with ``message`` unless ``ok``.
+
+    Unlike ``assert``, this check stays under ``python -O``.
+    """
+    if not ok:
+        raise InvariantViolation(message)

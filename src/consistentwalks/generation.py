@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .errors import NotConnected, NotConsistent, NotVertexTransitive, SelectionFailed
+from .errors import (
+    NotConnected,
+    NotConsistent,
+    NotVertexTransitive,
+    SelectionFailed,
+    invariant,
+)
 from .graphs import Graph, is_vertex_transitive
 from .perms import Perm, PermutationGroup, close_group
 from .walks import (
@@ -127,7 +133,7 @@ def overlap_maximal_representatives(group: PermutationGroup, graph: Graph
         raise NotVertexTransitive("representative selection needs a vertex-transitive group")
     orbits = partition_cycles(group, enumerate_consistent_cycles(group, graph))
     rooted = [[c for c in orbit if c[0] == 0] for orbit in orbits]
-    assert all(rooted), "vertex transitivity puts a rooted cycle in every orbit"
+    invariant(all(rooted), "vertex transitivity puts a rooted cycle in every orbit")
     d = len(rooted)
     tree = _prefix_tree(rooted)
     matrix = [[0] * d for _ in range(d)]
@@ -149,9 +155,10 @@ def overlap_maximal_representatives(group: PermutationGroup, graph: Graph
     for i in range(d):
         for j in range(d):
             if i != j:
-                assert orbit_overlaps[i][j] == matrix[i][j], "prefix tree disagrees with orbit sweep"
-                assert walk_overlaps[i][j] == orbit_overlaps[i][j], (
-                    f"representatives {i},{j} miss their orbit overlap")
+                invariant(orbit_overlaps[i][j] == matrix[i][j],
+                          "prefix tree disagrees with orbit sweep")
+                invariant(walk_overlaps[i][j] == orbit_overlaps[i][j],
+                          f"representatives {i},{j} miss their orbit overlap")
     return reps, OverlapMatrix(
         representatives=tuple(reps),
         walk_overlaps=tuple(tuple(row) for row in walk_overlaps),
@@ -221,12 +228,13 @@ def verify_generation(group: PermutationGroup, graph: Graph) -> GenerationReport
     chosen, chosen_stab = reps[chosen_index], stabs[chosen_index]
     with_stab = close_group(
         list(shunt_set) + list(chosen_stab.small_generating_set()), degree=group.degree)
-    assert with_stab.order == group.order, (
-        "shunts plus the walk stabilizer failed to generate the group")
+    invariant(with_stab.order == group.order,
+              "shunts plus the walk stabilizer failed to generate the group")
     if chosen_stab.order == 1:
-        assert generates, "a trivial-stabilizer cycle forces the shunts to generate"
+        invariant(generates, "a trivial-stabilizer cycle forces the shunts to generate")
     chosen_walk_min_generators = chosen_stab.min_generating_size()
-    assert chosen_walk_min_generators is not None
+    invariant(chosen_walk_min_generators is not None,
+              "no generating set of the walk stabilizer within the search cap")
     min_generators_exact = (group.min_generating_size()
                    if group.order <= EXACT_DELTA_ORDER_LIMIT else None)
     return GenerationReport(

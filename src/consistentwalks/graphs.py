@@ -19,6 +19,7 @@ from .errors import (
     NotAutomorphisms,
     TooFewVertices,
     UnknownSpec,
+    invariant,
 )
 from .perms import DEFAULT_GROUP_CAP, Perm, PermutationGroup
 
@@ -34,7 +35,7 @@ class Graph:
         n = int(vertex_count)
         if n < 3:
             raise TooFewVertices(f"need at least 3 vertices, got {n}")
-        masks = [0] * n
+        neighbors: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for e in edges:
             u, v = int(e[0]), int(e[1])
@@ -46,11 +47,11 @@ class Graph:
             if key in seen:
                 raise DuplicateEdge(f"edge ({key[0]},{key[1]}) repeated")
             seen.add(key)
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+            neighbors[u].append(v)
+            neighbors[v].append(u)
         self.vertex_count = n
-        self.masks = tuple(masks)
-        self.adj = tuple(tuple(w for w in range(n) if masks[v] >> w & 1) for v in range(n))
+        self.adj = tuple(tuple(sorted(ws)) for ws in neighbors)
+        self.masks = tuple(sum(1 << w for w in ws) for ws in self.adj)
         self.connected = self._bfs_connected()
 
     def _bfs_connected(self) -> bool:
@@ -198,9 +199,11 @@ def verify_automorphisms(graph: Graph, perms: Iterable[Perm]) -> None:
 def automorphism_group(graph: Graph, cap: int = DEFAULT_GROUP_CAP) -> PermutationGroup:
     """The full automorphism group, by degree-refined backtracking.
 
-    Every element is re-verified against the adjacency relation before the
-    group is returned.  The search recurses once per vertex, so graphs over
-    ``AUTOMORPHISM_VERTEX_LIMIT`` vertices are refused.
+    Each leaf is an automorphism by construction: assigning v -> u narrows
+    every later vertex w to the neighbors of u when v~w and to the
+    non-neighbors of u otherwise, and ``used`` keeps the map injective, so
+    the leaves are not checked again.  The search recurses once per vertex,
+    so graphs over ``AUTOMORPHISM_VERTEX_LIMIT`` vertices are refused.
     """
     if cap < 1:
         raise BadParameters("cap must be >= 1")
@@ -241,8 +244,10 @@ def automorphism_group(graph: Graph, cap: int = DEFAULT_GROUP_CAP) -> Permutatio
                 images[v] = u
                 extend(v + 1, nxt, used2)
 
-    extend(0, init_cand, 0)
-    verify_automorphisms(graph, found)
+    try:
+        extend(0, init_cand, 0)
+    finally:
+        del extend  # it holds itself, and with it ``found``, through its closure cell
     group = PermutationGroup(n, found)
     group.small_generating_set()
     return group
@@ -281,7 +286,8 @@ def local_group(group: PermutationGroup, graph: Graph, v: int) -> LocalAction:
         lift.setdefault(q, h)
     locals_ = sorted(lift)
     # the restriction is a homomorphism, so |local| divides |G_v|
-    assert stab.order % len(locals_) == 0
+    invariant(stab.order % len(locals_) == 0,
+              f"local group order {len(locals_)} does not divide |G_v| = {stab.order}")
     local = PermutationGroup(len(domain), locals_)
     return LocalAction(base_vertex=v, domain=domain, group=local, lift=lift,
                        stabilizer_order=stab.order)
@@ -307,7 +313,7 @@ def is_n_arc_transitive(group: PermutationGroup, graph: Graph, n: int) -> bool:
         raise NoNArcs(f"graph has no {n}-arc")
     orbit = group.tuple_orbit(arcs[0])
     arc_set = set(arcs)
-    assert orbit <= arc_set, "automorphism images of an n-arc must be n-arcs"
+    invariant(orbit <= arc_set, "automorphism images of an n-arc must be n-arcs")
     return len(orbit) == len(arc_set)
 
 

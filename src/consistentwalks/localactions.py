@@ -19,6 +19,7 @@ from .errors import (
     NotConnected,
     NotTransitive,
     WrongValence,
+    invariant,
 )
 from .graphs import Graph, LocalAction, is_arc_transitive, is_n_arc_transitive, local_group
 from .perms import PermutationGroup
@@ -65,7 +66,7 @@ def weakly_p_subregular(local: LocalAction | PermutationGroup) -> WpsWitness | N
     Brute force over ordered point pairs: x needs a prime-order point
     stabilizer, and the two orbits under the joined stabilizers must cover
     the domain.  A witness implies the two-point stabilizer is trivial,
-    which is asserted.
+    which is checked.
     """
     group = local.group if isinstance(local, LocalAction) else local
     domain = range(group.degree)
@@ -83,7 +84,8 @@ def weakly_p_subregular(local: LocalAction | PermutationGroup) -> WpsWitness | N
                 degree=group.degree)
             covered = joined.orbit(x) | joined.orbit(y)
             if covered == frozenset(domain):
-                assert group.pointwise_stabilizer((x, y)).order == 1
+                invariant(group.pointwise_stabilizer((x, y)).order == 1,
+                          f"points {x},{y} have a nontrivial joint stabilizer")
                 return WpsWitness(prime=stab_x.order, x=x, y=y,
                                   x_stabilizer_order=stab_x.order,
                                   y_stabilizer_order=stab_y.order,
@@ -136,13 +138,14 @@ def find_trivial_walk_wps(group: PermutationGroup,
     x = local.domain[witness.x]
     y = local.domain[witness.y]
     walk, counts = _extend_while_branching(group, graph, (x, base, y))
-    assert all(c == witness.prime for c in counts), (
-        f"successor counts {counts} differ from the witness prime {witness.prime}")
+    invariant(all(c == witness.prime for c in counts),
+              f"successor counts {counts} differ from the witness prime {witness.prime}")
     cert = certify_trivial_stabilizer(group, graph, walk, seed_length=2)
     cert.update({"method": "wps", "prime": witness.prime,
                  "base_vertex": base, "local_witness": witness.to_json(),
                  "successor_counts": counts})
-    assert cert["certified"] and cert["stabilizer_order"] == 1
+    invariant(cert["certified"] and cert["stabilizer_order"] == 1,
+              f"wps walk {walk} is not certified trivial")
     return is_consistent(group, graph, walk), cert
 
 
@@ -173,7 +176,7 @@ def find_trivial_walk_4valent(group: PermutationGroup,
     u = 0
     v = graph.adj[u][0]
     h_order = _arc_local_order(group, graph, u, v)
-    assert h_order in (1, 2, 3, 6), f"impossible arc-local order {h_order}"
+    invariant(h_order in (1, 2, 3, 6), f"impossible arc-local order {h_order}")
     if h_order == 2:
         witness, cert = find_trivial_walk_wps(group, graph)
         cert.update({"method": "4valent", "branch": "dihedral-local"})
@@ -182,14 +185,16 @@ def find_trivial_walk_4valent(group: PermutationGroup,
         walk: Walk = (u, v)
         branch = "trivial-arc-action"
     else:
-        assert is_n_arc_transitive(group, graph, 2)
+        invariant(is_n_arc_transitive(group, graph, 2),
+                  "arc-local order 6 without 2-arc transitivity")
         w = next(z for z in graph.adj[v] if z != u)
         walk, counts = _extend_while_branching(group, graph, (u, v, w))
         branch = "two-arc-transitive"
     cert = certify_trivial_stabilizer(group, graph, walk, seed_length=1)
     cert.update({"method": "4valent", "branch": branch,
                  "arc_local_order": h_order})
-    assert cert["certified"] and cert["stabilizer_order"] == 1
+    invariant(cert["certified"] and cert["stabilizer_order"] == 1,
+              f"4-valent walk {walk} is not certified trivial")
     return is_consistent(group, graph, walk), cert
 
 
@@ -226,7 +231,7 @@ def shunt_count_pattern(s: int, t: int, trivial_shunt_count: int,
     Expected: the trivial-cycle orbit has 3^s * 2^(t-2) shunts, two orbits
     have one shunt each, and one orbit has 2^(t-2).  With t < 2 the
     expected counts are not integers; the report flags out_of_pattern
-    instead of asserting.
+    instead of raising.
     """
     if t < 2:
         return {"status": "out_of_pattern", "s": s, "t": t,
@@ -267,7 +272,7 @@ def verify_shunt_count_pattern(group: PermutationGroup, graph: Graph) -> dict:
     stab_order = group.pointwise_stabilizer((0,)).order
     s, t = factor_3s_2t(stab_order)
     table = consistent_cycle_orbits(group, graph)
-    assert len(table.records) == 4
+    invariant(len(table.records) == 4, f"expected 4 orbits, found {len(table.records)}")
     trivial = table.trivial_record()
     others = [r.shunt_count for r in table.records if not r.trivial]
     report = shunt_count_pattern(s, t, trivial.shunt_count, others)

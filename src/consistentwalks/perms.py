@@ -15,6 +15,11 @@ all of G.  A point's row is built on its first query, at 2 bytes per
 element (4 above 65,536 elements); a group that is never queried builds
 none.  Rows are a cache of the immutable element list: two racing builds
 of one row store equal rows.
+
+Each answer is computed once.  A ``PermutationGroup`` trusts its element
+list to be a group, and a transporter answer is not re-derived as a coset;
+the test suite checks both for every group and query it builds
+(``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -183,8 +188,13 @@ def _tuple_image(t: tuple[int, ...], g: Perm) -> tuple[int, ...]:
 class PermutationGroup:
     """A finite permutation group with a materialized element set.
 
-    Instances are built by :func:`close_group` or by filtering an existing
-    group; `elements` is lexicographically sorted, so every iteration order
+    ``elements`` must already form a group.  The constructor checks only
+    that the identity is present, in O(1), not closure or inverses.  Every
+    caller passes a group by construction: a Dimino closure
+    (:meth:`close`), the elements of a group fixing given points
+    (:meth:`pointwise_stabilizer`), every leaf of the automorphism search,
+    or the image of a homomorphism (``graphs.local_group``).
+    ``elements`` is lexicographically sorted, so every iteration order
     downstream is deterministic.
     """
 
@@ -198,12 +208,8 @@ class PermutationGroup:
         self._small_gens = None
         # source point -> (element positions grouped by image, bucket offsets)
         self._index: dict[int, tuple[array, list[int]]] = {}
-        ident = Perm.identity(degree)
-        if ident not in self._eset:
+        if Perm.identity(degree) not in self._eset:
             raise BadParameters("identity missing from element set")
-        for p in self.elements:
-            if p.inverse() not in self._eset:
-                raise BadParameters(f"inverse of {p} missing from element set")
 
     # -- construction ------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BaseNotVertexTransitive, BadParameters
+from .errors import BaseNotVertexTransitive, BadParameters, invariant
 from .graphs import (
     Graph,
     automorphism_group,
@@ -127,9 +127,10 @@ def blowup_cycle_family(graph: Graph, group: PermutationGroup,
                     images[blowup_point(v, a, m)] = blowup_point(base_shunt[v], image_fiber, m)
             shunt = Perm(images)
             verify_automorphisms(blowup, [shunt])
-            assert all(shunt[a] == b for a, b in zip(cycle, cycle[1:])), (
-                f"constructed element does not shunt the fiber cycle for {rep}")
-            assert len(cycle) - 1 == j * record.length
+            invariant(all(shunt[a] == b for a, b in zip(cycle, cycle[1:])),
+                      f"constructed element does not shunt the fiber cycle for {rep}")
+            invariant(len(cycle) - 1 == j * record.length,
+                      f"fiber cycle {i},{j} does not have length {j} * {record.length}")
             cycles[i, j] = cycle
             shunt_map[i, j] = shunt
     return BlowupCycleFamily(

@@ -19,6 +19,7 @@ from .errors import (
     NotConsistent,
     OrbitTooLarge,
     WalkTooShort,
+    invariant,
 )
 from .graphs import Graph, is_arc_transitive
 from .perms import Perm, PermutationGroup, close_group
@@ -157,7 +158,7 @@ def check_conditions(group: PermutationGroup, graph: Graph,
     shifted = apply_perm(shunt, prefix)          # == w[1:]
     ell = successor_count(group, graph, w)
     k = successor_count(group, graph, prefix)
-    assert ell <= k
+    invariant(ell <= k, f"walk {w} has more successors than its prefix")
     stab_prefix = group.pointwise_stabilizer(prefix)
     stab_shifted = group.pointwise_stabilizer(shifted)
     joined = close_group(
@@ -167,11 +168,11 @@ def check_conditions(group: PermutationGroup, graph: Graph,
     cond_a = no_intermediate_divisor(ell, k)
     prefix_succ = set(successors(group, graph, prefix))
     orbit = joined.tuple_orbit(min(prefix_succ))
-    assert orbit <= prefix_succ
+    invariant(orbit <= prefix_succ, "the joined stabilizer leaves the prefix successors")
     cond_b = orbit == prefix_succ
     inner = w[1:-1]
     cond_c = joined.subgroup_equals(group.pointwise_stabilizer(inner))
-    assert not cond_c or cond_b, "condition (c) must imply condition (b)"
+    invariant(not cond_c or cond_b, "condition (c) must imply condition (b)")
     return ConditionReport(walk=w, shunt=shunt, succ_count=ell,
                            prefix_succ_count=k, condition_a=cond_a,
                            condition_b=cond_b, condition_c=cond_c,
@@ -191,7 +192,8 @@ def stabilizer_fixes_successors(group: PermutationGroup, graph: Graph,
     direct = all(apply_perm(h, s) == s for h in stab.elements for s in succ)
     via_extensions = all(
         len(successors(group, graph, w + (s[-1],))) == 1 for s in succ)
-    assert direct == via_extensions
+    invariant(direct == via_extensions,
+              "fixing the successors disagrees with the extension counts")
     return direct
 
 
@@ -244,8 +246,8 @@ def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
         cert["certified"] = False
         cert["failure_reason"] = "final fix check"
         return cert
-    assert cert["stabilizer_order"] == 1, (
-        "conditions certified but the directly computed stabilizer is nontrivial")
+    invariant(cert["stabilizer_order"] == 1,
+              "conditions certified but the directly computed stabilizer is nontrivial")
     cert["certified"] = True
     return cert
 
@@ -290,5 +292,5 @@ def successor_reachability_classes(group: PermutationGroup, graph: Graph,
     for gen in group.generators:
         for cls in classes:
             images = {class_of[apply_perm(gen, t)] for t in cls}
-            assert len(images) == 1, "classes are not a G-invariant partition"
+            invariant(len(images) == 1, "classes are not a G-invariant partition")
     return classes

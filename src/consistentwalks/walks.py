@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .errors import InvalidWalk, NotConsistent
+from .errors import InvalidWalk, NotConsistent, invariant
 from .graphs import Graph, is_vertex_transitive
 from .perms import Perm, PermutationGroup
 
@@ -52,16 +52,12 @@ class ConsistencyWitness:
 def shunts(group: PermutationGroup, graph: Graph, walk: Sequence[int]) -> list[Perm]:
     """All g in G mapping the walk's prefix onto its suffix, sorted.
 
-    The returned set is verified to be the coset g0 * G_{(v_1..v_n)} of the
-    suffix stabilizer (empty when the walk is not consistent).
+    This is the transporter of (v_0..v_{n-1}) onto (v_1..v_n): the coset
+    g0 * G_{(v_1..v_n)} of the suffix stabilizer for any shunt g0, or empty
+    when the walk is not consistent.
     """
     w = validate_walk(graph, walk)
-    found = group.transporter(w[:-1], w[1:])
-    if found:
-        g0 = found[0]
-        suffix_stab = group.pointwise_stabilizer(w[1:])
-        assert {g0 * h for h in suffix_stab.elements} == set(found)
-    return found
+    return group.transporter(w[:-1], w[1:])
 
 
 def is_consistent(group: PermutationGroup, graph: Graph,
@@ -77,30 +73,29 @@ def successors(group: PermutationGroup, graph: Graph,
                walk: Sequence[int]) -> list[Walk]:
     """All walks (v_1..v_n, v_n^g) over shunts g, sorted.
 
-    Computed as the shunt images of the walk and cross-checked against the
-    orbit of one successor under the suffix stabilizer; the two must agree.
+    The shunt images of the walk.  Since the shunts are the coset
+    g0 * G_{(v_1..v_n)}, these are also the orbit of one successor under
+    the suffix stabilizer:
+    apply_perm(g0 * h, w) == apply_perm(h, apply_perm(g0, w)).
     """
     w = validate_walk(graph, walk)
     shs = shunts(group, graph, w)
     if not shs:
         raise NotConsistent(f"walk {w} has no shunt in the group")
-    succ = {apply_perm(g, w) for g in shs}
-    one = apply_perm(shs[0], w)
-    suffix_stab = group.pointwise_stabilizer(w[1:])
-    assert {apply_perm(h, one) for h in suffix_stab.elements} == succ
-    return sorted(succ)
+    return sorted({apply_perm(g, w) for g in shs})
 
 
 def successor_count(group: PermutationGroup, graph: Graph,
                     walk: Sequence[int]) -> int:
     """|Succ(walk)|; for vertex-transitive groups the order identity
-    |G_prefix| = |G_walk| * |Succ(walk)| is asserted."""
+    |G_prefix| = |G_walk| * |Succ(walk)| is checked."""
     w = validate_walk(graph, walk)
     count = len(successors(group, graph, w))
     if is_vertex_transitive(group, graph):
         prefix_stab = group.pointwise_stabilizer(w[:-1])
         walk_stab = group.pointwise_stabilizer(w)
-        assert prefix_stab.order == walk_stab.order * count
+        invariant(prefix_stab.order == walk_stab.order * count,
+                  f"|G_prefix| != |G_walk| * |Succ| for {w}")
     return count
 
 
@@ -126,8 +121,9 @@ def induced_cycle(witness: ConsistencyWitness) -> Walk:
     seen = {w[0]: 0}
     for k, v in enumerate(w[1:], start=1):
         if v in seen:
-            assert v == w[0], f"first repeat {v} is not the root of {w}"
-            assert all(w[x] == w[x % k] for x in range(len(w)))
+            invariant(v == w[0], f"first repeat {v} is not the root of {w}")
+            invariant(all(w[x] == w[x % k] for x in range(len(w))),
+                      f"{w} is not periodic after its first repeat")
             return w[: k + 1]
         seen[v] = k
     cycle = list(w)
@@ -136,7 +132,7 @@ def induced_cycle(witness: ConsistencyWitness) -> Walk:
         seen[v] = len(cycle)
         cycle.append(v)
         v = g[v]
-    assert v == w[0], f"first revisited vertex {v} is not the root of {w}"
+    invariant(v == w[0], f"first revisited vertex {v} is not the root of {w}")
     cycle.append(v)
     return tuple(cycle)
 
@@ -230,15 +226,16 @@ def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbit
     """The census of G-orbits of G-consistent cycles.
 
     For a vertex-transitive group on a connected d-valent graph the table
-    has exactly d records; otherwise the count assertion is suppressed and
-    the table is still returned.
+    has exactly d records; otherwise the count check is skipped and the
+    table is still returned.
     """
     orbits = partition_cycles(group, enumerate_consistent_cycles(group, graph))
     records = []
     for orbit in orbits:
         rep = orbit[0]
         stab = group.pointwise_stabilizer(rep[:-1])
-        assert len(orbit) * stab.order == group.order
+        invariant(len(orbit) * stab.order == group.order,
+                  f"orbit-stabilizer fails for the cycle {rep}")
         records.append(OrbitRecord(
             representative=rep,
             length=len(rep) - 1,
@@ -249,7 +246,7 @@ def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbit
         ))
     transitive = is_vertex_transitive(group, graph)
     if transitive:
-        assert len(records) == graph.valence(), (
-            f"expected {graph.valence()} orbits, found {len(records)}")
+        invariant(len(records) == graph.valence(),
+                  f"expected {graph.valence()} orbits, found {len(records)}")
     return CycleOrbitTable(records=tuple(records), group_order=group.order,
                            vertex_transitive=transitive)

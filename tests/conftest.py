@@ -1,6 +1,51 @@
+import functools
+
 import pytest
 
 import consistentwalks as cw
+from consistentwalks.perms import PermutationGroup
+
+
+@pytest.fixture(scope="session", autouse=True)
+def group_answers_rederived():
+    """Re-derive every group and transporter answer the suite builds.
+
+    The library computes each answer once.  Here, for the whole session,
+    every ``PermutationGroup`` is checked to be closed under inverses, every
+    transporter answer to map ``src`` onto ``dst``, and every nonempty one
+    to be the coset g0 * G_(dst) of its least element g0.  That covers
+    every shunt set, and with it every successor set:
+    apply_perm(g0 * h, w) == apply_perm(h, apply_perm(g0, w)).  The methods
+    are wrapped on the class itself, so every caller in every module goes
+    through the checks.
+    """
+    init, transporter = PermutationGroup.__init__, PermutationGroup.transporter
+
+    @functools.wraps(init)
+    def checked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        for p in self.elements:
+            assert p.inverse() in self, f"inverse of {p} missing from {self!r}"
+
+    @functools.wraps(transporter)
+    def checked_transporter(self, src, dst):
+        found = transporter(self, src, dst)
+        pairs = list(zip(src, dst))
+        assert all(g[a] == b for g in found for a, b in pairs), (
+            f"transporter {tuple(src)} -> {tuple(dst)} returned a non-transporting element")
+        if found and tuple(src) != tuple(dst):
+            g0 = found[0]
+            assert {g0 * h for h in transporter(self, dst, dst)} == set(found), (
+                f"transporter {tuple(src)} -> {tuple(dst)} is not a coset of G_{tuple(dst)}")
+        return found
+
+    PermutationGroup.__init__ = checked_init
+    PermutationGroup.transporter = checked_transporter
+    try:
+        yield
+    finally:
+        PermutationGroup.__init__ = init
+        PermutationGroup.transporter = transporter
 
 
 def build_family_graphs() -> dict[str, cw.Graph]:

@@ -1,6 +1,8 @@
 import json
+import time
 
 from consistentwalks.cli import main
+from consistentwalks.graphs import Graph
 
 
 def run_cli(args, capsys):
@@ -136,8 +138,10 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
                             "--cap-group", "10"], capsys)
     assert code == 2
     assert json.loads(err)["error"] == "CapExceeded"
-    for spec, n in (("cycle:65", 65), ("cycle:2000", 2000)):
+    for spec, n in (("cycle:65", 65), ("cycle:2000", 2000), ("cycle:20000", 20000)):
+        started = time.perf_counter()
         code, out, err = run_cli(["orbits", "--graph", spec], capsys)
+        assert time.perf_counter() - started < 10  # building the graph stays near-linear
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         message = json.loads(err)
@@ -166,6 +170,17 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
         message = json.loads(err)
         assert message["error"] == "CapExceeded"
         assert message["message"].startswith(stage) and "cap of 5" in message["message"]
+
+
+def test_invariant_violation_exit_code(monkeypatch, capsys):
+    valence = Graph.valence
+    monkeypatch.setattr(Graph, "valence", lambda self: valence(self) + 1)
+    code, out, err = run_cli(["orbits", "--graph", "petersen"], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    message = json.loads(err)
+    assert message["error"] == "InvariantViolation"
+    assert message["message"] == "expected 4 orbits, found 3"
 
 
 def test_parse_errors(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 import consistentwalks as cw
@@ -93,8 +95,26 @@ def test_automorphism_group_petersen_brute_force(family):
 
 
 def test_automorphisms_preserve_adjacency(family):
-    for graph, aut in family.values():
-        verify_automorphisms(graph, aut.generators)
+    # the search does not re-verify its leaves, so every element is checked here
+    q5 = cw.named_graph("hypercube:5")
+    aut5 = cw.automorphism_group(q5)
+    assert aut5.order == 3840
+    for graph, aut in [*family.values(), (q5, aut5)]:
+        verify_automorphisms(graph, aut.elements)
+
+
+def test_automorphism_search_leaves_no_cyclic_garbage():
+    graph = cw.lex_blowup(cw.named_graph("hypercube:3"), 2)[0]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert cw.automorphism_group(graph).order == 12288
+        reclaimed = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert reclaimed < 100
 
 
 def test_verify_automorphisms_rejects_non_automorphism():
@@ -178,6 +198,15 @@ def test_blowup_fibers_are_twin_classes():
     assert cw.twin_vertices(q3) == []
     blowup, _ = cw.lex_blowup(q3, 2)
     assert cw.twin_vertices(blowup) == [(2 * v, 2 * v + 1) for v in range(8)]
+
+
+def test_large_cycle_adjacency():
+    n = 20000
+    cycle = cw.named_graph(f"cycle:{n}")
+    assert cycle.adj[0] == (1, n - 1) and cycle.adj[n - 1] == (0, n - 2)
+    assert all(cycle.adj[v] == (v - 1, v + 1) for v in range(1, n - 1))
+    assert cycle.masks[5] == 0b101 << 4
+    assert cycle.connected and cycle.edge_count() == n
 
 
 def test_graph_serialization():

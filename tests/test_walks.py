@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +202,27 @@ def test_census_without_vertex_transitivity():
     table = cw.consistent_cycle_orbits(aut, path)
     assert not table.vertex_transitive
     assert table.records == ()
+
+
+def test_census_invariant_survives_optimize():
+    # python -O strips assert statements; the census d-orbit check must stay
+    script = (
+        "import consistentwalks as cw\n"
+        "from consistentwalks.errors import InvariantViolation\n"
+        "valence = cw.Graph.valence\n"
+        "cw.Graph.valence = lambda self: valence(self) + 1\n"
+        "graph = cw.named_graph('petersen')\n"
+        "try:\n"
+        "    cw.consistent_cycle_orbits(cw.automorphism_group(graph), graph)\n"
+        "except InvariantViolation as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(cw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "expected 4 orbits, found 3"
 
 
 def test_census_serialization(censuses):
