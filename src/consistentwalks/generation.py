@@ -21,12 +21,7 @@ from .errors import (
 )
 from .graphs import Graph, is_vertex_transitive
 from .perms import Perm, PermutationGroup, close_group
-from .walks import (
-    Walk,
-    enumerate_consistent_cycles,
-    partition_cycles,
-    shunts,
-)
+from .walks import Walk, consistent_cycle_orbits, shunts
 
 EXACT_DELTA_ORDER_LIMIT = 200
 SELECTION_STEP_CAP = 500_000
@@ -77,7 +72,7 @@ class OverlapMatrix:
                 "orbit_overlaps": [list(row) for row in self.orbit_overlaps]}
 
 
-def _prefix_tree(rooted: list[list[Walk]]) -> dict[Walk, set[int]]:
+def _prefix_tree(rooted: Sequence[Sequence[Walk]]) -> dict[Walk, set[int]]:
     """Map each prefix of each rooted cycle to the orbits passing through it."""
     tree: dict[Walk, set[int]] = {}
     for i, cycles in enumerate(rooted):
@@ -87,7 +82,7 @@ def _prefix_tree(rooted: list[list[Walk]]) -> dict[Walk, set[int]]:
     return tree
 
 
-def _select_representatives(rooted: list[list[Walk]],
+def _select_representatives(rooted: Sequence[Sequence[Walk]],
                             matrix: list[list[int]]) -> list[Walk]:
     """Lexicographically first tuple of rooted cycles realizing the matrix.
 
@@ -124,16 +119,15 @@ def overlap_maximal_representatives(group: PermutationGroup, graph: Graph
                                     ) -> tuple[list[Walk], OverlapMatrix]:
     """One cycle per orbit with pairwise overlaps equal to the orbit maxima.
 
-    All consistent cycles rooted at vertex 0 are organized in a prefix
-    tree; the orbit-overlap matrix is read off shared prefixes, and the
-    lexicographically first tuple realizing it is found by depth-first
-    search.  The matrix is re-verified against a full orbit sweep.
+    The census lists each orbit's members rooted at vertex 0.  Overlap
+    is invariant under the group and is -1 between walks with different
+    roots, so the orbit-overlap matrix is read off the prefixes these
+    rooted cycles share, in a prefix tree.  The lexicographically first
+    tuple realizing it is found by depth-first search.
     """
     if not is_vertex_transitive(group, graph):
         raise NotVertexTransitive("representative selection needs a vertex-transitive group")
-    orbits = partition_cycles(group, enumerate_consistent_cycles(group, graph))
-    rooted = [[c for c in orbit if c[0] == 0] for orbit in orbits]
-    invariant(all(rooted), "vertex transitivity puts a rooted cycle in every orbit")
+    rooted = consistent_cycle_orbits(group, graph).rooted_members
     d = len(rooted)
     tree = _prefix_tree(rooted)
     matrix = [[0] * d for _ in range(d)]
@@ -150,19 +144,11 @@ def overlap_maximal_representatives(group: PermutationGroup, graph: Graph
                     matrix[i][j] = matrix[j][i] = depth
     reps = _select_representatives(rooted, matrix)
     walk_overlaps = [[overlap(reps[i], reps[j]) for j in range(d)] for i in range(d)]
-    orbit_overlaps = [[orbit_overlap(group, reps[i], reps[j]) if i != j
-                       else matrix[i][i] for j in range(d)] for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                invariant(orbit_overlaps[i][j] == matrix[i][j],
-                          "prefix tree disagrees with orbit sweep")
-                invariant(walk_overlaps[i][j] == orbit_overlaps[i][j],
-                          f"representatives {i},{j} miss their orbit overlap")
+    invariant(walk_overlaps == matrix, "representatives miss their orbit overlaps")
     return reps, OverlapMatrix(
         representatives=tuple(reps),
         walk_overlaps=tuple(tuple(row) for row in walk_overlaps),
-        orbit_overlaps=tuple(tuple(row) for row in orbit_overlaps))
+        orbit_overlaps=tuple(tuple(row) for row in matrix))
 
 
 def shunt_generating_set(group: PermutationGroup, graph: Graph,

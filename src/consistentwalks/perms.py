@@ -83,10 +83,6 @@ class Perm(tuple):
             inv[image] = v
         return Perm(inv)
 
-    def conjugate(self, x: "Perm") -> "Perm":
-        """x^-1 * self * x."""
-        return x.inverse() * self * x
-
     def is_identity(self) -> bool:
         return all(i == v for v, i in enumerate(self))
 

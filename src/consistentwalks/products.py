@@ -23,7 +23,7 @@ from .graphs import (
     verify_automorphisms,
 )
 from .perms import Perm, PermutationGroup
-from .walks import Walk, CycleOrbitTable, consistent_cycle_orbits, shunts
+from .walks import Walk, CycleOrbitTable, apply_perm, consistent_cycle_orbits, shunts
 
 
 def lift_base_perm(p: Perm, m: int) -> Perm:
@@ -144,13 +144,19 @@ def family_orbit_ids(family: BlowupCycleFamily,
                      ) -> dict[tuple[int, int], int]:
     """Index of each family cycle's orbit in the blow-up's census table.
 
-    A census representative is the smallest member of its orbit.
+    One transporter element moves each cycle onto the root of its record,
+    where it is one of that record's rooted members.
     """
     if table is None:
         table = consistent_cycle_orbits(blowup_group, family.blowup)
-    locate = {r.representative: k for k, r in enumerate(table.records)}
-    return {key: locate[min(blowup_group.tuple_orbit(cycle))]
-            for key, cycle in family.cycles.items()}
+    locate = {c: k for k, members in enumerate(table.rooted_members) for c in members}
+    roots = sorted({c[0] for c in locate})
+    ids = {}
+    for key, cycle in family.cycles.items():
+        mover = next(found[0] for r in roots
+                     if (found := blowup_group.transporter(cycle[:1], (r,))))
+        ids[key] = locate[apply_perm(mover, cycle)]
+    return ids
 
 
 def verify_no_trivial_stabilizer(group: PermutationGroup, graph: Graph,

@@ -79,8 +79,6 @@ def reachability_by_chase(group: PermutationGroup, graph: Graph,
     w = validate_walk(graph, walk)
     if target is not None and not 0 <= target < graph.vertex_count:
         raise BadParameters(f"target {target} outside 0..{graph.vertex_count - 1}")
-    if not group.transporter(w[:-1], w[1:]):
-        raise NotConsistent(f"walk {w} has no shunt in the group")
     total = graph.vertex_count
     reached = {w[-1]}
     parent: dict[Walk, Walk | None] = {w: None}
@@ -89,8 +87,7 @@ def reachability_by_chase(group: PermutationGroup, graph: Graph,
     while frontier and len(reached) < total:
         next_frontier = []
         for cur in frontier:
-            succ = sorted({apply_perm(g, cur) for g in group.transporter(cur[:-1], cur[1:])})
-            for s in succ:
+            for s in successors(group, graph, cur):
                 if s not in parent:
                     parent[s] = cur
                     next_frontier.append(s)

@@ -4,6 +4,11 @@ Walks are plain vertex tuples, rooted and directed.  A walk (v_0..v_n) is
 G-consistent when some g in G maps (v_0..v_{n-1}) onto (v_1..v_n)
 pointwise; every such g is a shunt.  Rooted directed cycles carry their
 closing vertex, e.g. the trivial cycle on an edge is (u, v, u).
+
+The census lists the G-orbits of consistent cycles from rooted cycles
+alone: each orbit meets the cycles rooted at the least vertex r of one
+vertex orbit in a single G_r-orbit (Miklavič, Potočnik and Wilson, 2007).
+Only this module lists and names these orbits.
 """
 
 from __future__ import annotations
@@ -73,16 +78,17 @@ def successors(group: PermutationGroup, graph: Graph,
                walk: Sequence[int]) -> list[Walk]:
     """All walks (v_1..v_n, v_n^g) over shunts g, sorted.
 
-    The shunt images of the walk.  Since the shunts are the coset
-    g0 * G_{(v_1..v_n)}, these are also the orbit of one successor under
-    the suffix stabilizer:
-    apply_perm(g0 * h, w) == apply_perm(h, apply_perm(g0, w)).
+    The shunt images of the walk: a shunt maps (v_0..v_{n-1}) onto
+    (v_1..v_n), so only the image of v_n is new.  Since the shunts are
+    the coset g0 * G_{(v_1..v_n)}, these are also the orbit of one
+    successor under the suffix stabilizer.
     """
     w = validate_walk(graph, walk)
-    shs = shunts(group, graph, w)
+    shs = group.transporter(w[:-1], w[1:])
     if not shs:
         raise NotConsistent(f"walk {w} has no shunt in the group")
-    return sorted({apply_perm(g, w) for g in shs})
+    head, last = w[1:], w[-1]
+    return sorted({head + (g[last],) for g in shs})
 
 
 def successor_count(group: PermutationGroup, graph: Graph,
@@ -161,9 +167,13 @@ class OrbitRecord:
 
 @dataclass(frozen=True)
 class CycleOrbitTable:
+    """Census records; ``rooted_members[k]`` lists, sorted, the cycles of
+    record k's orbit that start at its representative's root (not serialized)."""
+
     records: tuple[OrbitRecord, ...]
     group_order: int
     vertex_transitive: bool
+    rooted_members: tuple[tuple[Walk, ...], ...]
 
     def to_json(self) -> list[dict]:
         return [r.to_json() for r in self.records]
@@ -179,33 +189,28 @@ class CycleOrbitTable:
         return rec
 
 
-def enumerate_consistent_cycles(group: PermutationGroup, graph: Graph) -> set[Walk]:
-    """Every G-consistent rooted directed cycle.
+def _rooted_cycles(group: PermutationGroup, graph: Graph, root: int) -> set[Walk]:
+    """Every G-consistent rooted directed cycle starting at ``root``.
 
-    Each element's cycle decomposition is swept once: a vertex orbit of g
-    yields graph cycles (one per rotation) exactly when one, equivalently
-    every, consecutive pair is adjacent.  Completeness: a consistent cycle
-    rooted at u with shunt g is the g-orbit of u.
+    A consistent cycle rooted at u with shunt g is the g-cycle through u,
+    and g maps u to a neighbor v; conversely every g in the transporter
+    of u onto a neighbor v shunts its own cycle through u.
     """
     out: set[Walk] = set()
-    n = graph.vertex_count
-    masks = graph.masks
-    for g in group.elements:
-        seen = 0
-        for start in range(n):
-            if seen >> start & 1:
-                continue
-            cyc = [start]
-            w = g[start]
-            while w != start:
-                cyc.append(w)
-                w = g[w]
-            for v in cyc:
-                seen |= 1 << v
-            if len(cyc) >= 2 and masks[cyc[0]] >> cyc[1] & 1:
-                for r in range(len(cyc)):
-                    rot = cyc[r:] + cyc[:r]
-                    out.add(tuple(rot) + (rot[0],))
+    for v in graph.adj[root]:
+        for g in group.transporter((root,), (v,)):
+            cycle = [root, v]
+            while cycle[-1] != root:
+                cycle.append(g[cycle[-1]])
+            out.add(tuple(cycle))
+    return out
+
+
+def enumerate_consistent_cycles(group: PermutationGroup, graph: Graph) -> set[Walk]:
+    """Every G-consistent rooted directed cycle: the union over all roots."""
+    out: set[Walk] = set()
+    for root in range(graph.vertex_count):
+        out |= _rooted_cycles(group, graph, root)
     return out
 
 
@@ -225,21 +230,28 @@ def partition_cycles(group: PermutationGroup,
 def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbitTable:
     """The census of G-orbits of G-consistent cycles.
 
-    For a vertex-transitive group on a connected d-valent graph the table
-    has exactly d records; otherwise the count check is skipped and the
-    table is still returned.
+    The cycles rooted at the least vertex r of each vertex orbit are split
+    under G_r; an orbit's least member is rooted at r and represents it,
+    and its size is |G| / |G_(rep)|.  For a vertex-transitive group on a
+    connected d-valent graph the table has exactly d records; otherwise
+    the count check is skipped and the table is still returned.
     """
-    orbits = partition_cycles(group, enumerate_consistent_cycles(group, graph))
+    rooted: list[list[Walk]] = []
+    placed: set[int] = set()
+    for root in range(graph.vertex_count):
+        if root not in placed:
+            placed |= group.orbit(root)
+            rooted += partition_cycles(group.pointwise_stabilizer((root,)),
+                                       _rooted_cycles(group, graph, root))
+    rooted.sort(key=lambda members: (len(members[0]), members[0]))
     records = []
-    for orbit in orbits:
-        rep = orbit[0]
+    for members in rooted:
+        rep = members[0]
         stab = group.pointwise_stabilizer(rep[:-1])
-        invariant(len(orbit) * stab.order == group.order,
-                  f"orbit-stabilizer fails for the cycle {rep}")
         records.append(OrbitRecord(
             representative=rep,
             length=len(rep) - 1,
-            orbit_size=len(orbit),
+            orbit_size=group.order // stab.order,
             shunt_count=len(shunts(group, graph, rep)),
             stabilizer_order=stab.order,
             trivial=len(rep) == 3,
@@ -249,4 +261,5 @@ def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbit
         invariant(len(records) == graph.valence(),
                   f"expected {graph.valence()} orbits, found {len(records)}")
     return CycleOrbitTable(records=tuple(records), group_order=group.order,
-                           vertex_transitive=transitive)
+                           vertex_transitive=transitive,
+                           rooted_members=tuple(tuple(m) for m in rooted))

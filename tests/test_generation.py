@@ -90,14 +90,13 @@ def test_representatives_need_vertex_transitivity():
         cw.overlap_maximal_representatives(aut, path)
 
 
-def test_selector_realizes_matrix(family):
+def test_selector_realizes_matrix(family, censuses):
     # the depth-first selector, run on its own, returns a tuple realizing
     # the orbit-overlap matrix
     from consistentwalks.generation import _select_representatives
 
     graph, group = family["petersen"]
-    orbits = cw.partition_cycles(group, cw.enumerate_consistent_cycles(group, graph))
-    rooted = [[c for c in orbit if c[0] == 0] for orbit in orbits]
+    rooted = censuses["petersen"].rooted_members
     _, matrix = cw.overlap_maximal_representatives(group, graph)
     wanted = [list(row) for row in matrix.orbit_overlaps]
     reps = _select_representatives(rooted, wanted)

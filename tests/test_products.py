@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import consistentwalks as cw
@@ -47,9 +49,19 @@ def test_family_lengths_differ_between_fiber_counts(q3_family):
 
 def test_family_distinct_orbits(q3_family, family, censuses):
     _, blow_group = family["q3k2"]
-    ids = cw.family_orbit_ids(q3_family, blow_group)
-    assert sorted(ids.values()) == [0, 1, 2, 3, 4, 5]
-    assert cw.family_orbit_ids(q3_family, blow_group, table=censuses["q3k2"]) == ids
+    table = censuses["q3k2"]
+    # reference naming: a record's representative is the least member of its orbit
+    locate = {r.representative: k for k, r in enumerate(table.records)}
+    expected = {key: locate[min(blow_group.tuple_orbit(cycle))]
+                for key, cycle in q3_family.cycles.items()}
+    assert sorted(expected.values()) == [0, 1, 2, 3, 4, 5]
+    assert cw.family_orbit_ids(q3_family, blow_group) == expected
+    assert cw.family_orbit_ids(q3_family, blow_group, table=table) == expected
+    # cycles rooted away from the records' root are moved back to it
+    x = blow_group.transporter((0,), (13,))[-1]
+    moved = replace(q3_family, cycles={key: tuple(x[v] for v in cycle)
+                                       for key, cycle in q3_family.cycles.items()})
+    assert cw.family_orbit_ids(moved, blow_group, table=table) == expected
 
 
 def test_fiber_swap_fixes_family_cycle(q3_family):

@@ -162,23 +162,53 @@ def test_induced_cycle_examples(family):
     assert triangle == (0, 1, 2, 0)
 
 
+# a triangle 0-1-2 with pendant edges 0-3, 1-4, 2-5: not vertex-transitive
+NET_EDGES = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)]
+# triangles 0-1-2 and 3-4-5 joined by the edge 2-3: each vertex orbit,
+# {0,1,4,5} and {2,3}, roots one orbit of trivial cycles
+TWO_TRIANGLES_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
+
+
+def census_case(name, family, censuses):
+    """(graph, group, census) for a family name or one of three extra groups."""
+    if name == "c6-rotations":
+        graph, group = cw.named_graph("cycle:6"), cw.close_group([ROTATION6])
+    elif name in ("net", "two-triangles"):
+        graph = cw.validate(6, NET_EDGES if name == "net" else TWO_TRIANGLES_EDGES)
+        group = cw.automorphism_group(graph)
+    else:
+        graph, group = family[name]
+        return graph, group, censuses[name]
+    return graph, group, cw.consistent_cycle_orbits(group, graph)
+
+
+# C4[2K1] (3 s) and Q4 (minutes) are left out: the oracle is brute force
 @pytest.mark.parametrize("name,lengths", [
     ("c6", [2, 6]),
     ("k4", [2, 3, 4]),
     ("petersen", [2, 5, 6]),
+    ("k5", [2, 3, 4, 5]),
+    ("q3", [2, 4, 6]),
+    ("c6-rotations", [6, 6]),   # vertex- but not arc-transitive: two hexagon orbits
+    ("net", [2, 3]),
+    ("two-triangles", [2, 2]),
 ])
 def test_census_against_oracle(name, lengths, family, censuses):
-    graph, group = family[name]
-    table = censuses[name]
+    graph, group, table = census_case(name, family, censuses)
     assert table.lengths() == lengths
     oracle_orbits = oracles.oracle_cycle_orbits(group, graph)
-    assert len(oracle_orbits) == len(table.records)
-    for record, orbit in zip(table.records, oracle_orbits):
+    assert len(oracle_orbits) == len(table.records) == len(table.rooted_members)
+    for record, members, orbit in zip(table.records, table.rooted_members, oracle_orbits):
         assert record.representative == orbit[0]
         assert record.orbit_size == len(orbit)
+        assert members == tuple(c for c in orbit if c[0] == record.representative[0])
         assert record.shunt_count == len(oracles.oracle_shunts(group, record.representative))
         assert record.stabilizer_order == len(
             oracles.oracle_stabilizer(group, record.representative[:-1]))
+    # the full-group references the tests keep
+    cycles = cw.enumerate_consistent_cycles(group, graph)
+    assert cycles == {c for orbit in oracle_orbits for c in orbit}
+    assert cw.partition_cycles(group, cycles) == oracle_orbits
 
 
 def test_census_k5_shunt_counts(censuses):
@@ -201,7 +231,18 @@ def test_census_without_vertex_transitivity():
     assert aut.order == 2
     table = cw.consistent_cycle_orbits(aut, path)
     assert not table.vertex_transitive
-    assert table.records == ()
+    assert table.records == () == table.rooted_members
+
+    # the net: vertex orbits {0,1,2} and {3,4,5}; no pendant edge is shunted
+    net = cw.validate(6, NET_EDGES)
+    aut = cw.automorphism_group(net)
+    assert aut.order == 6
+    assert {aut.orbit(0), aut.orbit(3)} == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
+    table = cw.consistent_cycle_orbits(aut, net)
+    assert not table.vertex_transitive
+    assert [(r.representative, r.orbit_size) for r in table.records] == [
+        ((0, 1, 0), 6), ((0, 1, 2, 0), 6)]
+    assert table.rooted_members == (((0, 1, 0), (0, 2, 0)), ((0, 1, 2, 0), (0, 2, 1, 0)))
 
 
 def test_census_invariant_survives_optimize():
