@@ -25,7 +25,15 @@ from .errors import (
     invariant,
 )
 from .generation import verify_generation
-from .graphs import Graph, automorphism_group, local_group, named_graph, verify_automorphisms
+from .graphs import (
+    Graph,
+    automorphism_group,
+    check_search_size,
+    local_group,
+    named_graph,
+    parse_edge_list_text,
+    verify_automorphisms,
+)
 from .localactions import (
     find_trivial_walk_4valent,
     find_trivial_walk_exhaustive,
@@ -43,8 +51,13 @@ NAMED_PREFIXES = ("cycle", "complete", "hypercube", "petersen", "circulant",
                   "complete_bipartite")
 
 
-def _load_graph(source: str) -> tuple[Graph, list[list[int]] | None]:
-    """Resolve --graph into a Graph plus any generators embedded in a file."""
+def _load_graph(source: str, group_given: bool) -> tuple[Graph, list[list[int]] | None]:
+    """Resolve --graph into a Graph plus any generators embedded in a file.
+
+    A graph file that leaves the group to the automorphism search
+    (``group_given`` false and no embedded generators) has its vertex
+    count checked against the search's limit before the Graph is built.
+    """
     head = source.split(":", 1)[0].lower()
     if head in NAMED_PREFIXES:
         return named_graph(source), None
@@ -60,12 +73,18 @@ def _load_graph(source: str) -> tuple[Graph, list[list[int]] | None]:
                              f"column {exc.colno}") from exc
         if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
             raise ParseError(f"{source}: graph JSON needs 'vertices' and 'edges'")
+        embedded = data.get("generators")
         try:
-            return Graph.from_json(data), data.get("generators")
+            if embedded is None and not group_given:
+                check_search_size(int(data["vertices"]))
+            return Graph.from_json(data), embedded
         except (TypeError, IndexError, ValueError) as exc:
             raise ParseError(f"{source}: malformed 'vertices' or 'edges': {exc}") from exc
     try:
-        return Graph.from_edge_list_text(text), None
+        vertex_count, edges = parse_edge_list_text(text)
+        if not group_given:
+            check_search_size(vertex_count)
+        return Graph(vertex_count, edges), None
     except BadParameters as exc:
         raise ParseError(f"{source}: {exc}") from exc
 
@@ -100,13 +119,14 @@ def parse_inputs(args: argparse.Namespace) -> tuple[Graph, PermutationGroup, str
     Supplied generators are verified to be automorphisms; otherwise the
     full automorphism group is computed.
     """
-    graph, embedded = _load_graph(args.graph)
+    group_file = getattr(args, "group_file", None)
+    graph, embedded = _load_graph(args.graph, group_given=bool(group_file))
     raw = embedded
     source = "embedded"
-    if getattr(args, "group_file", None):
-        degree, raw = _load_generators(args.group_file)
+    if group_file:
+        degree, raw = _load_generators(group_file)
         if degree is not None and (type(degree) is not int or degree != graph.vertex_count):
-            raise ParseError(f"{args.group_file}: declared degree {degree!r} differs "
+            raise ParseError(f"{group_file}: declared degree {degree!r} differs "
                              f"from the graph's {graph.vertex_count} vertices")
         source = "file"
     if raw is not None:

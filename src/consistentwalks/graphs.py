@@ -1,12 +1,18 @@
 """Finite simple graphs and their automorphisms.
 
-Vertices are 0..n-1.  Automorphism search is a candidate-mask backtracking
-over the vertex list (correctness over speed; desk scale is <= 64 vertices,
-so neighborhoods fit in machine-int bitmasks).
+Vertices are 0..n-1.  The automorphism search is a candidate-mask
+backtracking along the base 0..n-1, run level by level from the deepest
+point: at each level it looks for one automorphism per point that the
+stabilizer found so far does not yet reach, so it returns a strong
+generating set and |Aut| as a product of orbit lengths, not one leaf per
+automorphism.  The group is closed once, after the order has been
+checked against the cap.  Graphs are limited to 64 vertices, so
+neighborhoods fit in machine-int bitmasks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
@@ -21,7 +27,7 @@ from .errors import (
     UnknownSpec,
     invariant,
 )
-from .perms import DEFAULT_GROUP_CAP, Perm, PermutationGroup
+from .perms import DEFAULT_GROUP_CAP, Perm, PermutationGroup, _closure, _dimino, _point_image
 
 AUTOMORPHISM_VERTEX_LIMIT = 64
 
@@ -108,24 +114,33 @@ class Graph:
     @classmethod
     def from_edge_list_text(cls, text: str) -> "Graph":
         """Parse "u v" lines; vertex count is max index + 1."""
-        edges = []
-        top = -1
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 2:
-                raise BadParameters(f"line {lineno}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise BadParameters(f"line {lineno}: non-integer vertex in {line!r}") from None
-            if u < 0 or v < 0:
-                raise BadParameters(f"line {lineno}: negative vertex in {line!r}")
-            edges.append((u, v))
-            top = max(top, u, v)
-        return cls(top + 1, edges)
+        return cls(*parse_edge_list_text(text))
+
+
+def parse_edge_list_text(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count (max index + 1) and edges of "u v" lines, unchecked.
+
+    ``#`` starts a comment.  Nothing is allocated per vertex, so a caller
+    can refuse the count before building a :class:`Graph`.
+    """
+    edges = []
+    top = -1
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) != 2:
+            raise BadParameters(f"line {lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise BadParameters(f"line {lineno}: non-integer vertex in {line!r}") from None
+        if u < 0 or v < 0:
+            raise BadParameters(f"line {lineno}: negative vertex in {line!r}")
+        edges.append((u, v))
+        top = max(top, u, v)
+    return top + 1, edges
 
 
 def validate(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
@@ -196,59 +211,136 @@ def verify_automorphisms(graph: Graph, perms: Iterable[Perm]) -> None:
                 raise NotAutomorphisms(f"{p} breaks adjacency at vertex {v}")
 
 
-def automorphism_group(graph: Graph, cap: int = DEFAULT_GROUP_CAP) -> PermutationGroup:
-    """The full automorphism group, by degree-refined backtracking.
+def _refine(adj: Sequence[int], v: int, u: int, cand: list[int],
+            used: int) -> list[int] | None:
+    """The candidate masks after assigning v -> u, or None at a dead end.
 
-    Each leaf is an automorphism by construction: assigning v -> u narrows
-    every later vertex w to the neighbors of u when v~w and to the
-    non-neighbors of u otherwise, and ``used`` keeps the map injective, so
-    the leaves are not checked again.  The search recurses once per vertex,
-    so graphs over ``AUTOMORPHISM_VERTEX_LIMIT`` vertices are refused.
+    Every later vertex w narrows to the neighbors of u when v~w and to the
+    non-neighbors of u otherwise; ``used`` already holds u and keeps the
+    map injective.  Entries before v + 1 are copied unread.
+    """
+    nxt = cand[:]
+    row, near = adj[u], adj[v]
+    for w in range(v + 1, len(cand)):
+        m = nxt[w] & (row if near >> w & 1 else ~row)
+        if not m & ~used:
+            return None
+        nxt[w] = m
+    return nxt
+
+
+def _first_completion(adj: Sequence[int], level: int, u: int,
+                      cand: list[int]) -> Perm | None:
+    """The least automorphism fixing 0..level-1 and sending level to u, or None.
+
+    ``cand`` holds the candidate masks with 0..level-1 fixed.  A depth-first
+    search with one stack frame (candidate masks, used mask, untried
+    images) per assigned vertex after ``level``.  Each leaf is an
+    automorphism by construction, so the first one is returned unchecked.
+    """
+    n = len(cand)
+    used = (1 << level) - 1 | 1 << u
+    cand = _refine(adj, level, u, cand, used)
+    if cand is None:
+        return None
+    images = list(range(n))
+    images[level] = u
+    frames: list[tuple[list[int], int, int]] = []
+    v = level + 1
+    avail = cand[v] & ~used if v < n else 0
+    while v < n:
+        if avail:
+            bit = avail & -avail
+            avail ^= bit
+            w = bit.bit_length() - 1
+            nxt = _refine(adj, v, w, cand, used | bit)
+            if nxt is not None:
+                images[v] = w
+                frames.append((cand, used, avail))
+                cand, used, v = nxt, used | bit, v + 1
+                avail = cand[v] & ~used if v < n else 0
+        elif frames:
+            cand, used, avail = frames.pop()
+            v -= 1
+        else:
+            return None
+    return Perm(images)
+
+
+def _strong_generators(graph: Graph) -> tuple[list[Perm], list[int]]:
+    """Strong generators of Aut(graph) for the base 0..n-1, and its basic orbit lengths.
+
+    Level i runs from n-1 down to 0.  Every generator found at level i or
+    deeper fixes 0..i-1.  For each candidate u of i, in increasing order,
+    that is not yet in the orbit of i under those generators, the first
+    automorphism fixing 0..i-1 and sending i to u (if any) joins them.
+    When level i ends they generate the pointwise stabilizer of 0..i-1,
+    and ``lengths[i]`` is the length of its orbit of i, so |Aut| is the
+    product of the lengths (Sims 1970; Butler 1991).  Each completion
+    search is a subtree of the full backtrack tree, and no subtree is
+    searched twice.
+    """
+    n = graph.vertex_count
+    adj, degs = graph.masks, graph.degrees
+    by_degree: dict[int, int] = {}
+    for v in range(n):
+        by_degree[degs[v]] = by_degree.get(degs[v], 0) | 1 << v
+    # path[i]: the candidate masks of the identity path with 0..i-1 fixed
+    path = [[by_degree[d] for d in degs]]
+    for i in range(n - 1):
+        path.append(_refine(adj, i, i, path[i], (1 << i + 1) - 1))
+    gens: list[Perm] = []
+    lengths = [1] * n
+    for i in reversed(range(n)):
+        orbit = {i}
+        avail = path[i][i] & ~((1 << i) - 1)
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            u = bit.bit_length() - 1
+            if u in orbit:
+                continue
+            g = _first_completion(adj, i, u, path[i])
+            if g is not None:
+                gens.append(g)
+                orbit = _closure({i}, [i], gens, _point_image)
+        lengths[i] = len(orbit)
+    return gens, lengths
+
+
+def check_search_size(vertex_count: int) -> None:
+    """Raise CapExceeded for a graph too large for the automorphism search."""
+    if vertex_count > AUTOMORPHISM_VERTEX_LIMIT:
+        raise CapExceeded(f"automorphism search on {vertex_count} vertices exceeds "
+                          f"the limit of {AUTOMORPHISM_VERTEX_LIMIT}")
+
+
+def automorphism_group(graph: Graph, cap: int = DEFAULT_GROUP_CAP) -> PermutationGroup:
+    """The full automorphism group, from strong generators closed once.
+
+    The level-by-level search (:func:`_strong_generators`) gives |Aut| as
+    a product of orbit lengths before any element is built, so a group
+    over ``cap`` is refused with its exact order.  Otherwise Dimino's
+    closure materializes it.  Candidate masks are machine-int bitmasks, so
+    graphs over ``AUTOMORPHISM_VERTEX_LIMIT`` vertices are refused.
     """
     if cap < 1:
         raise BadParameters("cap must be >= 1")
     n = graph.vertex_count
-    if n > AUTOMORPHISM_VERTEX_LIMIT:
-        raise CapExceeded(f"automorphism search on {n} vertices exceeds the "
-                          f"limit of {AUTOMORPHISM_VERTEX_LIMIT}")
-    adj = graph.masks
-    degs = graph.degrees
-    by_degree: dict[int, int] = {}
-    for v in range(n):
-        by_degree[degs[v]] = by_degree.get(degs[v], 0) | (1 << v)
-    init_cand = [by_degree[degs[v]] for v in range(n)]
-    found: list[Perm] = []
-    images = [0] * n
-
-    def extend(v: int, cand: list[int], used: int) -> None:
-        if v == n:
-            found.append(Perm(images))
-            if len(found) > cap:
-                raise CapExceeded(f"automorphism search found {len(found)} "
-                                  f"automorphisms, over the cap of {cap}")
-            return
-        avail = cand[v] & ~used
-        while avail:
-            u = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            nxt = cand[:]
-            used2 = used | (1 << u)
-            ok = True
-            for w in range(v + 1, n):
-                m = nxt[w] & (adj[u] if adj[v] >> w & 1 else ~adj[u])
-                nxt[w] = m
-                if not m & ~used2:
-                    ok = False
-                    break
-            if ok:
-                images[v] = u
-                extend(v + 1, nxt, used2)
-
-    try:
-        extend(0, init_cand, 0)
-    finally:
-        del extend  # it holds itself, and with it ``found``, through its closure cell
-    group = PermutationGroup(n, found)
+    check_search_size(n)
+    gens, lengths = _strong_generators(graph)
+    order = math.prod(lengths)
+    if order > cap:
+        raise CapExceeded(f"automorphism search found {order} "
+                          f"automorphisms, over the cap of {cap}")
+    # The closure allocates its elements in coset order, but queries read
+    # them in sorted order, so they are copied in sorted order to sit in
+    # memory in that order too.  The originals are freed before the
+    # small generating set's own closure runs.
+    group = PermutationGroup(n, [Perm(p) for p in sorted(_dimino(n, gens)[0])])
+    invariant(group.order == order,
+              f"strong generators close to {group.order} elements, "
+              f"not the orbit product {order}")
     group.small_generating_set()
     return group
 

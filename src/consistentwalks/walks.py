@@ -232,9 +232,11 @@ def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbit
 
     The cycles rooted at the least vertex r of each vertex orbit are split
     under G_r; an orbit's least member is rooted at r and represents it,
-    and its size is |G| / |G_(rep)|.  For a vertex-transitive group on a
-    connected d-valent graph the table has exactly d records; otherwise
-    the count check is skipped and the table is still returned.
+    and its size is |G| / |G_(rep)|.  The shunts of a cycle are a coset of
+    the stabilizer of its vertices, so its shunt count is |G_(rep)| too.
+    For a vertex-transitive group on a connected d-valent graph the table
+    has exactly d records; otherwise the count check is skipped and the
+    table is still returned.
     """
     rooted: list[list[Walk]] = []
     placed: set[int] = set()
@@ -252,7 +254,7 @@ def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbit
             representative=rep,
             length=len(rep) - 1,
             orbit_size=group.order // stab.order,
-            shunt_count=len(shunts(group, graph, rep)),
+            shunt_count=stab.order,
             stabilizer_order=stab.order,
             trivial=len(rep) == 3,
         ))

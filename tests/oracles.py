@@ -29,6 +29,49 @@ def brute_force_automorphisms(graph: cw.Graph) -> list[cw.Perm]:
     return out
 
 
+def leaf_automorphisms(graph: cw.Graph) -> list[cw.Perm]:
+    """Every automorphism as one leaf of the full candidate-mask backtrack tree.
+
+    The library's search before it returned strong generators: degree
+    classes, then assigning v -> u narrows every later vertex w to the
+    neighbors of u when v~w and to the non-neighbors of u otherwise, and
+    ``used`` keeps the map injective.  No orbit pruning, one leaf per
+    automorphism, in lexicographic order.
+    """
+    n = graph.vertex_count
+    adj = graph.masks
+    degs = graph.degrees
+    by_degree: dict[int, int] = {}
+    for v in range(n):
+        by_degree[degs[v]] = by_degree.get(degs[v], 0) | (1 << v)
+    found: list[cw.Perm] = []
+    images = [0] * n
+
+    def extend(v: int, cand: list[int], used: int) -> None:
+        if v == n:
+            found.append(cw.Perm(images))
+            return
+        avail = cand[v] & ~used
+        while avail:
+            u = (avail & -avail).bit_length() - 1
+            avail &= avail - 1
+            nxt = cand[:]
+            used2 = used | (1 << u)
+            ok = True
+            for w in range(v + 1, n):
+                m = nxt[w] & (adj[u] if adj[v] >> w & 1 else ~adj[u])
+                nxt[w] = m
+                if not m & ~used2:
+                    ok = False
+                    break
+            if ok:
+                images[v] = u
+                extend(v + 1, nxt, used2)
+
+    extend(0, [by_degree[degs[v]] for v in range(n)], 0)
+    return found
+
+
 def oracle_shunts(group: cw.PermutationGroup, walk) -> list[cw.Perm]:
     """Shunts straight from the definition: one pass over all elements."""
     return [g for g in group.elements

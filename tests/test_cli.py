@@ -160,8 +160,8 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
             assert code == 1 and out == ""
             assert len(err.splitlines()) == 1
             assert json.loads(err)["error"] == "BadParameters"
-    # the automorphism search stops at its 6th element, the closure at the whole group
-    for extra, stage in (([], "automorphism search found 6 "),
+    # the automorphism search names |Aut| = 12, the closure stops at the whole group
+    for extra, stage in (([], "automorphism search found 12 "),
                          (["--group-file", str(rot)], "group closure reached 6 ")):
         code, out, err = run_cli(["orbits", "--graph", "cycle:6",
                                   "--cap-group", "5", *extra], capsys)
@@ -170,6 +170,30 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
         message = json.loads(err)
         assert message["error"] == "CapExceeded"
         assert message["message"].startswith(stage) and "cap of 5" in message["message"]
+
+
+def test_oversized_graph_file_refused_before_building(tmp_path, monkeypatch, capsys):
+    built = []
+    init = Graph.__init__
+
+    def recording_init(self, vertex_count, edges):
+        built.append(vertex_count)
+        init(self, vertex_count, edges)
+
+    monkeypatch.setattr(Graph, "__init__", recording_init)
+    text = tmp_path / "big.txt"
+    text.write_text("0 1\n1 2\n2 0\n3 2000000\n")
+    as_json = tmp_path / "big.json"
+    as_json.write_text(json.dumps({"vertices": 2000001,
+                                   "edges": [[0, 1], [1, 2], [2, 0], [3, 2000000]]}))
+    for path in (text, as_json):
+        code, out, err = run_cli(["orbits", "--graph", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        message = json.loads(err)
+        assert message["error"] == "CapExceeded"
+        assert "2000001" in message["message"] and "64" in message["message"]
+    assert all(n <= 64 for n in built)
 
 
 def test_invariant_violation_exit_code(monkeypatch, capsys):

@@ -1,10 +1,13 @@
 import gc
+import time
 
 import pytest
 
 import consistentwalks as cw
+from consistentwalks import graphs as graphs_module
 from consistentwalks.errors import (
     BadParameters,
+    CapExceeded,
     DuplicateEdge,
     LoopEdge,
     NoNArcs,
@@ -15,6 +18,7 @@ from consistentwalks.errors import (
 from consistentwalks.graphs import Graph, n_arcs, verify_automorphisms
 
 import oracles
+from test_walks import NET_EDGES, TWO_TRIANGLES_EDGES
 
 
 def test_validate_triangle():
@@ -94,8 +98,74 @@ def test_automorphism_group_petersen_brute_force(family):
     assert set(aut.elements) == set(oracles.brute_force_automorphisms(graph))
 
 
+def leaf_oracle_graph(name: str) -> Graph:
+    if name == "net":
+        return cw.validate(6, NET_EDGES)
+    if name == "two-triangles":
+        return cw.validate(6, TWO_TRIANGLES_EDGES)
+    if name == "edgeless:5":
+        return cw.validate(5, [])
+    if name.endswith("[2K1]"):
+        return cw.lex_blowup(cw.named_graph(name[:-5]), 2)[0]
+    return cw.named_graph(name)
+
+
+LEAF_ORACLE_GRAPHS = [
+    "cycle:6", "complete:5", "complete_bipartite:2:3", "complete_bipartite:3:3",
+    "petersen", "hypercube:4", "hypercube:5",
+    "circulant:8:1,2", "circulant:12:1,5", "circulant:8:4",  # the last: a perfect matching
+    "net", "two-triangles", "edgeless:5", "cycle:4[2K1]", "hypercube:3[2K1]",
+]
+
+
+@pytest.mark.parametrize("name", LEAF_ORACLE_GRAPHS)
+def test_automorphism_group_against_leaf_oracle(name):
+    graph = leaf_oracle_graph(name)
+    aut = cw.automorphism_group(graph)
+    leaves = oracles.leaf_automorphisms(graph)
+    assert aut.elements == tuple(leaves)
+    reference = cw.PermutationGroup(graph.vertex_count, leaves)
+    assert aut.small_generating_set() == reference.small_generating_set()
+
+
+@pytest.mark.parametrize("name", [name for name in LEAF_ORACLE_GRAPHS
+                                  if leaf_oracle_graph(name).vertex_count <= 12])
+def test_automorphism_count_against_networkx(name):
+    nx = pytest.importorskip("networkx")
+    graph = leaf_oracle_graph(name)
+    other = nx.Graph()
+    other.add_nodes_from(range(graph.vertex_count))
+    other.add_edges_from(graph.edges())
+    matcher = nx.algorithms.isomorphism.GraphMatcher(other, other)
+    assert cw.automorphism_group(graph).order == sum(1 for _ in matcher.isomorphisms_iter())
+
+
+@pytest.mark.parametrize("name,order", [("petersen", 120), ("hypercube:3[2K1]", 12288)])
+def test_automorphism_cap_boundary(name, order):
+    graph = leaf_oracle_graph(name)
+    with pytest.raises(CapExceeded) as info:
+        cw.automorphism_group(graph, cap=order - 1)
+    assert str(info.value) == (f"automorphism search found {order} automorphisms, "
+                               f"over the cap of {order - 1}")
+    assert cw.automorphism_group(graph, cap=order).order == order
+
+
+def test_automorphism_ceiling_names_order_without_closing(monkeypatch):
+    # Q3[3K1]: |Aut| = 6^8 * 48, refused from the orbit lengths alone
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the group was materialized")
+
+    monkeypatch.setattr(graphs_module, "_dimino", no_closure)
+    graph = cw.lex_blowup(cw.named_graph("hypercube:3"), 3)[0]
+    started = time.perf_counter()
+    with pytest.raises(CapExceeded) as info:
+        cw.automorphism_group(graph)
+    assert time.perf_counter() - started < 5
+    assert str(info.value).startswith("automorphism search found 80621568 automorphisms")
+
+
 def test_automorphisms_preserve_adjacency(family):
-    # the search does not re-verify its leaves, so every element is checked here
+    # the search does not re-verify what it finds, so every element is checked here
     q5 = cw.named_graph("hypercube:5")
     aut5 = cw.automorphism_group(q5)
     assert aut5.order == 3840

@@ -203,6 +203,7 @@ def test_census_against_oracle(name, lengths, family, censuses):
         assert record.orbit_size == len(orbit)
         assert members == tuple(c for c in orbit if c[0] == record.representative[0])
         assert record.shunt_count == len(oracles.oracle_shunts(group, record.representative))
+        assert len(cw.shunts(group, graph, record.representative)) == record.stabilizer_order
         assert record.stabilizer_order == len(
             oracles.oracle_stabilizer(group, record.representative[:-1]))
     # the full-group references the tests keep
