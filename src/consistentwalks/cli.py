@@ -26,12 +26,13 @@ from .errors import (
 )
 from .generation import verify_generation
 from .graphs import (
+    NAMED_KINDS,
     Graph,
     automorphism_group,
     check_search_size,
     local_group,
-    named_graph,
     parse_edge_list_text,
+    parse_named_spec,
     verify_automorphisms,
 )
 from .localactions import (
@@ -47,20 +48,20 @@ from .walks import consistent_cycle_orbits
 
 DEFAULT_WALK_DEPTH = 64
 
-NAMED_PREFIXES = ("cycle", "complete", "hypercube", "petersen", "circulant",
-                  "complete_bipartite")
-
 
 def _load_graph(source: str, group_given: bool) -> tuple[Graph, list[list[int]] | None]:
     """Resolve --graph into a Graph plus any generators embedded in a file.
 
-    A graph file that leaves the group to the automorphism search
-    (``group_given`` false and no embedded generators) has its vertex
-    count checked against the search's limit before the Graph is built.
+    A named spec or graph file that leaves the group to the search
+    (``group_given`` false, no embedded generators) has its vertex count
+    checked against the search's limit before the Graph is built.
     """
     head = source.split(":", 1)[0].lower()
-    if head in NAMED_PREFIXES:
-        return named_graph(source), None
+    if head in NAMED_KINDS:
+        vertex_count, edges = parse_named_spec(source)
+        if not group_given:
+            check_search_size(vertex_count)
+        return Graph(vertex_count, edges), None
     path = Path(source)
     if not path.exists():
         raise ParseError(f"graph source {source!r} is neither a named spec nor a file")
@@ -184,6 +185,7 @@ def _payload_wps_check(graph, group, args) -> dict:
 
 
 def _payload_blowup_demo(graph, group, args) -> dict:
+    check_search_size(graph.vertex_count * args.m)
     family = blowup_cycle_family(graph, group, args.m)
     blowup_group = automorphism_group(family.blowup, cap=args.cap_group)
     table = consistent_cycle_orbits(blowup_group, family.blowup)

@@ -212,8 +212,7 @@ def verify_generation(group: PermutationGroup, graph: Graph) -> GenerationReport
     stabs = [group.pointwise_stabilizer(rep[:-1]) for rep in reps]
     chosen_index = min(range(len(reps)), key=lambda i: (stabs[i].order, reps[i]))
     chosen, chosen_stab = reps[chosen_index], stabs[chosen_index]
-    with_stab = close_group(
-        list(shunt_set) + list(chosen_stab.small_generating_set()), degree=group.degree)
+    with_stab = close_group(shunt_set + list(chosen_stab.generators), degree=group.degree)
     invariant(with_stab.order == group.order,
               "shunts plus the walk stabilizer failed to generate the group")
     if chosen_stab.order == 1:

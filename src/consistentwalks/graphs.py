@@ -5,8 +5,8 @@ backtracking along the base 0..n-1, run level by level from the deepest
 point: at each level it looks for one automorphism per point that the
 stabilizer found so far does not yet reach, so it returns a strong
 generating set and |Aut| as a product of orbit lengths, not one leaf per
-automorphism.  The group is closed once, after the order has been
-checked against the cap.  Graphs are limited to 64 vertices, so
+automorphism.  The group is closed once from them, after the order has
+been checked against the cap.  Graphs are limited to 64 vertices, so
 neighborhoods fit in machine-int bitmasks.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import (
     BadParameters,
@@ -27,7 +27,7 @@ from .errors import (
     UnknownSpec,
     invariant,
 )
-from .perms import DEFAULT_GROUP_CAP, Perm, PermutationGroup, _closure, _dimino, _point_image
+from .perms import DEFAULT_GROUP_CAP, Perm, PermutationGroup, _closure, _point_image
 
 AUTOMORPHISM_VERTEX_LIMIT = 64
 
@@ -150,52 +150,58 @@ def validate(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
 
 # -- named families ----------------------------------------------------------
 
-def named_graph(spec: str) -> Graph:
-    """Build a standard graph from a spec string.
+NAMED_KINDS = ("cycle", "complete", "hypercube", "petersen", "circulant",
+               "complete_bipartite")
+
+
+def parse_named_spec(spec: str) -> tuple[int, Iterator[tuple[int, int]]]:
+    """The vertex count and a lazy edge iterator of a named spec, unchecked.
 
     Supported: cycle:n, complete:n, hypercube:a, petersen,
-    circulant:n:s1,...,sk, complete_bipartite:a:b.
+    circulant:n:s1,...,sk, complete_bipartite:a:b.  Nothing is built
+    here, so a caller can refuse the count before any edge exists.
     """
     parts = spec.strip().lower().split(":")
     kind = parts[0]
     try:
         if kind == "cycle":
             (n,) = map(int, parts[1:])
-            return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+            return n, ((i, (i + 1) % n) for i in range(n))
         if kind == "complete":
             (n,) = map(int, parts[1:])
-            return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+            return n, ((i, j) for i in range(n) for j in range(i + 1, n))
         if kind == "hypercube":
             (a,) = map(int, parts[1:])
             if a < 1:
                 raise BadParameters("hypercube dimension must be >= 1")
-            n = 1 << a
-            edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(a) if v < v ^ (1 << b)]
-            return Graph(n, edges)
+            return 1 << a, ((v, v | 1 << b) for v in range(1 << a) for b in range(a)
+                            if not v >> b & 1)
         if kind == "petersen":
             if len(parts) != 1:
                 raise BadParameters("petersen takes no parameters")
             pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-            index = {p: k for k, p in enumerate(pairs)}
-            edges = [(index[p], index[q]) for p in pairs for q in pairs
-                     if p < q and not set(p) & set(q)]
-            return Graph(10, edges)
+            return 10, ((k, pairs.index(q)) for k, p in enumerate(pairs) for q in pairs
+                        if p < q and not set(p) & set(q))
         if kind == "circulant":
             n = int(parts[1])
             steps = sorted({int(s) for s in parts[2].split(",")})
             if any(s <= 0 or 2 * s > n for s in steps):
                 raise BadParameters(f"circulant steps must satisfy 0 < s <= n/2, got {steps}")
-            edges = {(i, (i + s) % n) if i < (i + s) % n else ((i + s) % n, i)
-                     for i in range(n) for s in steps}
-            return Graph(n, sorted(edges))
+            # the step n/2 meets each of its edges from both ends
+            return n, ((i, (i + s) % n) for s in steps for i in range(n if 2 * s < n else s))
         if kind == "complete_bipartite":
             a, b = int(parts[1]), int(parts[2])
             if a < 1 or b < 1:
                 raise BadParameters("both sides must be nonempty")
-            return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+            return a + b, ((i, a + j) for i in range(a) for j in range(b))
     except (IndexError, ValueError):
         raise BadParameters(f"malformed parameters in {spec!r}") from None
     raise UnknownSpec(f"unknown graph spec {spec!r}")
+
+
+def named_graph(spec: str) -> Graph:
+    """Build a standard graph from a spec string (see :func:`parse_named_spec`)."""
+    return Graph(*parse_named_spec(spec))
 
 
 # -- automorphisms -----------------------------------------------------------
@@ -320,9 +326,10 @@ def automorphism_group(graph: Graph, cap: int = DEFAULT_GROUP_CAP) -> Permutatio
 
     The level-by-level search (:func:`_strong_generators`) gives |Aut| as
     a product of orbit lengths before any element is built, so a group
-    over ``cap`` is refused with its exact order.  Otherwise Dimino's
-    closure materializes it.  Candidate masks are machine-int bitmasks, so
-    graphs over ``AUTOMORPHISM_VERTEX_LIMIT`` vertices are refused.
+    over ``cap`` is refused with its exact order.  Otherwise it is closed
+    once and keeps the search's strong generators as its generators.
+    Candidate masks are machine-int bitmasks, so graphs over
+    ``AUTOMORPHISM_VERTEX_LIMIT`` vertices are refused.
     """
     if cap < 1:
         raise BadParameters("cap must be >= 1")
@@ -333,16 +340,7 @@ def automorphism_group(graph: Graph, cap: int = DEFAULT_GROUP_CAP) -> Permutatio
     if order > cap:
         raise CapExceeded(f"automorphism search found {order} "
                           f"automorphisms, over the cap of {cap}")
-    # The closure allocates its elements in coset order, but queries read
-    # them in sorted order, so they are copied in sorted order to sit in
-    # memory in that order too.  The originals are freed before the
-    # small generating set's own closure runs.
-    group = PermutationGroup(n, [Perm(p) for p in sorted(_dimino(n, gens)[0])])
-    invariant(group.order == order,
-              f"strong generators close to {group.order} elements, "
-              f"not the orbit product {order}")
-    group.small_generating_set()
-    return group
+    return PermutationGroup.from_strong_generators(n, gens, order)
 
 
 @dataclass
@@ -365,22 +363,20 @@ class LocalAction:
 
 
 def local_group(group: PermutationGroup, graph: Graph, v: int) -> LocalAction:
-    """Restrict the stabilizer of ``v`` to its neighborhood."""
+    """Restrict the stabilizer of ``v`` to its neighborhood: a homomorphism,
+    so the local group is closed from the restrictions of its generators;
+    ``lift[q]`` is the least stabilizer element restricting to ``q``."""
     verify_automorphisms(graph, group.generators)
     if not 0 <= v < graph.vertex_count:
         raise BadParameters(f"vertex {v} out of range")
     stab = group.pointwise_stabilizer((v,))
     domain = graph.adj[v]
     index = {u: i for i, u in enumerate(domain)}
-    lift: dict[Perm, Perm] = {}
-    for h in stab.elements:
-        q = Perm(index[h[u]] for u in domain)
-        lift.setdefault(q, h)
-    locals_ = sorted(lift)
-    # the restriction is a homomorphism, so |local| divides |G_v|
-    invariant(stab.order % len(locals_) == 0,
-              f"local group order {len(locals_)} does not divide |G_v| = {stab.order}")
-    local = PermutationGroup(len(domain), locals_)
+    restricted = [Perm(index[h[u]] for u in domain) for h in stab.generators]
+    local = PermutationGroup.close(restricted, degree=len(domain))
+    invariant(stab.order % local.order == 0,
+              f"local group order {local.order} does not divide |G_v| = {stab.order}")
+    lift = {q: stab.transporter(domain, [domain[i] for i in q])[0] for q in local}
     return LocalAction(base_vertex=v, domain=domain, group=local, lift=lift,
                        stabilizer_order=stab.order)
 

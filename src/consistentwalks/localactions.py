@@ -79,9 +79,7 @@ def weakly_p_subregular(local: LocalAction | PermutationGroup) -> WpsWitness | N
         for y in domain:
             stab_y = group.pointwise_stabilizer((y,))
             joined = PermutationGroup.close(
-                list(stab_x.small_generating_set())
-                + list(stab_y.small_generating_set()),
-                degree=group.degree)
+                stab_x.generators + stab_y.generators, degree=group.degree)
             covered = joined.orbit(x) | joined.orbit(y)
             if covered == frozenset(domain):
                 invariant(group.pointwise_stabilizer((x, y)).order == 1,
@@ -154,7 +152,7 @@ def _arc_local_order(group: PermutationGroup, graph: Graph,
     """Order of the arc stabilizer's action on the far neighborhood minus u."""
     stab = group.pointwise_stabilizer((u, v))
     rest = tuple(w for w in graph.adj[v] if w != u)
-    return len({tuple(h[w] for w in rest) for h in stab.elements})
+    return len(stab.tuple_orbit(rest))
 
 
 def find_trivial_walk_4valent(group: PermutationGroup,

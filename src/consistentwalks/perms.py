@@ -5,7 +5,10 @@ in exponent notation, i.e. ``(g*h)[v] == h[g[v]]``.  Groups are fully
 materialized by Dimino's closure, which grows the subgroup generated so
 far a whole right coset at a time, so each new element costs one product
 instead of one per generator; point and tuple orbits use a breadth-first
-closure.  Everything here is immutable and safe to share.
+closure over the group's one generator tuple: those its closure kept, the
+automorphism search's strong generators, or (for a filtered subgroup) a
+greedy set computed on first read.  No other module reads how a group is
+stored.  Everything here is immutable and safe to share.
 
 ``PermutationGroup.transporter``, behind every stabilizer and shunt query,
 answers from a per-source-point bucket index: for a point ``a`` it holds
@@ -24,6 +27,7 @@ the test suite checks both for every group and query it builds
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from array import array
@@ -35,9 +39,11 @@ from .errors import (
     DegreeMismatch,
     DomainNotInvariant,
     InvalidPermutation,
+    invariant,
 )
 
 DEFAULT_GROUP_CAP = 2_000_000
+MIN_GENERATING_SEARCH_CAP = 4
 
 
 class Perm(tuple):
@@ -186,25 +192,22 @@ class PermutationGroup:
 
     ``elements`` must already form a group.  The constructor checks only
     that the identity is present, in O(1), not closure or inverses.  Every
-    caller passes a group by construction: a Dimino closure
-    (:meth:`close`), the elements of a group fixing given points
-    (:meth:`pointwise_stabilizer`), every leaf of the automorphism search,
-    or the image of a homomorphism (``graphs.local_group``).
-    ``elements`` is lexicographically sorted, so every iteration order
-    downstream is deterministic.
+    caller passes a group by construction: a Dimino closure (:meth:`close`,
+    :meth:`from_strong_generators`) or the elements of a group fixing
+    given points (:meth:`pointwise_stabilizer`).  ``elements`` is
+    lexicographically sorted, so every iteration order downstream is
+    deterministic, the identity comes first and membership is a bisection.
     """
 
-    __slots__ = ("degree", "elements", "_eset", "_generators", "_small_gens", "_index")
+    __slots__ = ("degree", "elements", "_generators", "_index")
 
     def __init__(self, degree: int, elements: Iterable[Perm], generators=None):
         self.degree = degree
         self.elements: tuple[Perm, ...] = tuple(sorted(elements))
-        self._eset = frozenset(self.elements)
         self._generators = tuple(generators) if generators is not None else None
-        self._small_gens = None
         # source point -> (element positions grouped by image, bucket offsets)
         self._index: dict[int, tuple[array, list[int]]] = {}
-        if Perm.identity(degree) not in self._eset:
+        if not self.elements or self.elements[0] != Perm.identity(degree):
             raise BadParameters("identity missing from element set")
 
     # -- construction ------------------------------------------------------
@@ -214,8 +217,8 @@ class PermutationGroup:
               cap: int = DEFAULT_GROUP_CAP) -> "PermutationGroup":
         """The group generated by ``generators``, closed coset by coset.
 
-        Raises :class:`CapExceeded` once the closure holds more than ``cap``
-        elements.
+        Its generators are those the closure kept.  Raises
+        :class:`CapExceeded` once the closure holds over ``cap`` elements.
         """
         gens = _as_perms(generators)
         if cap < 1:
@@ -227,11 +230,24 @@ class PermutationGroup:
         for g in gens:
             if g.degree != degree:
                 raise DegreeMismatch(f"generator degree {g.degree} != {degree}")
-        elements, _ = _dimino(degree, gens, cap)
+        elements, kept = _dimino(degree, gens, cap)
         if len(elements) > cap:
             raise CapExceeded(f"group closure reached {len(elements)} elements, "
                               f"over the cap of {cap}")
-        return cls(degree, elements, generators=gens)
+        return cls(degree, elements, generators=kept)
+
+    @classmethod
+    def from_strong_generators(cls, degree: int, generators: Sequence[Perm],
+                               order: int) -> "PermutationGroup":
+        """The group of strong generators whose basic orbit lengths multiply
+        to ``order``, closed once; they stay the group's generators."""
+        elements = _dimino(degree, generators)[0]
+        invariant(len(elements) == order, f"strong generators close to "
+                  f"{len(elements)} elements, not the orbit product {order}")
+        # The closure allocates its elements in coset order, but queries read
+        # them in sorted order, so they are copied in sorted order to sit in
+        # memory in that order too.
+        return cls(degree, [Perm(p) for p in sorted(elements)], generators=generators)
 
     def to_json(self) -> dict:
         return {"degree": self.degree,
@@ -253,12 +269,13 @@ class PermutationGroup:
 
     @property
     def generators(self) -> tuple[Perm, ...]:
-        if self._generators is not None:
-            return self._generators
-        return self.small_generating_set()
+        if self._generators is None:
+            self._generators = self.small_generating_set()
+        return self._generators
 
     def __contains__(self, p) -> bool:
-        return p in self._eset
+        i = bisect.bisect_left(self.elements, p)
+        return i < len(self.elements) and self.elements[i] == p
 
     def __iter__(self):
         return iter(self.elements)
@@ -276,10 +293,7 @@ class PermutationGroup:
         H generated so far joins the sequence, and H grows to <H, p> coset
         by coset (Dimino's closure) until it is the whole group.
         """
-        if self._small_gens is None:
-            _, gens = _dimino(self.degree, self.elements, self.order - 1)
-            self._small_gens = tuple(gens)
-        return self._small_gens
+        return tuple(_dimino(self.degree, self.elements, self.order - 1)[1])
 
     # -- actions -----------------------------------------------------------
 
@@ -348,37 +362,33 @@ class PermutationGroup:
         dom = frozenset(range(self.degree) if domain is None else domain)
         if not dom:
             raise BadParameters("empty domain")
-        gens = self.generators
-        for g in gens:
+        for g in self.generators:
             for x in dom:
                 if g[x] not in dom:
                     raise DomainNotInvariant(f"generator moves {x} to {g[x]} outside domain")
-        start = min(dom)
-        return _closure({start}, [start], gens, _point_image) == dom
+        return self.orbit(min(dom)) == dom
 
     def subgroup_equals(self, other: "PermutationGroup") -> bool:
-        """True iff the element sets coincide."""
+        """True iff the element sets coincide: the orders agree and this
+        group's generators lie in the other, so it is a subgroup of it."""
         if self.degree != other.degree:
             raise DegreeMismatch(f"degrees {self.degree} and {other.degree} differ")
-        if self.order != other.order:
-            return False
-        return (all(g in other._eset for g in self.generators)
-                and all(g in self._eset for g in other.generators))
+        return self.order == other.order and all(g in other for g in self.generators)
 
     # -- generation --------------------------------------------------------
 
-    def min_generating_size(self, search_cap: int = 4) -> int | None:
+    def min_generating_size(self) -> int | None:
         """Exact size of a smallest generating set, or None if the cap was hit.
 
-        Searches subsets of the full element set of size 1..search_cap.
+        Searches subsets of the full element set of size 1..MIN_GENERATING_SEARCH_CAP.
         """
         if self.order == 1:
             return 0
-        nontrivial = [p for p in self.elements if not p.is_identity()]
+        nontrivial = self.elements[1:]  # the identity comes first
         for p in nontrivial:
             if p.order() == self.order:
                 return 1
-        for size in range(2, search_cap + 1):
+        for size in range(2, MIN_GENERATING_SEARCH_CAP + 1):
             for combo in itertools.combinations(nontrivial, size):
                 # the closure stops as soon as it fills the group
                 if len(_dimino(self.degree, combo, self.order - 1)[0]) == self.order:

@@ -58,9 +58,8 @@ def reachability_by_shunt_group(group: PermutationGroup, graph: Graph,
     shs = shunts(group, graph, w)
     if not shs:
         raise NotConsistent(f"walk {w} has no shunt in the group")
-    prefix_stab = group.pointwise_stabilizer(w[:-1])
-    shunt_group = close_group(
-        list(prefix_stab.small_generating_set()) + [shs[0]], degree=group.degree)
+    shunt_group = close_group(group.pointwise_stabilizer(w[:-1]).generators + (shs[0],),
+                              degree=group.degree)
     verdict = shunt_group.is_transitive(range(graph.vertex_count))
     return ReachabilityReport(walk=w, verdict=verdict, method="shunt-group",
                            witness={"shunt_group_order": shunt_group.order,
@@ -156,12 +155,8 @@ def check_conditions(group: PermutationGroup, graph: Graph,
     ell = successor_count(group, graph, w)
     k = successor_count(group, graph, prefix)
     invariant(ell <= k, f"walk {w} has more successors than its prefix")
-    stab_prefix = group.pointwise_stabilizer(prefix)
-    stab_shifted = group.pointwise_stabilizer(shifted)
-    joined = close_group(
-        list(stab_prefix.small_generating_set())
-        + list(stab_shifted.small_generating_set()),
-        degree=group.degree)
+    joined = close_group(group.pointwise_stabilizer(prefix).generators
+                         + group.pointwise_stabilizer(shifted).generators, degree=group.degree)
     cond_a = no_intermediate_divisor(ell, k)
     prefix_succ = set(successors(group, graph, prefix))
     orbit = joined.tuple_orbit(min(prefix_succ))
@@ -186,7 +181,7 @@ def stabilizer_fixes_successors(group: PermutationGroup, graph: Graph,
     w = validate_walk(graph, walk)
     succ = successors(group, graph, w)
     stab = group.pointwise_stabilizer(w)
-    direct = all(apply_perm(h, s) == s for h in stab.elements for s in succ)
+    direct = all(stab.orbit(s[-1]) == {s[-1]} for s in succ)
     via_extensions = all(
         len(successors(group, graph, w + (s[-1],))) == 1 for s in succ)
     invariant(direct == via_extensions,

@@ -86,6 +86,34 @@ def oracle_transporter(group: cw.PermutationGroup, src, dst) -> list[cw.Perm]:
     return [g for g in group.elements if all(g[a] == b for a, b in zip(src, dst))]
 
 
+def oracle_local_lift(group: cw.PermutationGroup, graph: cw.Graph,
+                      v: int) -> dict[cw.Perm, cw.Perm]:
+    """The local group at ``v`` with its lift, by sweeping the stabilizer:
+    each element's restriction to the neighborhood, reindexed to 0..d-1,
+    mapped to the least element restricting to it."""
+    domain = graph.adj[v]
+    index = {u: i for i, u in enumerate(domain)}
+    lift: dict[cw.Perm, cw.Perm] = {}
+    for h in oracle_stabilizer(group, (v,)):
+        lift.setdefault(cw.Perm(index[h[u]] for u in domain), h)
+    return lift
+
+
+def oracle_arc_local_order(group: cw.PermutationGroup, graph: cw.Graph,
+                           u: int, v: int) -> int:
+    """Distinct restrictions of the arc stabilizer to adj[v] minus u."""
+    rest = tuple(w for w in graph.adj[v] if w != u)
+    return len({tuple(h[w] for w in rest) for h in oracle_stabilizer(group, (u, v))})
+
+
+def oracle_fixes_successors(group: cw.PermutationGroup, walk) -> bool:
+    """Every stabilizer element fixes every successor (a shunt image of
+    the walk) pointwise."""
+    succ = {tuple(g[v] for v in walk) for g in oracle_shunts(group, walk)}
+    return all(tuple(h[x] for x in s) == s
+               for h in oracle_stabilizer(group, walk) for s in succ)
+
+
 def all_rooted_cycles(graph: cw.Graph) -> set[tuple[int, ...]]:
     """Every rooted directed cycle (including trivial ones) by path DFS."""
     out: set[tuple[int, ...]] = set()

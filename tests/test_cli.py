@@ -196,6 +196,27 @@ def test_oversized_graph_file_refused_before_building(tmp_path, monkeypatch, cap
     assert all(n <= 64 for n in built)
 
 
+def test_oversized_named_spec_and_blowup_refused_before_building(monkeypatch, capsys):
+    built = []
+    init = Graph.__init__
+
+    def recording_init(self, vertex_count, edges):
+        built.append(vertex_count)
+        init(self, vertex_count, edges)
+
+    monkeypatch.setattr(Graph, "__init__", recording_init)
+    for args, n in ((["orbits", "--graph", "complete:1200"], 1200),
+                    (["orbits", "--graph", "hypercube:16"], 65536),
+                    (["blowup-demo", "--graph", "cycle:4", "--m", "160"], 640)):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        message = json.loads(err)
+        assert message["error"] == "CapExceeded"
+        assert str(n) in message["message"] and "64" in message["message"]
+    assert built and all(n <= 64 for n in built)
+
+
 def test_invariant_violation_exit_code(monkeypatch, capsys):
     valence = Graph.valence
     monkeypatch.setattr(Graph, "valence", lambda self: valence(self) + 1)

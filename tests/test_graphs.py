@@ -5,6 +5,7 @@ import pytest
 
 import consistentwalks as cw
 from consistentwalks import graphs as graphs_module
+from consistentwalks import perms as perms_module
 from consistentwalks.errors import (
     BadParameters,
     CapExceeded,
@@ -155,13 +156,32 @@ def test_automorphism_ceiling_names_order_without_closing(monkeypatch):
     def no_closure(*args, **kwargs):
         raise AssertionError("the group was materialized")
 
-    monkeypatch.setattr(graphs_module, "_dimino", no_closure)
+    monkeypatch.setattr(perms_module, "_dimino", no_closure)
     graph = cw.lex_blowup(cw.named_graph("hypercube:3"), 3)[0]
     started = time.perf_counter()
     with pytest.raises(CapExceeded) as info:
         cw.automorphism_group(graph)
     assert time.perf_counter() - started < 5
     assert str(info.value).startswith("automorphism search found 80621568 automorphisms")
+
+
+@pytest.mark.parametrize("name", ["cycle:6", "petersen", "hypercube:5", "hypercube:3[2K1]"])
+def test_automorphism_group_closes_once_from_strong_generators(name, monkeypatch):
+    graph = leaf_oracle_graph(name)
+    dimino = perms_module._dimino
+    calls = []
+
+    def counting_dimino(*args, **kwargs):
+        calls.append(args[:1])
+        return dimino(*args, **kwargs)
+
+    monkeypatch.setattr(perms_module, "_dimino", counting_dimino)
+    # also counted if graphs ever imports the closure under its own name
+    monkeypatch.setattr(graphs_module, "_dimino", counting_dimino, raising=False)
+    aut = cw.automorphism_group(graph)
+    generators = aut.generators  # read without a second closure
+    assert len(calls) == 1
+    assert generators == tuple(graphs_module._strong_generators(graph)[0])
 
 
 def test_automorphisms_preserve_adjacency(family):
@@ -202,6 +222,14 @@ def test_local_group_q3(family):
     assert local.stabilizer_order == local.group.order * local.kernel_order
     for q, h in local.lift.items():
         assert all(h[local.domain[i]] == local.domain[q[i]] for i in range(3))
+
+
+def test_local_group_against_sweep_oracle(family):
+    for name, (graph, aut) in family.items():
+        local = cw.local_group(aut, graph, 0)
+        lift = oracles.oracle_local_lift(aut, graph, 0)
+        assert local.group.elements == tuple(sorted(lift)), name
+        assert local.lift == lift, name
 
 
 def test_local_group_trivial_and_k5(family):

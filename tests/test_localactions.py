@@ -8,7 +8,7 @@ from consistentwalks.errors import (
     NotTransitive,
     WrongValence,
 )
-from consistentwalks.localactions import factor_3s_2t, shunt_count_pattern
+from consistentwalks.localactions import _arc_local_order, factor_3s_2t, shunt_count_pattern
 
 import oracles
 
@@ -167,3 +167,10 @@ def test_stabilizer_order_factoring():
     assert factor_3s_2t(1) == (0, 0)
     with pytest.raises(BadStabilizerOrder):
         factor_3s_2t(40)  # 2^3 * 5
+
+
+def test_arc_local_order_against_sweep_oracle(family):
+    for name, (graph, aut) in family.items():
+        u, v = 0, graph.adj[0][0]
+        assert (_arc_local_order(aut, graph, u, v)
+                == oracles.oracle_arc_local_order(aut, graph, u, v)), name

@@ -197,6 +197,9 @@ def test_subgroup_equals():
     a = cw.close_group([Perm((1, 0))])
     b = cw.close_group([Perm((1, 0)), Perm((1, 0))])
     assert a.subgroup_equals(b)
+    swap01 = cw.close_group([Perm((1, 0, 2, 3))])
+    swap23 = cw.close_group([Perm((0, 1, 3, 2))])  # same order, other elements
+    assert not swap01.subgroup_equals(swap23) and not swap23.subgroup_equals(swap01)
 
 
 def test_min_generating_size_small_cases():
@@ -268,6 +271,25 @@ def test_small_generating_set_generates(family, ladder):
             assert [tuple(g) for g in gens] == SMALL_GENERATORS[name]
 
 
+def test_membership_matches_element_set(ladder):
+    member_transpositions = 0
+    for name, (_, group) in ladder.items():
+        elements = set(group.elements)
+        n = group.degree
+        transpositions = [Perm.from_cycles(n, (a, b)) for a in range(n) for b in range(a + 1, n)]
+        for p in [*group.elements, *transpositions]:
+            assert (p in group) == (p in elements), name
+        member_transpositions += len(elements.intersection(transpositions))
+    assert member_transpositions  # the blow-ups' fiber swaps
+
+
+def test_group_without_identity_refused():
+    d4 = cw.close_group([ROTATION, REFLECTION])
+    for elements in ([g for g in d4.elements if not g.is_identity()], []):
+        with pytest.raises(BadParameters, match="identity missing"):
+            PermutationGroup(4, elements)
+
+
 def test_close_group_orders_match_sympy(ladder):
     combinatorics = pytest.importorskip("sympy.combinatorics")
     for name, (graph, group) in ladder.items():
@@ -287,3 +309,6 @@ def test_serialization_round_trip():
     assert data["degree"] == 4
     rebuilt = PermutationGroup.from_json(data)
     assert rebuilt.subgroup_equals(d4)
+    # a closure keeps only the generators that enlarged the group
+    redundant = cw.close_group([ROTATION, ROTATION.inverse(), Perm.identity(4), REFLECTION])
+    assert redundant.to_json()["generators"] == [list(ROTATION), list(REFLECTION)]

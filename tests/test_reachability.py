@@ -174,6 +174,17 @@ def test_stabilizer_fixes_successors(family):
     assert not cw.stabilizer_fixes_successors(aut5, k5, (0, 1))
 
 
+def test_stabilizer_fixes_successors_against_sweep_oracle(family):
+    verdicts = set()
+    for name, (graph, group) in family.items():
+        arc = (0, graph.adj[0][0])
+        for walk in [arc, *cw.consistent_extensions(group, graph, arc)]:
+            verdict = cw.stabilizer_fixes_successors(group, graph, walk)
+            assert verdict == oracles.oracle_fixes_successors(group, walk), (name, walk)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_fixes_successors_plus_property_r_forces_trivial_stabilizer(family):
     rng = random.Random(18)
     for name in ("k4", "q3", "petersen", "k5"):
