@@ -56,7 +56,7 @@ def _load_graph(source: str, group_given: bool) -> tuple[Graph, list[list[int]] 
     (``group_given`` false, no embedded generators) has its vertex count
     checked against the search's limit before the Graph is built.
     """
-    head = source.split(":", 1)[0].lower()
+    head = source.split(":", 1)[0].strip().lower()
     if head in NAMED_KINDS:
         vertex_count, edges = parse_named_spec(source)
         if not group_given:

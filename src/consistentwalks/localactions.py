@@ -4,11 +4,19 @@ A transitive permutation group L on Omega is weakly p-subregular when some
 points x, y have |L_x| = p prime and the <L_x, L_y>-orbits of x and y cover
 Omega.  Such a local action at a vertex of an arc-transitive graph always
 leads to a consistent walk with trivial stabilizer, as does valence 4; both
-searches below return the walk plus a machine-checkable certificate.
+searches below return the walk plus a machine-checkable certificate.  An
+exhaustive depth-first search covers the other graphs.
+
+Every search extends walks one vertex at a time and carries the shunts
+along: the shunts of an extension are the walk's shunts that send its last
+vertex to the new endpoint.  So only the walks a search starts from query
+the group, and successor counts and stabilizer orders come from the split
+of the shunts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -17,19 +25,20 @@ from .errors import (
     NoWitness,
     NotArcTransitive,
     NotConnected,
+    NotConsistent,
     NotTransitive,
     WrongValence,
     invariant,
 )
 from .graphs import Graph, LocalAction, is_arc_transitive, is_n_arc_transitive, local_group
-from .perms import PermutationGroup
+from .perms import Perm, PermutationGroup
 from .walks import (
     Walk,
     ConsistencyWitness,
+    _split_shunts,
     consistent_cycle_orbits,
-    consistent_extensions,
     is_consistent,
-    successor_count,
+    shunts,
 )
 from .reachability import certify_trivial_stabilizer
 
@@ -98,20 +107,23 @@ def _extend_while_branching(group: PermutationGroup, graph: Graph,
 
     Lexicographically smallest qualifying endpoint at each step.  Returns
     the maximal walk and the successor counts of the walk and each chosen
-    extension.
+    extension.  The walk's shunts are queried once; each extension's are
+    the shunts sending the last vertex to its new endpoint.
     """
-    counts = [successor_count(group, graph, walk)]
+    shs = shunts(group, graph, walk)
+    if not shs:
+        raise NotConsistent(f"walk {walk} has no shunt in the group")
+    by_end = _split_shunts(shs, walk[-1])
+    counts = [len(by_end)]
     while True:
-        best = None
-        for ext in consistent_extensions(group, graph, walk):
-            count = successor_count(group, graph, ext)
-            if count > 1:
-                best = (ext, count)
+        for x in sorted(by_end):
+            ext_by_end = _split_shunts(by_end[x], x)
+            if len(ext_by_end) > 1:
+                walk, by_end = walk + (x,), ext_by_end
+                counts.append(len(by_end))
                 break
-        if best is None:
+        else:
             return walk, counts
-        walk, count = best[0], best[1]
-        counts.append(count)
 
 
 def find_trivial_walk_wps(group: PermutationGroup,
@@ -196,29 +208,52 @@ def find_trivial_walk_4valent(group: PermutationGroup,
     return is_consistent(group, graph, walk), cert
 
 
+def _shunt_descent(group: PermutationGroup, graph: Graph, depth_cap: int
+                   ) -> Iterator[tuple[Walk, list[Perm], dict[int, list[Perm]]]]:
+    """Every consistent walk of length <= ``depth_cap`` with its shunts, depth first.
+
+    Arcs come in lexicographic order, each followed by its extensions,
+    least endpoint first.  Yields (walk, shunts, shunts split by the image
+    of the last vertex).  Only the arcs query the group, each when its
+    turn comes: the shunts of walk + (x,) are the walk's shunts that send
+    its last vertex to x.
+    """
+    for arc in sorted((u, w) for u in range(graph.vertex_count) for w in graph.adj[u]):
+        shs = group.transporter(arc[:1], arc[1:])
+        stack = [(arc, shs)] if shs else []
+        while stack:
+            walk, shs = stack.pop()
+            by_end = _split_shunts(shs, walk[-1])
+            yield walk, shs, by_end
+            if len(walk) - 1 < depth_cap:
+                stack.extend((walk + (x,), by_end[x]) for x in sorted(by_end, reverse=True))
+
+
 def find_trivial_walk_exhaustive(group: PermutationGroup, graph: Graph,
                                  depth_cap: int = 64) -> tuple[ConsistencyWitness, dict]:
-    """Naive depth-first extension until a trivial-stabilizer walk appears.
+    """Depth-first extension until a trivial-stabilizer walk appears.
 
-    Fallback for graphs the structural searches do not cover; no
-    certificate beyond the recomputed stabilizer order.
+    Fallback for graphs the structural searches do not cover.  For a walk
+    w = (v_0..v_n) the search uses three facts: the shunts of w + (x,) are
+    the shunts of w that send v_n to x; the successor endpoints of w are
+    the images of v_n under its shunts; and |G_(w)| = |shunts| / |Succ|,
+    since the shunts are the coset G_(v_0..v_{n-1}) * g0 (orbit–stabilizer).
+    So G_(w) is trivial exactly when no two shunts send v_n to the same
+    vertex, and the group is queried at most once per arc.  The stabilizer
+    order of the returned walk is recomputed once; there is no other
+    certificate.
     """
     if depth_cap < 1:
         raise BadParameters(f"depth cap must be at least 1, got {depth_cap}")
     if not graph.connected:
         raise NotConnected("the search needs a connected graph")
-    stack: list[Walk] = sorted(
-        ((u, w) for u in range(graph.vertex_count) for w in graph.adj[u]),
-        reverse=True)
-    stack = [arc for arc in stack if is_consistent(group, graph, arc)]
-    while stack:
-        walk = stack.pop()
-        if group.pointwise_stabilizer(walk).order == 1:
+    for walk, shs, by_end in _shunt_descent(group, graph, depth_cap):
+        if len(by_end) == len(shs):
+            invariant(group.pointwise_stabilizer(walk).order == 1,
+                      f"walk {walk} has distinct shunt images but a nontrivial stabilizer")
             cert = {"method": "exhaustive", "walk": list(walk),
                     "stabilizer_order": 1, "certified": True}
             return is_consistent(group, graph, walk), cert
-        if len(walk) - 1 < depth_cap:
-            stack.extend(reversed(consistent_extensions(group, graph, walk)))
     raise NoWitness(f"no consistent walk of length <= {depth_cap} has a trivial stabilizer")
 
 

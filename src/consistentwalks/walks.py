@@ -93,16 +93,26 @@ def successors(group: PermutationGroup, graph: Graph,
 
 def successor_count(group: PermutationGroup, graph: Graph,
                     walk: Sequence[int]) -> int:
-    """|Succ(walk)|; for vertex-transitive groups the order identity
-    |G_prefix| = |G_walk| * |Succ(walk)| is checked."""
-    w = validate_walk(graph, walk)
-    count = len(successors(group, graph, w))
-    if is_vertex_transitive(group, graph):
-        prefix_stab = group.pointwise_stabilizer(w[:-1])
-        walk_stab = group.pointwise_stabilizer(w)
-        invariant(prefix_stab.order == walk_stab.order * count,
-                  f"|G_prefix| != |G_walk| * |Succ| for {w}")
-    return count
+    """|Succ(walk)|, which equals |G_prefix| / |G_walk| in every group.
+
+    The successor endpoints are the images of v_n under the coset
+    G_prefix * g0 of shunts, and two shunts give the same image exactly
+    when they lie in one coset of G_walk (orbit–stabilizer).
+    """
+    return len(successors(group, graph, walk))
+
+
+def _split_shunts(shs: Sequence[Perm], last: int) -> dict[int, list[Perm]]:
+    """Each image of ``last`` under the shunts ``shs`` -> the shunts sending it there.
+
+    For shunts of a walk ending in ``last``, the keys are the successor
+    endpoints, and the list at x holds the shunts of the walk extended by
+    x.  Each list keeps the order of ``shs``.
+    """
+    split: dict[int, list[Perm]] = {}
+    for g in shs:
+        split.setdefault(g[last], []).append(g)
+    return split
 
 
 def consistent_extensions(group: PermutationGroup, graph: Graph,

@@ -114,6 +114,27 @@ def oracle_fixes_successors(group: cw.PermutationGroup, walk) -> bool:
                for h in oracle_stabilizer(group, walk) for s in succ)
 
 
+def exhaustive_trivial_walk(group: cw.PermutationGroup, graph: cw.Graph,
+                            depth_cap: int = 64):
+    """The trivial-walk search node by node: (walk, least shunt), or None.
+
+    The library's search before it carried shunt lists: consistent arcs in
+    lexicographic order, then depth first with the least extension first,
+    one stabilizer query per popped walk and one successor query per
+    expanded walk.
+    """
+    stack = sorted(((u, w) for u in range(graph.vertex_count) for w in graph.adj[u]),
+                   reverse=True)
+    stack = [arc for arc in stack if cw.shunts(group, graph, arc)]
+    while stack:
+        walk = stack.pop()
+        if group.pointwise_stabilizer(walk).order == 1:
+            return walk, cw.shunts(group, graph, walk)[0]
+        if len(walk) - 1 < depth_cap:
+            stack.extend(reversed(cw.consistent_extensions(group, graph, walk)))
+    return None
+
+
 def all_rooted_cycles(graph: cw.Graph) -> set[tuple[int, ...]]:
     """Every rooted directed cycle (including trivial ones) by path DFS."""
     out: set[tuple[int, ...]] = set()

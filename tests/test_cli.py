@@ -30,6 +30,16 @@ def test_payload_is_deterministic(capsys):
     assert a["input"] == b["input"]
 
 
+def test_named_spec_with_surrounding_spaces(capsys):
+    code, out, _ = run_cli(["orbits", "--graph", "cycle:5"], capsys)
+    assert code == 0
+    expected = json.loads(out)["payload"]
+    for spec in (" cycle:5", "\tCycle:5 "):
+        code, out, err = run_cli(["orbits", "--graph", spec], capsys)
+        assert code == 0, err
+        assert json.loads(out)["payload"] == expected
+
+
 def test_trivial_walk_4valent(capsys):
     code, out, _ = run_cli(["trivial-walk", "--graph", "complete:5",
                             "--method", "4valent"], capsys)

@@ -8,8 +8,15 @@ from consistentwalks.errors import (
     NotTransitive,
     WrongValence,
 )
-from consistentwalks.localactions import _arc_local_order, factor_3s_2t, shunt_count_pattern
+from consistentwalks.localactions import (
+    _arc_local_order,
+    _extend_while_branching,
+    _shunt_descent,
+    factor_3s_2t,
+    shunt_count_pattern,
+)
 
+from conftest import FAMILY_VALENCE
 import oracles
 
 
@@ -128,6 +135,67 @@ def test_find_trivial_walk_exhaustive(family):
     baut = cw.automorphism_group(blowup)
     with pytest.raises(NoWitness):
         cw.find_trivial_walk_exhaustive(baut, blowup, depth_cap=4)
+
+
+def exhaustive_answer(group, graph, depth_cap):
+    """(walk, shunt) of the library's exhaustive search, or None on NoWitness."""
+    try:
+        witness, cert = cw.find_trivial_walk_exhaustive(group, graph, depth_cap=depth_cap)
+    except NoWitness:
+        return None
+    assert cert == {"method": "exhaustive", "walk": list(witness.walk),
+                    "stabilizer_order": 1, "certified": True}
+    return witness.walk, witness.shunt
+
+
+@pytest.mark.parametrize("name", [*FAMILY_VALENCE, "complete:6", "hypercube:5",
+                                  "circulant:8:1,2", "circulant:10:1,3",
+                                  "circulant:12:1,5"])
+def test_exhaustive_search_matches_per_node_oracle(name, family):
+    if name in family:
+        graph, group = family[name]
+    else:
+        graph = cw.named_graph(name)
+        group = cw.automorphism_group(graph)
+    # Q3[2K1] has no trivial walk up to length 4, which the cap-4 run
+    # above covers; the default cap would search far deeper
+    for cap in (1, 2, 3) if name == "q3k2" else (1, 2, 64):
+        assert (exhaustive_answer(group, graph, cap)
+                == oracles.exhaustive_trivial_walk(group, graph, cap)), (name, cap)
+
+
+@pytest.mark.parametrize("name", list(FAMILY_VALENCE))
+def test_shunt_descent_carries_each_walks_shunts(name, family):
+    graph, group = family[name]
+    stabilizers = {}  # walk -> its stabilizer by brute force, narrowed from its prefix's
+    for walk, shs, by_end in _shunt_descent(group, graph, 3):
+        assert shs == cw.shunts(group, graph, walk)
+        assert [walk[1:] + (x,) for x in sorted(by_end)] == cw.successors(group, graph, walk)
+        prefix = walk[:-1]
+        if prefix not in stabilizers:
+            stabilizers[prefix] = oracles.oracle_stabilizer(group, prefix)
+        stabilizers[walk] = [h for h in stabilizers[prefix] if h[walk[-1]] == walk[-1]]
+        assert len(shs) == len(by_end) * len(stabilizers[walk]), walk
+
+
+@pytest.mark.parametrize("name,finder", [
+    ("q3", cw.find_trivial_walk_wps), ("petersen", cw.find_trivial_walk_wps),
+    ("k5", cw.find_trivial_walk_4valent), ("q4", cw.find_trivial_walk_4valent),
+])
+def test_extend_while_branching_matches_successor_queries(name, finder, family):
+    graph, group = family[name]
+    witness, _ = finder(group, graph)
+    walk, counts = _extend_while_branching(group, graph, witness.walk[:3])
+    assert walk == witness.walk
+    assert counts == [cw.successor_count(group, graph, walk[:k])
+                      for k in range(3, len(walk) + 1)]
+    # each step takes the least extension that still branches, and the
+    # last walk has none
+    for k in range(3, len(walk) + 1):
+        for ext in cw.consistent_extensions(group, graph, walk[:k]):
+            if ext == walk[:k + 1]:
+                break
+            assert cw.successor_count(group, graph, ext) <= 1, ext
 
 
 def test_shunt_count_pattern_flags():

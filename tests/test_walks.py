@@ -135,9 +135,15 @@ def test_successor_count_identities(family):
 
 
 def test_order_identity_on_random_walks(family):
+    # orbit–stabilizer: |G_prefix| = |G_walk| * |Succ| in every group, so
+    # the groups that are not vertex-transitive are checked too
     rng = random.Random(14)
-    for name in ("c6", "k4", "petersen", "q4"):
-        graph, group = family[name]
+    cases = [family[name] for name in ("c6", "k4", "petersen", "q4")]
+    for edges in (NET_EDGES, TWO_TRIANGLES_EDGES):
+        graph = cw.validate(6, edges)
+        cases.append((graph, cw.automorphism_group(graph)))
+    cases.append((cw.named_graph("cycle:6"), cw.close_group([ROTATION6])))
+    for graph, group in cases:
         for _ in range(5):
             walk = oracles.random_consistent_walk(group, graph, rng)
             count = cw.successor_count(group, graph, walk)
