@@ -21,6 +21,7 @@ from .errors import (
     CapExceeded,
     ConsistentWalksError,
     InvalidPermutation,
+    NotAutomorphisms,
     ParseError,
     invariant,
 )
@@ -49,18 +50,26 @@ from .walks import consistent_cycle_orbits
 DEFAULT_WALK_DEPTH = 64
 
 
-def _load_graph(source: str, group_given: bool) -> tuple[Graph, list[list[int]] | None]:
+def _load_graph(source: str, group_file: str | None, declared,
+                generators) -> tuple[Graph, list[list[int]] | None]:
     """Resolve --graph into a Graph plus any generators embedded in a file.
 
-    A named spec or graph file that leaves the group to the search
-    (``group_given`` false, no embedded generators) has its vertex count
-    checked against the search's limit before the Graph is built.
+    The vertex count is checked before the Graph is built: against the
+    degree of ``group_file`` (``declared`` and ``generators``, as
+    :func:`_load_generators` read them) when one is given, else against
+    the search's limit when the group is left to the search (no embedded
+    generators).
     """
+    def check(vertex_count: int, embedded=None) -> None:
+        if group_file:
+            _check_group_degree(group_file, declared, generators, vertex_count)
+        elif embedded is None:
+            check_search_size(vertex_count)
+
     head = source.split(":", 1)[0].strip().lower()
     if head in NAMED_KINDS:
         vertex_count, edges = parse_named_spec(source)
-        if not group_given:
-            check_search_size(vertex_count)
+        check(vertex_count)
         return Graph(vertex_count, edges), None
     path = Path(source)
     if not path.exists():
@@ -76,15 +85,13 @@ def _load_graph(source: str, group_given: bool) -> tuple[Graph, list[list[int]] 
             raise ParseError(f"{source}: graph JSON needs 'vertices' and 'edges'")
         embedded = data.get("generators")
         try:
-            if embedded is None and not group_given:
-                check_search_size(int(data["vertices"]))
+            check(int(data["vertices"]), embedded)
             return Graph.from_json(data), embedded
         except (TypeError, IndexError, ValueError) as exc:
             raise ParseError(f"{source}: malformed 'vertices' or 'edges': {exc}") from exc
     try:
         vertex_count, edges = parse_edge_list_text(text)
-        if not group_given:
-            check_search_size(vertex_count)
+        check(vertex_count)
         return Graph(vertex_count, edges), None
     except BadParameters as exc:
         raise ParseError(f"{source}: {exc}") from exc
@@ -114,6 +121,18 @@ def _load_generators(path: str) -> tuple[int | None, list[list[int]]]:
     raise ParseError(f"{path}: expected a generator list or a degree/generators object")
 
 
+def _check_group_degree(group_file: str, declared, generators, vertex_count: int) -> None:
+    """Refuse a group file whose degree is not ``vertex_count``: its declared
+    degree, else the length of its first generator."""
+    if declared is not None:
+        if type(declared) is not int or declared != vertex_count:
+            raise ParseError(f"{group_file}: declared degree {declared!r} differs "
+                             f"from the graph's {vertex_count} vertices")
+    elif (isinstance(generators, list) and generators and isinstance(generators[0], list)
+          and len(generators[0]) != vertex_count):
+        raise NotAutomorphisms(f"degree {len(generators[0])} != vertex count {vertex_count}")
+
+
 def parse_inputs(args: argparse.Namespace) -> tuple[Graph, PermutationGroup, str]:
     """Build the validated graph and the acting group.
 
@@ -121,15 +140,11 @@ def parse_inputs(args: argparse.Namespace) -> tuple[Graph, PermutationGroup, str
     full automorphism group is computed.
     """
     group_file = getattr(args, "group_file", None)
-    graph, embedded = _load_graph(args.graph, group_given=bool(group_file))
-    raw = embedded
-    source = "embedded"
-    if group_file:
-        degree, raw = _load_generators(group_file)
-        if degree is not None and (type(degree) is not int or degree != graph.vertex_count):
-            raise ParseError(f"{group_file}: declared degree {degree!r} differs "
-                             f"from the graph's {graph.vertex_count} vertices")
-        source = "file"
+    declared, raw = _load_generators(group_file) if group_file else (None, None)
+    graph, embedded = _load_graph(args.graph, group_file, declared, raw)
+    source = "file" if group_file else "embedded"
+    if not group_file:
+        raw = embedded
     if raw is not None:
         try:
             gens = [Perm.from_images(g) for g in raw]

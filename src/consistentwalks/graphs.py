@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator, Sequence
+from operator import itemgetter
 
 from .errors import (
     BadParameters,
@@ -27,7 +28,7 @@ from .errors import (
     UnknownSpec,
     invariant,
 )
-from .perms import DEFAULT_GROUP_CAP, Perm, PermutationGroup, _closure, _point_image
+from .perms import DEFAULT_GROUP_CAP, Perm, PermutationGroup, _closure
 
 AUTOMORPHISM_VERTEX_LIMIT = 64
 
@@ -309,7 +310,7 @@ def _strong_generators(graph: Graph) -> tuple[list[Perm], list[int]]:
             g = _first_completion(adj, i, u, path[i])
             if g is not None:
                 gens.append(g)
-                orbit = _closure({i}, [i], gens, _point_image)
+                orbit = _closure({i}, [i], gens, itemgetter)
         lengths[i] = len(orbit)
     return gens, lengths
 
@@ -322,12 +323,13 @@ def check_search_size(vertex_count: int) -> None:
 
 
 def automorphism_group(graph: Graph, cap: int = DEFAULT_GROUP_CAP) -> PermutationGroup:
-    """The full automorphism group, from strong generators closed once.
+    """The full automorphism group, expanded from its strong generators.
 
     The level-by-level search (:func:`_strong_generators`) gives |Aut| as
     a product of orbit lengths before any element is built, so a group
-    over ``cap`` is refused with its exact order.  Otherwise it is closed
-    once and keeps the search's strong generators as its generators.
+    over ``cap`` is refused with its exact order.  Otherwise its elements
+    are expanded from the basic transversals, and it keeps the search's
+    strong generators as its generators.
     Candidate masks are machine-int bitmasks, so graphs over
     ``AUTOMORPHISM_VERTEX_LIMIT`` vertices are refused.
     """
@@ -340,7 +342,7 @@ def automorphism_group(graph: Graph, cap: int = DEFAULT_GROUP_CAP) -> Permutatio
     if order > cap:
         raise CapExceeded(f"automorphism search found {order} "
                           f"automorphisms, over the cap of {cap}")
-    return PermutationGroup.from_strong_generators(n, gens, order)
+    return PermutationGroup.from_strong_generators(n, gens)
 
 
 @dataclass

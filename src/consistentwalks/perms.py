@@ -1,14 +1,20 @@
 """Finite permutation group engine.
 
 Permutations act on the right throughout: ``v ** (g*h) == (v ** g) ** h``
-in exponent notation, i.e. ``(g*h)[v] == h[g[v]]``.  Groups are fully
-materialized by Dimino's closure, which grows the subgroup generated so
-far a whole right coset at a time, so each new element costs one product
-instead of one per generator; point and tuple orbits use a breadth-first
-closure over the group's one generator tuple: those its closure kept, the
-automorphism search's strong generators, or (for a filtered subgroup) a
-greedy set computed on first read.  No other module reads how a group is
-stored.  Everything here is immutable and safe to share.
+in exponent notation, i.e. ``(g*h)[v] == h[g[v]]``.  A product is one C
+call, ``operator.itemgetter(*g)(h)``, and the closures below build each
+getter once and apply it to many permutations.  Groups are fully
+materialized.  The automorphism group is expanded from its basic
+transversals (:meth:`PermutationGroup.from_strong_generators`), already in
+lexicographic order and one product per element.  Dimino's closure, which
+grows the subgroup generated so far a whole right coset at a time, backs
+only :meth:`PermutationGroup.close`, the greedy generators and
+:meth:`PermutationGroup.min_generating_size`.  Point and tuple orbits use
+a breadth-first closure over the group's one generator tuple: those its
+closure kept, the automorphism search's strong generators, or (for a
+filtered subgroup) a greedy set computed on first read.  No other module
+reads how a group is stored.  Everything here is immutable and safe to
+share.
 
 ``PermutationGroup.transporter``, behind every stabilizer and shunt query,
 answers from a per-source-point bucket index: for a point ``a`` it holds
@@ -20,9 +26,9 @@ none.  Rows are a cache of the immutable element list: two racing builds
 of one row store equal rows.
 
 Each answer is computed once.  A ``PermutationGroup`` trusts its element
-list to be a group, and a transporter answer is not re-derived as a coset;
-the test suite checks both for every group and query it builds
-(``tests/conftest.py``).
+list to be a group in lexicographic order, and a transporter answer is not
+re-derived as a coset; the test suite checks both for every group and
+query it builds (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import itertools
 import math
 from array import array
 from collections.abc import Callable, Iterable, Sequence
+from operator import itemgetter
 
 from .errors import (
     BadParameters,
@@ -39,7 +46,6 @@ from .errors import (
     DegreeMismatch,
     DomainNotInvariant,
     InvalidPermutation,
-    invariant,
 )
 
 DEFAULT_GROUP_CAP = 2_000_000
@@ -81,7 +87,7 @@ class Perm(tuple):
     def __mul__(self, other):  # type: ignore[override]
         if len(self) != len(other):
             raise DegreeMismatch(f"degrees {len(self)} and {len(other)} differ")
-        return Perm(other[i] for i in self)
+        return Perm(_tuple_getter(self)(other))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self)
@@ -125,19 +131,32 @@ def _as_perms(generators: Iterable[Sequence[int]]) -> list[Perm]:
     return [g if isinstance(g, Perm) else Perm.from_images(g) for g in generators]
 
 
-def _closure(seen: set, frontier: list, gens: Sequence[Perm],
-             act: Callable, limit: float = math.inf) -> set:
-    """Breadth-first closure of ``seen`` under ``x -> act(x, g)`` for g in ``gens``.
+def _tuple_getter(t: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``f`` with ``f(x) == tuple(x[i] for i in t)``, one C call for ``len(t) >= 2``.
 
-    ``frontier`` holds the members of ``seen`` whose images are unexplored.
-    Grows ``seen`` in place and returns it, early once it holds more than
-    ``limit`` items.
+    ``itemgetter`` returns a bare item for one index, so shorter tuples
+    take a comprehension.  ``p * q == Perm(_tuple_getter(p)(q))``.
+    """
+    if len(t) >= 2:
+        return itemgetter(*t)
+    return lambda x: tuple(x[i] for i in t)
+
+
+def _closure(seen: set, frontier: list, gens: Sequence[Perm],
+             getter: Callable, limit: float = math.inf) -> set:
+    """Breadth-first closure of ``seen`` under ``x -> getter(x)(g)`` for g in ``gens``.
+
+    ``getter`` is ``itemgetter`` for points and ``_tuple_getter`` for point
+    tuples, built once per explored item.  ``frontier`` holds the members of
+    ``seen`` whose images are unexplored.  Grows ``seen`` in place and
+    returns it, early once it holds more than ``limit`` items.
     """
     while frontier:
         new = []
         for x in frontier:
+            image = getter(x)
             for g in gens:
-                y = act(x, g)
+                y = image(g)
                 if y not in seen:
                     seen.add(y)
                     if len(seen) > limit:
@@ -145,6 +164,28 @@ def _closure(seen: set, frontier: list, gens: Sequence[Perm],
                     new.append(y)
         frontier = new
     return seen
+
+
+def _transversal(degree: int, point: int, gens: Sequence[Perm]) -> dict[int, Perm]:
+    """Orbit point b of ``point`` under ``gens`` -> one product u of the
+    generators with ``u[point] == b``, the identity for ``point`` itself.
+
+    Breadth first over the orbit, each new point costing one product: the
+    Schreier tree of the orbit, its branches read as permutations.
+    """
+    trans = {point: Perm.identity(degree)}
+    frontier = [point]
+    while frontier:
+        new = []
+        for x in frontier:
+            image = _tuple_getter(trans[x])
+            for g in gens:
+                y = g[x]
+                if y not in trans:
+                    trans[y] = Perm(image(g))
+                    new.append(y)
+        frontier = new
+    return trans
 
 
 def _dimino(degree: int, candidates: Iterable[Perm],
@@ -165,8 +206,10 @@ def _dimino(degree: int, candidates: Iterable[Perm],
         if p in seen:
             continue
         kept.append(p)
-        subgroup = list(seen)
-        seen.update(h * p for h in subgroup)
+        # h * y == Perm(itemgetter(*h)(y)), each h's getter built once; a kept
+        # p is not the identity, so the degree is at least 2
+        subgroup = [itemgetter(*h) for h in seen]
+        seen.update(Perm(h(p)) for h in subgroup)
         reps = [p]
         for x in reps:  # grows while it is walked
             if len(seen) > limit:
@@ -174,36 +217,29 @@ def _dimino(degree: int, candidates: Iterable[Perm],
             for g in kept:
                 y = x * g
                 if y not in seen:
-                    seen.update(h * y for h in subgroup)
+                    seen.update(Perm(h(y)) for h in subgroup)
                     reps.append(y)
     return seen, kept
-
-
-def _point_image(x: int, g: Perm) -> int:
-    return g[x]
-
-
-def _tuple_image(t: tuple[int, ...], g: Perm) -> tuple[int, ...]:
-    return tuple(g[v] for v in t)
 
 
 class PermutationGroup:
     """A finite permutation group with a materialized element set.
 
-    ``elements`` must already form a group.  The constructor checks only
-    that the identity is present, in O(1), not closure or inverses.  Every
-    caller passes a group by construction: a Dimino closure (:meth:`close`,
-    :meth:`from_strong_generators`) or the elements of a group fixing
-    given points (:meth:`pointwise_stabilizer`).  ``elements`` is
-    lexicographically sorted, so every iteration order downstream is
-    deterministic, the identity comes first and membership is a bisection.
+    ``elements`` must already form a group and come in lexicographic
+    order, so every iteration order downstream is deterministic, the
+    identity comes first and membership is a bisection.  The constructor
+    checks only that the identity comes first, in O(1), not order, closure
+    or inverses.  Every caller passes a sorted group by construction: a
+    Dimino closure sorted once (:meth:`close`), a transversal expansion
+    (:meth:`from_strong_generators`) or the sorted transporter answer of a
+    group fixing given points (:meth:`pointwise_stabilizer`).
     """
 
     __slots__ = ("degree", "elements", "_generators", "_index")
 
     def __init__(self, degree: int, elements: Iterable[Perm], generators=None):
         self.degree = degree
-        self.elements: tuple[Perm, ...] = tuple(sorted(elements))
+        self.elements: tuple[Perm, ...] = tuple(elements)
         self._generators = tuple(generators) if generators is not None else None
         # source point -> (element positions grouped by image, bucket offsets)
         self._index: dict[int, tuple[array, list[int]]] = {}
@@ -234,20 +270,35 @@ class PermutationGroup:
         if len(elements) > cap:
             raise CapExceeded(f"group closure reached {len(elements)} elements, "
                               f"over the cap of {cap}")
-        return cls(degree, elements, generators=kept)
+        return cls(degree, sorted(elements), generators=kept)
 
     @classmethod
-    def from_strong_generators(cls, degree: int, generators: Sequence[Perm],
-                               order: int) -> "PermutationGroup":
-        """The group of strong generators whose basic orbit lengths multiply
-        to ``order``, closed once; they stay the group's generators."""
-        elements = _dimino(degree, generators)[0]
-        invariant(len(elements) == order, f"strong generators close to "
-                  f"{len(elements)} elements, not the orbit product {order}")
-        # The closure allocates its elements in coset order, but queries read
-        # them in sorted order, so they are copied in sorted order to sit in
-        # memory in that order too.
-        return cls(degree, [Perm(p) for p in sorted(elements)], generators=generators)
+    def from_strong_generators(cls, degree: int,
+                               generators: Sequence[Perm]) -> "PermutationGroup":
+        """The group of strong generators for the base 0..degree-1, expanded
+        from its basic transversals; the generators stay the group's own.
+
+        The generators moving no point below i generate G_i, the stabilizer
+        of 0..i-1, and every element of G_i is u*r for one u in G_(i+1) and
+        one r in the transversal of i's orbit (Sims 1970).  So every element
+        g is u_(n-1) * ... * u_0, read off level by level, and the prefix
+        r = u_(i-1) * ... * u_0 already fixes g[0..i-1] while g[i] = r[b]
+        for the u_i sending i to b.  Expanding each prefix r in the order of
+        r[b] therefore lists the elements in lexicographic order, one
+        product per element of each level.
+        """
+        firsts = [next((v for v, x in enumerate(g) if v != x), degree)
+                  for g in generators]
+        elements = [Perm.identity(degree)]
+        for i in range(degree):
+            level = [g for g, first in zip(generators, firsts) if first >= i]
+            trans = _transversal(degree, i, level)
+            if len(trans) == 1:
+                continue
+            getters = {b: itemgetter(*u) for b, u in trans.items()}
+            elements = [Perm(getters[b](r)) for r in elements
+                        for b in sorted(trans, key=r.__getitem__)]
+        return cls(degree, elements, generators=generators)
 
     def to_json(self) -> dict:
         return {"degree": self.degree,
@@ -301,13 +352,13 @@ class PermutationGroup:
         """Smallest generator-closed set of points containing ``point``."""
         if not 0 <= point < self.degree:
             raise BadParameters(f"point {point} outside degree {self.degree}")
-        return frozenset(_closure({point}, [point], self.generators, _point_image))
+        return frozenset(_closure({point}, [point], self.generators, itemgetter))
 
     def tuple_orbit(self, tup: Sequence[int], cap: int | None = None) -> set[tuple[int, ...]]:
         """Orbit of a point tuple under the coordinatewise action."""
         start = tuple(tup)
         limit = math.inf if cap is None else cap
-        seen = _closure({start}, [start], self.generators, _tuple_image, limit)
+        seen = _closure({start}, [start], self.generators, _tuple_getter, limit)
         if len(seen) > limit:
             raise CapExceeded(f"tuple orbit reached {len(seen)} tuples, "
                               f"over the cap of {cap}")

@@ -1,4 +1,5 @@
 import functools
+import signal
 
 import pytest
 
@@ -6,14 +7,37 @@ import consistentwalks as cw
 from consistentwalks.perms import PermutationGroup
 
 
+TEST_TIME_LIMIT_S = 60
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail any test that runs over ``TEST_TIME_LIMIT_S`` instead of hanging.
+
+    A search that stops terminating then fails its test with a traceback
+    where it was interrupted.  SIGALRM, so the limit holds on POSIX only.
+    """
+    def expired(signum, frame):
+        pytest.fail(f"test ran over its time limit of {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.fixture(scope="session", autouse=True)
 def group_answers_rederived():
     """Re-derive every group and transporter answer the suite builds.
 
     The library computes each answer once.  Here, for the whole session,
-    every ``PermutationGroup`` is checked to be closed under inverses, every
-    transporter answer to map ``src`` onto ``dst``, and every nonempty one
-    to be the coset g0 * G_(dst) of its least element g0.  That covers
+    every ``PermutationGroup`` is checked to list its elements in strictly
+    increasing order, which its constructor trusts, and to be closed under
+    inverses; every transporter answer to map ``src`` onto ``dst``, and
+    every nonempty one to be the coset g0 * G_(dst) of its least element g0.  That covers
     every shunt set, and with it every successor set:
     apply_perm(g0 * h, w) == apply_perm(h, apply_perm(g0, w)).  The methods
     are wrapped on the class itself, so every caller in every module goes
@@ -24,7 +48,10 @@ def group_answers_rederived():
     @functools.wraps(init)
     def checked_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        for p in self.elements:
+        elements = self.elements
+        assert all(a < b for a, b in zip(elements, elements[1:])), (
+            f"elements of {self!r} are not in strictly increasing order")
+        for p in elements:
             assert p.inverse() in self, f"inverse of {p} missing from {self!r}"
 
     @functools.wraps(transporter)

@@ -114,6 +114,17 @@ def oracle_fixes_successors(group: cw.PermutationGroup, walk) -> bool:
                for h in oracle_stabilizer(group, walk) for s in succ)
 
 
+def fixes_successors_by_extension_counts(group: cw.PermutationGroup, graph: cw.Graph,
+                                        walk) -> bool:
+    """Whether the walk's stabilizer fixes every successor, read off
+    successor counts: each extension of the walk by a successor's last
+    vertex must have exactly one successor.  The second route
+    ``stabilizer_fixes_successors`` once computed beside its direct one."""
+    walk = tuple(walk)
+    return all(len(cw.successors(group, graph, walk + (s[-1],))) == 1
+               for s in cw.successors(group, graph, walk))
+
+
 def exhaustive_trivial_walk(group: cw.PermutationGroup, graph: cw.Graph,
                             depth_cap: int = 64):
     """The trivial-walk search node by node: (walk, least shunt), or None.

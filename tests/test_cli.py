@@ -206,6 +206,37 @@ def test_oversized_graph_file_refused_before_building(tmp_path, monkeypatch, cap
     assert all(n <= 64 for n in built)
 
 
+def test_group_file_degree_refuses_graph_before_building(tmp_path, monkeypatch, capsys):
+    built = []
+    init = Graph.__init__
+
+    def recording_init(self, vertex_count, edges):
+        built.append(vertex_count)
+        init(self, vertex_count, edges)
+
+    monkeypatch.setattr(Graph, "__init__", recording_init)
+    text = tmp_path / "big.txt"
+    text.write_text("0 1\n1 2\n2 0\n3 2000000\n")
+    as_json = tmp_path / "big.json"
+    as_json.write_text(json.dumps({"vertices": 2000001,
+                                   "edges": [[0, 1], [1, 2], [2, 0], [3, 2000000]]}))
+    declared = tmp_path / "declared.json"
+    declared.write_text(json.dumps({"degree": 3, "generators": [[1, 2, 0]]}))
+    listed = tmp_path / "listed.json"  # degree read off the first generator
+    listed.write_text(json.dumps([[1, 2, 0]]))
+    for graph_file in (text, as_json):
+        for group_file, error, message in (
+                (declared, "ParseError", f"{declared}: declared degree 3 differs "
+                                         f"from the graph's 2000001 vertices"),
+                (listed, "NotAutomorphisms", "degree 3 != vertex count 2000001")):
+            code, out, err = run_cli(["orbits", "--graph", str(graph_file),
+                                      "--group-file", str(group_file)], capsys)
+            assert code == 1 and out == ""
+            assert len(err.splitlines()) == 1
+            assert json.loads(err) == {"error": error, "message": message}
+    assert all(n <= 3 for n in built)
+
+
 def test_oversized_named_spec_and_blowup_refused_before_building(monkeypatch, capsys):
     built = []
     init = Graph.__init__

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -11,6 +11,7 @@ from consistentwalks.errors import (
     DomainNotInvariant,
     InvalidPermutation,
 )
+from consistentwalks import graphs as graphs_module
 from consistentwalks.perms import Perm, PermutationGroup
 
 import oracles
@@ -312,3 +313,47 @@ def test_serialization_round_trip():
     # a closure keeps only the generators that enlarged the group
     redundant = cw.close_group([ROTATION, ROTATION.inverse(), Perm.identity(4), REFLECTION])
     assert redundant.to_json()["generators"] == [list(ROTATION), list(REFLECTION)]
+
+
+def test_products_and_orbits_at_small_degrees():
+    # the C kernel switches to a comprehension below two points
+    for degree in range(5):
+        perms = [Perm(images) for images in permutations(range(degree))]
+        for p in perms:
+            for q in perms:
+                assert p * q == Perm(q[v] for v in p)
+                assert isinstance(p * q, Perm)
+        group = cw.close_group(perms, degree=degree)
+        assert set(group.elements) == set(perms)
+        tuples = [()] + [tuple(t) for size in (1, 2, 3)
+                         for t in product(range(degree), repeat=size)]
+        for t in tuples:
+            assert group.tuple_orbit(t) == {tuple(g[v] for v in t) for g in perms}, t
+            assert all(type(u) is tuple for u in group.tuple_orbit(t))
+        for v in range(degree):
+            assert group.orbit(v) == {g[v] for g in perms}
+
+
+@pytest.mark.parametrize("degree,generators", [
+    (0, []), (1, []), (2, [(1, 0)]), (3, [(1, 2, 0), (0, 2, 1)])])
+def test_from_strong_generators_at_small_degrees(degree, generators):
+    gens = [Perm(g) for g in generators]
+    expanded = PermutationGroup.from_strong_generators(degree, gens)
+    assert expanded.elements == tuple(sorted(cw.close_group(gens, degree=degree).elements))
+    assert expanded.generators == tuple(gens)
+
+
+def test_from_strong_generators_lists_the_closure_in_order(ladder):
+    for name, (graph, group) in ladder.items():
+        strong = graphs_module._strong_generators(graph)[0]
+        expanded = PermutationGroup.from_strong_generators(graph.vertex_count, strong)
+        closed = cw.close_group(strong, degree=graph.vertex_count)
+        assert list(expanded.elements) == sorted(closed.elements), name
+        assert expanded.elements == group.elements, name
+
+
+def test_transversal_expansion_is_closed_under_strong_generators(ladder):
+    # |G| is the orbit product by construction, so closure is the real check
+    for name, (graph, group) in ladder.items():
+        strong = graphs_module._strong_generators(graph)[0]
+        assert all(p * g in group for p in group.elements for g in strong), name

@@ -181,6 +181,8 @@ def test_stabilizer_fixes_successors_against_sweep_oracle(family):
         for walk in [arc, *cw.consistent_extensions(group, graph, arc)]:
             verdict = cw.stabilizer_fixes_successors(group, graph, walk)
             assert verdict == oracles.oracle_fixes_successors(group, walk), (name, walk)
+            assert verdict == oracles.fixes_successors_by_extension_counts(
+                group, graph, walk), (name, walk)
             verdicts.add(verdict)
     assert verdicts == {True, False}
 
