@@ -57,14 +57,16 @@ def _load_graph(source: str, group_file: str | None, declared,
     The vertex count is checked before the Graph is built: against the
     degree of ``group_file`` (``declared`` and ``generators``, as
     :func:`_load_generators` read them) when one is given, else against
-    the search's limit when the group is left to the search (no embedded
-    generators).
+    the length of the first embedded generator, else against the search's
+    limit when the group is left to the search.
     """
     def check(vertex_count: int, embedded=None) -> None:
         if group_file:
             _check_group_degree(group_file, declared, generators, vertex_count)
         elif embedded is None:
             check_search_size(vertex_count)
+        else:
+            _check_group_degree(source, None, embedded, vertex_count)
 
     head = source.split(":", 1)[0].strip().lower()
     if head in NAMED_KINDS:
@@ -123,7 +125,8 @@ def _load_generators(path: str) -> tuple[int | None, list[list[int]]]:
 
 def _check_group_degree(group_file: str, declared, generators, vertex_count: int) -> None:
     """Refuse a group file whose degree is not ``vertex_count``: its declared
-    degree, else the length of its first generator."""
+    degree, else the length of its first generator (the only check for
+    generators embedded in a graph file, which declare no degree)."""
     if declared is not None:
         if type(declared) is not int or declared != vertex_count:
             raise ParseError(f"{group_file}: declared degree {declared!r} differs "

@@ -104,10 +104,6 @@ class NoWitness(ConsistentWalksError):
     """No weakly p-subregular witness exists for the local action."""
 
 
-class SelectionFailed(ConsistentWalksError):
-    """Overlap-maximal representative selection hit its step cap or found no tuple."""
-
-
 class ParseError(ConsistentWalksError):
     """An input file or flag could not be parsed."""
 

@@ -5,6 +5,14 @@ pairwise overlaps realize the orbit-level maxima, generates the whole group
 together with the stabilizer of any walk; with a trivial-stabilizer cycle
 available the shunts alone suffice, bounding the minimal generating size by
 the valence.
+
+The census representatives are such representatives.  For a
+vertex-transitive G the members of one cycle orbit rooted at 0 form a
+single G_0-orbit (Miklavič, Potočnik and Wilson, 2007), so the orbit's
+least member is the least image of each member, found greedily: the least
+image of the first t+1 vertices, continued inside their stabilizer.
+Members of two orbits that share a prefix p therefore both begin with the
+least image of p, and the representatives' overlaps are the orbit maxima.
 """
 
 from __future__ import annotations
@@ -12,19 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .errors import (
-    NotConnected,
-    NotConsistent,
-    NotVertexTransitive,
-    SelectionFailed,
-    invariant,
-)
-from .graphs import Graph, is_vertex_transitive
+from .errors import NotConnected, NotConsistent, NotVertexTransitive, invariant
+from .graphs import Graph
 from .perms import Perm, PermutationGroup, close_group
 from .walks import Walk, consistent_cycle_orbits, shunts
 
 EXACT_DELTA_ORDER_LIMIT = 200
-SELECTION_STEP_CAP = 500_000
 
 
 def overlap(a: Sequence[int], b: Sequence[int]) -> int:
@@ -72,83 +73,33 @@ class OverlapMatrix:
                 "orbit_overlaps": [list(row) for row in self.orbit_overlaps]}
 
 
-def _prefix_tree(rooted: Sequence[Sequence[Walk]]) -> dict[Walk, set[int]]:
-    """Map each prefix of each rooted cycle to the orbits passing through it."""
-    tree: dict[Walk, set[int]] = {}
-    for i, cycles in enumerate(rooted):
-        for cycle in cycles:
-            for k in range(1, len(cycle) + 1):
-                tree.setdefault(cycle[:k], set()).add(i)
-    return tree
-
-
-def _select_representatives(rooted: Sequence[Sequence[Walk]],
-                            matrix: list[list[int]]) -> list[Walk]:
-    """Lexicographically first tuple of rooted cycles realizing the matrix.
-
-    Depth-first over the orbits in order; a cycle is placed when its
-    overlap with every placed representative equals the matrix entry.
-    """
-    d = len(rooted)
-    chosen: list[Walk] = []
-    steps = 0
-
-    def place(i: int) -> bool:
-        nonlocal steps
-        if i == d:
-            return True
-        for cycle in rooted[i]:
-            steps += 1
-            if steps > SELECTION_STEP_CAP:
-                raise SelectionFailed("representative search exceeded its cap")
-            if all(overlap(cycle, chosen[j]) == matrix[i][j] for j in range(i)):
-                chosen.append(cycle)
-                if place(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not place(0):
-        raise SelectionFailed(
-            "no representative tuple realizes the orbit overlaps; "
-            "this contradicts the guaranteed existence and indicates a defect")
-    return chosen
+def _overlap_matrix(reps: Sequence[Walk]) -> OverlapMatrix:
+    """The representatives with their pairwise overlaps, which are the
+    orbit overlaps when they are the census representatives."""
+    overlaps = tuple(tuple(overlap(a, b) for b in reps) for a in reps)
+    return OverlapMatrix(representatives=tuple(reps), walk_overlaps=overlaps,
+                         orbit_overlaps=overlaps)
 
 
 def overlap_maximal_representatives(group: PermutationGroup, graph: Graph
                                     ) -> tuple[list[Walk], OverlapMatrix]:
     """One cycle per orbit with pairwise overlaps equal to the orbit maxima.
 
-    The census lists each orbit's members rooted at vertex 0.  Overlap
-    is invariant under the group and is -1 between walks with different
-    roots, so the orbit-overlap matrix is read off the prefixes these
-    rooted cycles share, in a prefix tree.  The lexicographically first
-    tuple realizing it is found by depth-first search.
+    These are the census representatives, in census order.  Overlap is
+    invariant under the group and -1 between walks with different roots,
+    so the orbit maxima are reached by members rooted at 0.  Those of one
+    orbit form a G_0-orbit whose least member, the representative, is the
+    least image of each of them; a least image begins with the least
+    image of each prefix, so members of two orbits sharing a prefix p and
+    the two representatives all begin with the least image of p.  The
+    representatives are also the lexicographically first tuple that
+    realizes the orbit overlaps.
     """
-    if not is_vertex_transitive(group, graph):
+    table = consistent_cycle_orbits(group, graph)
+    if not table.vertex_transitive:
         raise NotVertexTransitive("representative selection needs a vertex-transitive group")
-    rooted = consistent_cycle_orbits(group, graph).rooted_members
-    d = len(rooted)
-    tree = _prefix_tree(rooted)
-    matrix = [[0] * d for _ in range(d)]
-    for i in range(d):
-        matrix[i][i] = len(rooted[i][0]) - 1
-    for q, orbs in tree.items():
-        if len(orbs) < 2:
-            continue
-        depth = len(q) - 1
-        pairs = sorted(orbs)
-        for ai, i in enumerate(pairs):
-            for j in pairs[ai + 1:]:
-                if depth > matrix[i][j]:
-                    matrix[i][j] = matrix[j][i] = depth
-    reps = _select_representatives(rooted, matrix)
-    walk_overlaps = [[overlap(reps[i], reps[j]) for j in range(d)] for i in range(d)]
-    invariant(walk_overlaps == matrix, "representatives miss their orbit overlaps")
-    return reps, OverlapMatrix(
-        representatives=tuple(reps),
-        walk_overlaps=tuple(tuple(row) for row in walk_overlaps),
-        orbit_overlaps=tuple(tuple(row) for row in matrix))
+    reps = [r.representative for r in table.records]
+    return reps, _overlap_matrix(reps)
 
 
 def shunt_generating_set(group: PermutationGroup, graph: Graph,
@@ -203,15 +154,15 @@ def verify_generation(group: PermutationGroup, graph: Graph) -> GenerationReport
     """
     if not graph.connected:
         raise NotConnected("generation needs a connected graph")
-    if not is_vertex_transitive(group, graph):
+    table = consistent_cycle_orbits(group, graph)
+    if not table.vertex_transitive:
         raise NotVertexTransitive("generation needs a vertex-transitive group")
-    reps, matrix = overlap_maximal_representatives(group, graph)
+    reps = [r.representative for r in table.records]
     shunt_set = shunt_generating_set(group, graph, reps)
     shunt_group = close_group(shunt_set, degree=group.degree)
     generates = shunt_group.order == group.order
-    stabs = [group.pointwise_stabilizer(rep[:-1]) for rep in reps]
-    chosen_index = min(range(len(reps)), key=lambda i: (stabs[i].order, reps[i]))
-    chosen, chosen_stab = reps[chosen_index], stabs[chosen_index]
+    chosen = min(table.records, key=lambda r: (r.stabilizer_order, r.representative))
+    chosen_stab = group.pointwise_stabilizer(chosen.representative[:-1])
     with_stab = close_group(shunt_set + list(chosen_stab.generators), degree=group.degree)
     invariant(with_stab.order == group.order,
               "shunts plus the walk stabilizer failed to generate the group")
@@ -224,9 +175,10 @@ def verify_generation(group: PermutationGroup, graph: Graph) -> GenerationReport
                    if group.order <= EXACT_DELTA_ORDER_LIMIT else None)
     return GenerationReport(
         shunts=tuple(shunt_set), shunt_group_order=shunt_group.order,
-        group_order=group.order, valence=graph.valence(), chosen_walk=chosen,
+        group_order=group.order, valence=graph.valence(),
+        chosen_walk=chosen.representative,
         chosen_walk_stabilizer_order=chosen_stab.order, generates=generates,
         with_stabilizer_generates=with_stab.order == group.order,
         min_generators_bound=graph.valence() + chosen_walk_min_generators,
         min_generators_exact=min_generators_exact,
-        overlap_matrix=matrix)
+        overlap_matrix=_overlap_matrix(reps))

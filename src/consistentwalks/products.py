@@ -23,7 +23,7 @@ from .graphs import (
     verify_automorphisms,
 )
 from .perms import Perm, PermutationGroup
-from .walks import Walk, CycleOrbitTable, apply_perm, consistent_cycle_orbits, shunts
+from .walks import Walk, CycleOrbitTable, consistent_cycle_orbits, shunts
 
 
 def lift_base_perm(p: Perm, m: int) -> Perm:
@@ -144,19 +144,16 @@ def family_orbit_ids(family: BlowupCycleFamily,
                      ) -> dict[tuple[int, int], int]:
     """Index of each family cycle's orbit in the blow-up's census table.
 
-    One transporter element moves each cycle onto the root of its record,
-    where it is one of that record's rooted members.
+    A cycle lies in a record's orbit when some element maps the record's
+    representative onto it; a rooted cycle is its vertices up to the
+    closing one, so the transporter of those decides it.
     """
     if table is None:
         table = consistent_cycle_orbits(blowup_group, family.blowup)
-    locate = {c: k for k, members in enumerate(table.rooted_members) for c in members}
-    roots = sorted({c[0] for c in locate})
-    ids = {}
-    for key, cycle in family.cycles.items():
-        mover = next(found[0] for r in roots
-                     if (found := blowup_group.transporter(cycle[:1], (r,))))
-        ids[key] = locate[apply_perm(mover, cycle)]
-    return ids
+    return {key: next(k for k, r in enumerate(table.records)
+                      if r.length == len(cycle) - 1
+                      and blowup_group.transporter(r.representative[:-1], cycle[:-1]))
+            for key, cycle in family.cycles.items()}
 
 
 def verify_no_trivial_stabilizer(group: PermutationGroup, graph: Graph,

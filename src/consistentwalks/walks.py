@@ -177,13 +177,12 @@ class OrbitRecord:
 
 @dataclass(frozen=True)
 class CycleOrbitTable:
-    """Census records; ``rooted_members[k]`` lists, sorted, the cycles of
-    record k's orbit that start at its representative's root (not serialized)."""
+    """Census records, one per G-orbit of consistent cycles, ordered by
+    length and then by representative, each orbit's least member."""
 
     records: tuple[OrbitRecord, ...]
     group_order: int
     vertex_transitive: bool
-    rooted_members: tuple[tuple[Walk, ...], ...]
 
     def to_json(self) -> list[dict]:
         return [r.to_json() for r in self.records]
@@ -273,5 +272,4 @@ def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbit
         invariant(len(records) == graph.valence(),
                   f"expected {graph.valence()} orbits, found {len(records)}")
     return CycleOrbitTable(records=tuple(records), group_order=group.order,
-                           vertex_transitive=transitive,
-                           rooted_members=tuple(tuple(m) for m in rooted))
+                           vertex_transitive=transitive)

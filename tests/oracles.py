@@ -201,3 +201,77 @@ def random_consistent_walk(group: cw.PermutationGroup, graph: cw.Graph,
         extensions = cw.consistent_extensions(group, graph, walk)
         walk = extensions[rng.randrange(len(extensions))]
     return walk
+
+
+SELECTION_STEP_CAP = 500_000
+
+
+def prefix_tree(rooted) -> dict[tuple[int, ...], set[int]]:
+    """Map each prefix of each rooted cycle to the orbits passing through it."""
+    tree: dict[tuple[int, ...], set[int]] = {}
+    for i, cycles in enumerate(rooted):
+        for cycle in cycles:
+            for k in range(1, len(cycle) + 1):
+                tree.setdefault(cycle[:k], set()).add(i)
+    return tree
+
+
+def prefix_tree_matrix(rooted) -> list[list[int]]:
+    """The orbit-overlap matrix read off the prefixes the rooted cycles share:
+    overlap is group-invariant and -1 across roots, so the rooted members
+    of each orbit reach its maxima."""
+    d = len(rooted)
+    matrix = [[0] * d for _ in range(d)]
+    for i in range(d):
+        matrix[i][i] = len(rooted[i][0]) - 1
+    for q, orbs in prefix_tree(rooted).items():
+        if len(orbs) < 2:
+            continue
+        depth = len(q) - 1
+        pairs = sorted(orbs)
+        for ai, i in enumerate(pairs):
+            for j in pairs[ai + 1:]:
+                if depth > matrix[i][j]:
+                    matrix[i][j] = matrix[j][i] = depth
+    return matrix
+
+
+def select_representatives(rooted, matrix) -> list[tuple[int, ...]]:
+    """Lexicographically first tuple of rooted cycles realizing the matrix.
+
+    Depth-first over the orbits in order; a cycle is placed when its
+    overlap with every placed representative equals the matrix entry.
+    The library's selection before it read the census representatives.
+    """
+    d = len(rooted)
+    chosen: list[tuple[int, ...]] = []
+    steps = 0
+
+    def place(i: int) -> bool:
+        nonlocal steps
+        if i == d:
+            return True
+        for cycle in rooted[i]:
+            steps += 1
+            assert steps <= SELECTION_STEP_CAP, "representative search exceeded its cap"
+            if all(cw.overlap(cycle, chosen[j]) == matrix[i][j] for j in range(i)):
+                chosen.append(cycle)
+                if place(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    assert place(0), "no representative tuple realizes the orbit overlaps"
+    return chosen
+
+
+def oracle_selection(group: cw.PermutationGroup, reps):
+    """The selector run on rooted lists from a plain element scan: each
+    representative's orbit members that start at its root.  Returns the
+    selected tuple and the prefix-tree matrix."""
+    rooted = []
+    for rep in reps:
+        orbit = {tuple(g[v] for v in rep) for g in group.elements}
+        rooted.append(sorted(c for c in orbit if c[0] == rep[0]))
+    matrix = prefix_tree_matrix(rooted)
+    return select_representatives(rooted, matrix), matrix

@@ -237,6 +237,30 @@ def test_group_file_degree_refuses_graph_before_building(tmp_path, monkeypatch, 
     assert all(n <= 3 for n in built)
 
 
+def test_embedded_generator_degree_refuses_graph_before_building(tmp_path, monkeypatch,
+                                                                 capsys):
+    built = []
+    init = Graph.__init__
+
+    def recording_init(self, vertex_count, edges):
+        built.append(vertex_count)
+        init(self, vertex_count, edges)
+
+    monkeypatch.setattr(Graph, "__init__", recording_init)
+    path = tmp_path / "bigemb.json"
+    path.write_text(json.dumps({"vertices": 2000001,
+                                "edges": [[0, 1], [1, 2], [2, 0], [3, 2000000]],
+                                "generators": [[1, 2, 0]]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["orbits", "--graph", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "NotAutomorphisms",
+                               "message": "degree 3 != vertex count 2000001"}
+    assert built == []
+
+
 def test_oversized_named_spec_and_blowup_refused_before_building(monkeypatch, capsys):
     built = []
     init = Graph.__init__

@@ -49,7 +49,7 @@ def test_representatives_c6(family):
     assert matrix.walk_overlaps[0][1] == 1
 
 
-# exact representatives, frozen: how the selector searches must not change them
+# exact representatives, frozen: how the census finds them must not change them
 REPRESENTATIVES = {
     "c6": ((0, 1, 0), (0, 1, 2, 3, 4, 5, 0)),
     "k4": ((0, 1, 0), (0, 1, 2, 0), (0, 1, 2, 3, 0)),
@@ -83,28 +83,29 @@ def test_representatives_realize_orbit_overlaps(name, orbit_count, family, censu
                 assert matrix.walk_overlaps[i][j] == sweep
 
 
+@pytest.mark.parametrize("name", [*REPRESENTATIVES, "c6-rotations"])
+def test_oracle_selection_is_census(name, family, censuses):
+    # the prefix-tree matrix and the depth-first selector the library used
+    # to run pick the census representatives, and the matrix is their overlaps
+    if name == "c6-rotations":
+        graph = cw.named_graph("cycle:6")
+        group = cw.close_group([cw.Perm((1, 2, 3, 4, 5, 0))])
+        table = cw.consistent_cycle_orbits(group, graph)
+    else:
+        (graph, group), table = family[name], censuses[name]
+    census_reps = [r.representative for r in table.records]
+    selected, matrix = oracles.oracle_selection(group, census_reps)
+    assert selected == census_reps
+    reps, overlaps = cw.overlap_maximal_representatives(group, graph)
+    assert reps == census_reps
+    assert [list(row) for row in overlaps.orbit_overlaps] == matrix
+
+
 def test_representatives_need_vertex_transitivity():
     path = cw.validate(3, [(0, 1), (1, 2)])
     aut = cw.automorphism_group(path)
     with pytest.raises(NotVertexTransitive):
         cw.overlap_maximal_representatives(aut, path)
-
-
-def test_selector_realizes_matrix(family, censuses):
-    # the depth-first selector, run on its own, returns a tuple realizing
-    # the orbit-overlap matrix
-    from consistentwalks.generation import _select_representatives
-
-    graph, group = family["petersen"]
-    rooted = censuses["petersen"].rooted_members
-    _, matrix = cw.overlap_maximal_representatives(group, graph)
-    wanted = [list(row) for row in matrix.orbit_overlaps]
-    reps = _select_representatives(rooted, wanted)
-    assert len(reps) == len(rooted)
-    for i in range(len(reps)):
-        for j in range(len(reps)):
-            if i != j:
-                assert cw.overlap(reps[i], reps[j]) == wanted[i][j]
 
 
 def test_shunt_generating_set_c6(family):

@@ -1,0 +1,61 @@
+"""Property tests of the census on random connected circulants.
+
+Each graph circulant:n:S (n <= 12, at most three steps) is taken under
+its rotations Z_n, the dihedral group D_n, and its full automorphism
+group when that has at most 1000 elements.  These use the public API
+and the brute force in ``oracles``, so they hold whatever backend the
+groups use.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import consistentwalks as cw
+from consistentwalks.errors import CapExceeded
+
+import oracles
+
+AUT_ORDER_LIMIT = 1000
+
+
+@st.composite
+def connected_circulants(draw):
+    n = draw(st.integers(3, 12))
+    steps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=3)
+                 .filter(lambda s: math.gcd(n, *s) == 1))
+    return f"circulant:{n}:{','.join(map(str, sorted(steps)))}"
+
+
+def acting_group(kind, graph):
+    n = graph.vertex_count
+    rotation = cw.Perm((i + 1) % n for i in range(n))
+    if kind == "cyclic":
+        return cw.close_group([rotation])
+    if kind == "dihedral":
+        return cw.close_group([rotation, cw.Perm((-i) % n for i in range(n))])
+    try:
+        return cw.automorphism_group(graph, cap=AUT_ORDER_LIMIT)
+    except CapExceeded:
+        return None
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "dihedral", "aut"])
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(spec=connected_circulants())
+def test_census_properties_on_circulants(kind, spec):
+    graph = cw.named_graph(spec)
+    group = acting_group(kind, graph)
+    if group is None:
+        return
+    table = cw.consistent_cycle_orbits(group, graph)
+    assert len(table.records) == graph.valence()
+    for record in table.records:
+        assert record.orbit_size * record.stabilizer_order == group.order
+    census_reps = [r.representative for r in table.records]
+    selected, matrix = oracles.oracle_selection(group, census_reps)
+    assert selected == census_reps
+    reps, overlaps = cw.overlap_maximal_representatives(group, graph)
+    assert reps == census_reps
+    assert [list(row) for row in overlaps.orbit_overlaps] == matrix
