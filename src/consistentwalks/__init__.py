@@ -20,7 +20,6 @@ from .graphs import (
     local_group,
     named_graph,
     twin_vertices,
-    validate,
 )
 from .walks import (
     ConsistencyWitness,

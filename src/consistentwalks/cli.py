@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from . import __version__
@@ -50,55 +51,6 @@ from .walks import consistent_cycle_orbits
 DEFAULT_WALK_DEPTH = 64
 
 
-def _load_graph(source: str, group_file: str | None, declared,
-                generators) -> tuple[Graph, list[list[int]] | None]:
-    """Resolve --graph into a Graph plus any generators embedded in a file.
-
-    The vertex count is checked before the Graph is built: against the
-    degree of ``group_file`` (``declared`` and ``generators``, as
-    :func:`_load_generators` read them) when one is given, else against
-    the length of the first embedded generator, else against the search's
-    limit when the group is left to the search.
-    """
-    def check(vertex_count: int, embedded=None) -> None:
-        if group_file:
-            _check_group_degree(group_file, declared, generators, vertex_count)
-        elif embedded is None:
-            check_search_size(vertex_count)
-        else:
-            _check_group_degree(source, None, embedded, vertex_count)
-
-    head = source.split(":", 1)[0].strip().lower()
-    if head in NAMED_KINDS:
-        vertex_count, edges = parse_named_spec(source)
-        check(vertex_count)
-        return Graph(vertex_count, edges), None
-    path = Path(source)
-    if not path.exists():
-        raise ParseError(f"graph source {source!r} is neither a named spec nor a file")
-    text = _read_text(path, "graph file")
-    if path.suffix == ".json" or text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{source}: invalid JSON at line {exc.lineno} "
-                             f"column {exc.colno}") from exc
-        if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
-            raise ParseError(f"{source}: graph JSON needs 'vertices' and 'edges'")
-        embedded = data.get("generators")
-        try:
-            check(int(data["vertices"]), embedded)
-            return Graph.from_json(data), embedded
-        except (TypeError, IndexError, ValueError) as exc:
-            raise ParseError(f"{source}: malformed 'vertices' or 'edges': {exc}") from exc
-    try:
-        vertex_count, edges = parse_edge_list_text(text)
-        check(vertex_count)
-        return Graph(vertex_count, edges), None
-    except BadParameters as exc:
-        raise ParseError(f"{source}: {exc}") from exc
-
-
 def _read_text(path: Path, what: str) -> str:
     """The file's UTF-8 text; a missing, unreadable or undecodable file is a ParseError."""
     try:
@@ -110,54 +62,99 @@ def _read_text(path: Path, what: str) -> str:
                          f"{type(exc).__name__}") from None
 
 
-def _load_generators(path: str) -> tuple[int | None, list[list[int]]]:
+def _read_json(name: str, text: str):
+    """The decoded JSON ``text`` of the file ``name``; invalid JSON is a ParseError."""
     try:
-        data = json.loads(_read_text(Path(path), "group file"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno} "
+        raise ParseError(f"{name}: invalid JSON at line {exc.lineno} "
                          f"column {exc.colno}") from exc
-    if isinstance(data, dict) and "generators" in data:
-        return data.get("degree"), data["generators"]
+
+
+def _int_list(values) -> bool:
+    """True iff ``values`` is a list of JSON integers (no bool, float or string)."""
+    return isinstance(values, list) and all(type(x) is int for x in values)
+
+
+def _read_generators(name: str, gens) -> list[list[int]]:
+    """``gens`` if it is a list of integer lists; otherwise a ParseError."""
+    if not (isinstance(gens, list) and all(map(_int_list, gens))):
+        raise ParseError(f"{name}: generators must be a list of integer lists")
+    return gens
+
+
+def _read_graph(source: str) -> tuple[int, Iterable[Sequence[int]], list[list[int]] | None]:
+    """The vertex count, edges and embedded generators (or None) of --graph.
+
+    Nothing is built and nothing is allocated per vertex, so the count can
+    be refused before any :class:`Graph` exists.
+    """
+    if source.split(":", 1)[0].strip().lower() in NAMED_KINDS:
+        return (*parse_named_spec(source), None)
+    path = Path(source)
+    if not path.exists():
+        raise ParseError(f"graph source {source!r} is neither a named spec nor a file")
+    text = _read_text(path, "graph file")
+    if path.suffix != ".json" and not text.lstrip().startswith("{"):
+        try:
+            return (*parse_edge_list_text(text), None)
+        except BadParameters as exc:
+            raise ParseError(f"{source}: {exc}") from exc
+    data = _read_json(source, text)
+    if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
+        raise ParseError(f"{source}: graph JSON needs 'vertices' and 'edges'")
+    n, edges, gens = data["vertices"], data["edges"], data.get("generators")
+    if type(n) is not int or not (isinstance(edges, list) and all(
+            _int_list(e) and len(e) == 2 for e in edges)):
+        raise ParseError(f"{source}: 'vertices' must be an integer and 'edges' "
+                         f"a list of integer pairs")
+    return n, edges, None if gens is None else _read_generators(source, gens)
+
+
+def _read_group(path: str) -> tuple[int | None, list[list[int]]]:
+    """The declared degree (or None) and the generators of a group file."""
+    data = _read_json(path, _read_text(Path(path), "group file"))
     if isinstance(data, list):
-        return None, data
-    raise ParseError(f"{path}: expected a generator list or a degree/generators object")
-
-
-def _check_group_degree(group_file: str, declared, generators, vertex_count: int) -> None:
-    """Refuse a group file whose degree is not ``vertex_count``: its declared
-    degree, else the length of its first generator (the only check for
-    generators embedded in a graph file, which declare no degree)."""
-    if declared is not None:
-        if type(declared) is not int or declared != vertex_count:
-            raise ParseError(f"{group_file}: declared degree {declared!r} differs "
-                             f"from the graph's {vertex_count} vertices")
-    elif (isinstance(generators, list) and generators and isinstance(generators[0], list)
-          and len(generators[0]) != vertex_count):
-        raise NotAutomorphisms(f"degree {len(generators[0])} != vertex count {vertex_count}")
+        return None, _read_generators(path, data)
+    if not isinstance(data, dict) or "generators" not in data:
+        raise ParseError(f"{path}: expected a generator list or a degree/generators object")
+    declared = data.get("degree")
+    if declared is not None and type(declared) is not int:
+        raise ParseError(f"{path}: declared degree {declared!r} is not an integer")
+    return declared, _read_generators(path, data["generators"])
 
 
 def parse_inputs(args: argparse.Namespace) -> tuple[Graph, PermutationGroup, str]:
-    """Build the validated graph and the acting group.
+    """Read every input, refuse it if it is malformed, then build the graph and group.
 
-    Supplied generators are verified to be automorphisms; otherwise the
-    full automorphism group is computed.
+    The generators come from the group file, else from the graph file,
+    else from the automorphism search.  Before the :class:`Graph` is built
+    the vertex count is checked against the group file's declared degree
+    and the length of every generator, or against the search's limit.
+    Supplied generators are then verified to be automorphisms.
     """
-    group_file = getattr(args, "group_file", None)
-    declared, raw = _load_generators(group_file) if group_file else (None, None)
-    graph, embedded = _load_graph(args.graph, group_file, declared, raw)
-    source = "file" if group_file else "embedded"
-    if not group_file:
-        raw = embedded
-    if raw is not None:
-        try:
-            gens = [Perm.from_images(g) for g in raw]
-        except (InvalidPermutation, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed permutation array: {exc}") from exc
-        verify_automorphisms(graph, gens)
-        group = PermutationGroup.close(gens, degree=graph.vertex_count,
-                                       cap=args.cap_group)
-        return graph, group, source
-    return graph, automorphism_group(graph, cap=args.cap_group), "aut"
+    n, edges, raw = _read_graph(args.graph)
+    source = "embedded"
+    if args.group_file:
+        source = "file"
+        declared, raw = _read_group(args.group_file)
+        if declared is not None and declared != n:
+            raise ParseError(f"{args.group_file}: declared degree {declared} differs "
+                             f"from the graph's {n} vertices")
+    if raw is None:
+        check_search_size(n)
+        graph = Graph(n, edges)
+        return graph, automorphism_group(graph, cap=args.cap_group), "aut"
+    for images in raw:
+        if len(images) != n:
+            raise NotAutomorphisms(f"degree {len(images)} != vertex count {n}")
+    try:
+        gens = [Perm.from_images(images) for images in raw]
+    except InvalidPermutation as exc:
+        raise ParseError(f"malformed permutation array: {exc}") from exc
+    graph = Graph(n, edges)
+    verify_automorphisms(graph, gens)
+    return graph, PermutationGroup.close(gens, degree=n, cap=args.cap_group), source
 
 
 def _graph_sha256(graph: Graph) -> str:

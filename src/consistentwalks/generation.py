@@ -163,8 +163,10 @@ def verify_generation(group: PermutationGroup, graph: Graph) -> GenerationReport
     generates = shunt_group.order == group.order
     chosen = min(table.records, key=lambda r: (r.stabilizer_order, r.representative))
     chosen_stab = group.pointwise_stabilizer(chosen.representative[:-1])
-    with_stab = close_group(shunt_set + list(chosen_stab.generators), degree=group.degree)
-    invariant(with_stab.order == group.order,
+    # <shunts, G_(w)> contains <shunts>, so it is G whenever the shunts generate
+    with_stab_generates = generates or close_group(
+        shunt_set + list(chosen_stab.generators), degree=group.degree).order == group.order
+    invariant(with_stab_generates,
               "shunts plus the walk stabilizer failed to generate the group")
     if chosen_stab.order == 1:
         invariant(generates, "a trivial-stabilizer cycle forces the shunts to generate")
@@ -178,7 +180,7 @@ def verify_generation(group: PermutationGroup, graph: Graph) -> GenerationReport
         group_order=group.order, valence=graph.valence(),
         chosen_walk=chosen.representative,
         chosen_walk_stabilizer_order=chosen_stab.order, generates=generates,
-        with_stabilizer_generates=with_stab.order == group.order,
+        with_stabilizer_generates=with_stab_generates,
         min_generators_bound=graph.valence() + chosen_walk_min_generators,
         min_generators_exact=min_generators_exact,
         overlap_matrix=_overlap_matrix(reps))

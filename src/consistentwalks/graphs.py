@@ -13,7 +13,7 @@ neighborhoods fit in machine-int bitmasks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
 from operator import itemgetter
 
@@ -108,15 +108,6 @@ class Graph:
     def to_json(self) -> dict:
         return {"vertices": self.vertex_count, "edges": [list(e) for e in self.edges()]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Graph":
-        return cls(data["vertices"], data["edges"])
-
-    @classmethod
-    def from_edge_list_text(cls, text: str) -> "Graph":
-        """Parse "u v" lines; vertex count is max index + 1."""
-        return cls(*parse_edge_list_text(text))
-
 
 def parse_edge_list_text(text: str) -> tuple[int, list[tuple[int, int]]]:
     """The vertex count (max index + 1) and edges of "u v" lines, unchecked.
@@ -142,11 +133,6 @@ def parse_edge_list_text(text: str) -> tuple[int, list[tuple[int, int]]]:
         edges.append((u, v))
         top = max(top, u, v)
     return top + 1, edges
-
-
-def validate(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
-    """Build a checked Graph from a raw edge list."""
-    return Graph(vertex_count, edges)
 
 
 # -- named families ----------------------------------------------------------
@@ -347,16 +333,11 @@ def automorphism_group(graph: Graph, cap: int = DEFAULT_GROUP_CAP) -> Permutatio
 
 @dataclass
 class LocalAction:
-    """Action of a vertex stabilizer on the neighborhood, reindexed to 0..d-1.
-
-    ``lift[q]`` is one ambient-group element restricting to the local
-    element ``q``.
-    """
+    """Action of a vertex stabilizer on the neighborhood, reindexed to 0..d-1."""
 
     base_vertex: int
     domain: tuple[int, ...]
     group: PermutationGroup
-    lift: dict[Perm, Perm] = field(repr=False)
     stabilizer_order: int = 1
 
     @property
@@ -366,8 +347,7 @@ class LocalAction:
 
 def local_group(group: PermutationGroup, graph: Graph, v: int) -> LocalAction:
     """Restrict the stabilizer of ``v`` to its neighborhood: a homomorphism,
-    so the local group is closed from the restrictions of its generators;
-    ``lift[q]`` is the least stabilizer element restricting to ``q``."""
+    so the local group is closed from the restrictions of its generators."""
     verify_automorphisms(graph, group.generators)
     if not 0 <= v < graph.vertex_count:
         raise BadParameters(f"vertex {v} out of range")
@@ -378,8 +358,7 @@ def local_group(group: PermutationGroup, graph: Graph, v: int) -> LocalAction:
     local = PermutationGroup.close(restricted, degree=len(domain))
     invariant(stab.order % local.order == 0,
               f"local group order {local.order} does not divide |G_v| = {stab.order}")
-    lift = {q: stab.transporter(domain, [domain[i] for i in q])[0] for q in local}
-    return LocalAction(base_vertex=v, domain=domain, group=local, lift=lift,
+    return LocalAction(base_vertex=v, domain=domain, group=local,
                        stabilizer_order=stab.order)
 
 

@@ -304,10 +304,6 @@ class PermutationGroup:
         return {"degree": self.degree,
                 "generators": [list(g) for g in self.generators]}
 
-    @classmethod
-    def from_json(cls, data: dict, cap: int = DEFAULT_GROUP_CAP) -> "PermutationGroup":
-        return cls.close(data["generators"], degree=int(data["degree"]), cap=cap)
-
     # -- basic queries -----------------------------------------------------
 
     @property

@@ -218,10 +218,8 @@ def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
         cert["certified"] = False
         cert["failure_reason"] = f"seed walk {list(seed_walk)} is not reaching every vertex"
         return cert
-    reports = [check_conditions(group, graph, w[: n + 2], g)
-               for n in range(seed_length, r)]
-    for offset, report in enumerate(reports):
-        n = seed_length + offset
+    for n in range(seed_length, r):
+        report = check_conditions(group, graph, w[: n + 2], g)
         cert["prefix_conditions"].append(
             {"n": n, "a": report.condition_a, "b": report.condition_b,
              "c": report.condition_c})

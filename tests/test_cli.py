@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from consistentwalks.cli import main
 from consistentwalks.graphs import Graph
 
@@ -9,6 +11,19 @@ def run_cli(args, capsys):
     code = main(args)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def record_graph_sizes(monkeypatch) -> list[int]:
+    """The vertex count of every Graph built from now on, in order."""
+    built = []
+    init = Graph.__init__
+
+    def recording_init(self, vertex_count, edges):
+        built.append(vertex_count)
+        init(self, vertex_count, edges)
+
+    monkeypatch.setattr(Graph, "__init__", recording_init)
+    return built
 
 
 def test_orbits_petersen(capsys):
@@ -183,14 +198,7 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
 
 
 def test_oversized_graph_file_refused_before_building(tmp_path, monkeypatch, capsys):
-    built = []
-    init = Graph.__init__
-
-    def recording_init(self, vertex_count, edges):
-        built.append(vertex_count)
-        init(self, vertex_count, edges)
-
-    monkeypatch.setattr(Graph, "__init__", recording_init)
+    built = record_graph_sizes(monkeypatch)
     text = tmp_path / "big.txt"
     text.write_text("0 1\n1 2\n2 0\n3 2000000\n")
     as_json = tmp_path / "big.json"
@@ -207,14 +215,7 @@ def test_oversized_graph_file_refused_before_building(tmp_path, monkeypatch, cap
 
 
 def test_group_file_degree_refuses_graph_before_building(tmp_path, monkeypatch, capsys):
-    built = []
-    init = Graph.__init__
-
-    def recording_init(self, vertex_count, edges):
-        built.append(vertex_count)
-        init(self, vertex_count, edges)
-
-    monkeypatch.setattr(Graph, "__init__", recording_init)
+    built = record_graph_sizes(monkeypatch)
     text = tmp_path / "big.txt"
     text.write_text("0 1\n1 2\n2 0\n3 2000000\n")
     as_json = tmp_path / "big.json"
@@ -239,14 +240,7 @@ def test_group_file_degree_refuses_graph_before_building(tmp_path, monkeypatch, 
 
 def test_embedded_generator_degree_refuses_graph_before_building(tmp_path, monkeypatch,
                                                                  capsys):
-    built = []
-    init = Graph.__init__
-
-    def recording_init(self, vertex_count, edges):
-        built.append(vertex_count)
-        init(self, vertex_count, edges)
-
-    monkeypatch.setattr(Graph, "__init__", recording_init)
+    built = record_graph_sizes(monkeypatch)
     path = tmp_path / "bigemb.json"
     path.write_text(json.dumps({"vertices": 2000001,
                                 "edges": [[0, 1], [1, 2], [2, 0], [3, 2000000]],
@@ -261,15 +255,73 @@ def test_embedded_generator_degree_refuses_graph_before_building(tmp_path, monke
     assert built == []
 
 
+BIG_EDGES = [[0, 1], [1, 2], [2, 0], [3, 2000000]]
+C6_EDGES = [[i, (i + 1) % 6] for i in range(6)]
+ROTATION = [1, 2, 3, 4, 5, 0]
+
+# name -> (graph JSON, group file JSON or None, error); every value read from
+# a file must be a JSON integer, every edge a pair, every generator n long
+MALFORMED_INPUTS = {
+    "vertices_float": ({"vertices": 4.9, "edges": C6_EDGES[:3]}, None, "ParseError"),
+    "vertices_string": ({"vertices": "6", "edges": C6_EDGES}, None, "ParseError"),
+    "vertices_bool": ({"vertices": True, "edges": []}, None, "ParseError"),
+    "endpoint_float": ({"vertices": 6, "edges": C6_EDGES[1:] + [[0, 1.7]]}, None,
+                       "ParseError"),
+    "edge_triple": ({"vertices": 6, "edges": C6_EDGES[1:] + [[0, 1, 3]]}, None,
+                    "ParseError"),
+    "edge_not_list": ({"vertices": 6, "edges": C6_EDGES[1:] + ["0 1"]}, None,
+                      "ParseError"),
+    "image_float": ({"vertices": 6, "edges": C6_EDGES,
+                     "generators": [[1.2, 2, 3, 4, 5, 0]]}, None, "ParseError"),
+    "image_bool": ({"vertices": 6, "edges": C6_EDGES}, [[True, 2, 3, 4, 5, 0]],
+                   "ParseError"),
+    "degree_float": ({"vertices": 6, "edges": C6_EDGES},
+                     {"degree": 6.0, "generators": [ROTATION]}, "ParseError"),
+    "degree_bool": ({"vertices": 6, "edges": C6_EDGES},
+                    {"degree": True, "generators": [ROTATION]}, "ParseError"),
+    "generators_null": ({"vertices": 6, "edges": C6_EDGES},
+                        {"degree": 6, "generators": None}, "ParseError"),
+    "embedded_generator_int": ({"vertices": 2000001, "edges": BIG_EDGES,
+                                "generators": [5]}, None, "ParseError"),
+    "file_generator_int": ({"vertices": 2000001, "edges": BIG_EDGES}, [5], "ParseError"),
+    "declared_degree_short_generator": (
+        {"vertices": 2000001, "edges": BIG_EDGES},
+        {"degree": 2000001, "generators": [[1, 2, 0]]}, "NotAutomorphisms"),
+    "second_file_generator_short": (
+        {"vertices": 6, "edges": C6_EDGES},
+        {"degree": 6, "generators": [ROTATION, [1, 0, 2]]}, "NotAutomorphisms"),
+    "second_embedded_generator_long": (
+        {"vertices": 6, "edges": C6_EDGES, "generators": [ROTATION, list(range(7))]},
+        None, "NotAutomorphisms"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_refused_before_building(name, tmp_path, monkeypatch, capsys):
+    graph_data, group_data, error = MALFORMED_INPUTS[name]
+    built = record_graph_sizes(monkeypatch)
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps(graph_data))
+    args = ["orbits", "--graph", str(graph_file)]
+    if group_data is not None:
+        group_file = tmp_path / "group.json"
+        group_file.write_text(json.dumps(group_data))
+        args += ["--group-file", str(group_file)]
+    started = time.perf_counter()
+    code, out, err = run_cli(args, capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    message = json.loads(err)
+    assert message["error"] == error, message
+    if error == "NotAutomorphisms":
+        n = graph_data["vertices"]
+        assert message["message"].endswith(f" != vertex count {n}")
+    assert built == []
+
+
 def test_oversized_named_spec_and_blowup_refused_before_building(monkeypatch, capsys):
-    built = []
-    init = Graph.__init__
-
-    def recording_init(self, vertex_count, edges):
-        built.append(vertex_count)
-        init(self, vertex_count, edges)
-
-    monkeypatch.setattr(Graph, "__init__", recording_init)
+    built = record_graph_sizes(monkeypatch)
     for args, n in ((["orbits", "--graph", "complete:1200"], 1200),
                     (["orbits", "--graph", "hypercube:16"], 65536),
                     (["blowup-demo", "--graph", "cycle:4", "--m", "160"], 640)):

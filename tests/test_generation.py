@@ -102,7 +102,7 @@ def test_oracle_selection_is_census(name, family, censuses):
 
 
 def test_representatives_need_vertex_transitivity():
-    path = cw.validate(3, [(0, 1), (1, 2)])
+    path = cw.Graph(3, [(0, 1), (1, 2)])
     aut = cw.automorphism_group(path)
     with pytest.raises(NotVertexTransitive):
         cw.overlap_maximal_representatives(aut, path)

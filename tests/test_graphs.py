@@ -16,7 +16,7 @@ from consistentwalks.errors import (
     TooFewVertices,
     UnknownSpec,
 )
-from consistentwalks.graphs import Graph, n_arcs, verify_automorphisms
+from consistentwalks.graphs import Graph, n_arcs, parse_edge_list_text, verify_automorphisms
 from consistentwalks.perms import PermutationGroup
 
 import oracles
@@ -24,24 +24,24 @@ from test_walks import NET_EDGES, TWO_TRIANGLES_EDGES
 
 
 def test_validate_triangle():
-    g = cw.validate(3, [(0, 1), (1, 2), (2, 0)])
+    g = cw.Graph(3, [(0, 1), (1, 2), (2, 0)])
     assert g.connected
     assert g.is_regular() and g.valence() == 2
 
 
 def test_validate_errors():
     with pytest.raises(LoopEdge):
-        cw.validate(3, [(0, 0)])
+        cw.Graph(3, [(0, 0)])
     with pytest.raises(DuplicateEdge):
-        cw.validate(3, [(0, 1), (1, 0)])
+        cw.Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(TooFewVertices):
-        cw.validate(2, [(0, 1)])
+        cw.Graph(2, [(0, 1)])
     with pytest.raises(BadParameters):
-        cw.validate(3, [(0, 7)])
+        cw.Graph(3, [(0, 7)])
 
 
 def test_disjoint_triangles_disconnected():
-    g = cw.validate(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    g = cw.Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert not g.connected
     assert g.is_regular()
 
@@ -102,11 +102,11 @@ def test_automorphism_group_petersen_brute_force(family):
 
 def leaf_oracle_graph(name: str) -> Graph:
     if name == "net":
-        return cw.validate(6, NET_EDGES)
+        return cw.Graph(6, NET_EDGES)
     if name == "two-triangles":
-        return cw.validate(6, TWO_TRIANGLES_EDGES)
+        return cw.Graph(6, TWO_TRIANGLES_EDGES)
     if name == "edgeless:5":
-        return cw.validate(5, [])
+        return cw.Graph(5, [])
     if name.endswith("[2K1]"):
         return cw.lex_blowup(cw.named_graph(name[:-5]), 2)[0]
     return cw.named_graph(name)
@@ -222,8 +222,6 @@ def test_local_group_q3(family):
     assert local.group.order == 6
     assert local.group.is_transitive()
     assert local.stabilizer_order == local.group.order * local.kernel_order
-    for q, h in local.lift.items():
-        assert all(h[local.domain[i]] == local.domain[q[i]] for i in range(3))
 
 
 def test_local_group_against_sweep_oracle(family):
@@ -231,7 +229,6 @@ def test_local_group_against_sweep_oracle(family):
         local = cw.local_group(aut, graph, 0)
         lift = oracles.oracle_local_lift(aut, graph, 0)
         assert local.group.elements == tuple(sorted(lift)), name
-        assert local.lift == lift, name
 
 
 def test_local_group_trivial_and_k5(family):
@@ -311,9 +308,10 @@ def test_large_cycle_adjacency():
 
 def test_graph_serialization():
     g = cw.named_graph("cycle:5")
-    assert Graph.from_json(g.to_json()).edges() == g.edges()
+    data = g.to_json()
+    assert Graph(data["vertices"], data["edges"]).edges() == g.edges()
     text = "0 1\n1 2\n# comment\n2 0\n"
-    tri = Graph.from_edge_list_text(text)
+    tri = Graph(*parse_edge_list_text(text))
     assert tri.vertex_count == 3 and tri.edge_count() == 3
     with pytest.raises(BadParameters):
-        Graph.from_edge_list_text("0 1 2\n")
+        parse_edge_list_text("0 1 2\n")

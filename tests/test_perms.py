@@ -163,6 +163,19 @@ def test_transporter_matches_plain_scan(family):
                 assert found == oracles.oracle_transporter(group, src, dst), (name, src, dst)
 
 
+def test_transporter_over_65536_elements_matches_plain_scan():
+    # S_8 x S_2 on 10 points: 80,640 elements, past the 2-byte bucket positions
+    group = cw.close_group([Perm.from_cycles(10, (0, 1)),
+                            Perm.from_cycles(10, tuple(range(8))),
+                            Perm.from_cycles(10, (8, 9))])
+    assert group.order == 80640 > 1 << 16
+    for src, dst in (((0,), (5,)), ((7,), (0,)), ((8,), (9,)), ((9,), (0,)),
+                     ((3, 8), (7, 9)), ((9, 2, 4), (8, 4, 2))):
+        found = group.transporter(src, dst)
+        assert found == [g for g in group if all(g[a] == b for a, b in zip(src, dst))], (
+            src, dst)
+
+
 def test_orbit_stabilizer_identity_on_random_tuples():
     rng = random.Random(20240809)
     groups = [cw.close_group([ROTATION, REFLECTION]),
@@ -308,7 +321,7 @@ def test_serialization_round_trip():
     d4 = cw.close_group([ROTATION, REFLECTION])
     data = d4.to_json()
     assert data["degree"] == 4
-    rebuilt = PermutationGroup.from_json(data)
+    rebuilt = PermutationGroup.close(data["generators"], degree=data["degree"])
     assert rebuilt.subgroup_equals(d4)
     # a closure keeps only the generators that enlarged the group
     redundant = cw.close_group([ROTATION, ROTATION.inverse(), Perm.identity(4), REFLECTION])

@@ -87,7 +87,7 @@ def test_family_input_errors(family):
     graph, group = family["q3"]
     with pytest.raises(BadParameters):
         cw.blowup_cycle_family(graph, group, 1)
-    path = cw.validate(3, [(0, 1), (1, 2)])
+    path = cw.Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(BaseNotVertexTransitive):
         cw.blowup_cycle_family(path, cw.automorphism_group(path), 2)
 
