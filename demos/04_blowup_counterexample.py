@@ -35,7 +35,7 @@ print(f"\nblow-up: {blowup.vertex_count} vertices, valence {blowup.valence()}, "
 
 # the fiber symmetries together with lifted base automorphisms already
 # fill the whole automorphism group here (the base is twin-free)
-wreath = cw.close_group(cw.wreath_group_generators(q3, aut, 2))
+wreath = cw.PermutationGroup.close(cw.wreath_group_generators(q3, aut, 2))
 print(f"fiber-wreath subgroup order {wreath.order}; "
       f"equals full Aut: {wreath.subgroup_equals(blow_aut)}")
 

@@ -8,7 +8,7 @@ counterexamples, and shunt-based generating sets.
 __version__ = "0.1.0"
 
 from .errors import ConsistentWalksError
-from .perms import Perm, PermutationGroup, close_group, compose
+from .perms import Perm, PermutationGroup
 from .graphs import (
     Graph,
     LocalAction,

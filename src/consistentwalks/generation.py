@@ -22,7 +22,7 @@ from collections.abc import Sequence
 
 from .errors import NotConnected, NotConsistent, NotVertexTransitive, invariant
 from .graphs import Graph
-from .perms import Perm, PermutationGroup, close_group
+from .perms import Perm, PermutationGroup
 from .walks import Walk, consistent_cycle_orbits, shunts
 
 EXACT_DELTA_ORDER_LIMIT = 200
@@ -159,12 +159,12 @@ def verify_generation(group: PermutationGroup, graph: Graph) -> GenerationReport
         raise NotVertexTransitive("generation needs a vertex-transitive group")
     reps = [r.representative for r in table.records]
     shunt_set = shunt_generating_set(group, graph, reps)
-    shunt_group = close_group(shunt_set, degree=group.degree)
+    shunt_group = PermutationGroup.close(shunt_set, degree=group.degree)
     generates = shunt_group.order == group.order
     chosen = min(table.records, key=lambda r: (r.stabilizer_order, r.representative))
     chosen_stab = group.pointwise_stabilizer(chosen.representative[:-1])
     # <shunts, G_(w)> contains <shunts>, so it is G whenever the shunts generate
-    with_stab_generates = generates or close_group(
+    with_stab_generates = generates or PermutationGroup.close(
         shunt_set + list(chosen_stab.generators), degree=group.degree).order == group.order
     invariant(with_stab_generates,
               "shunts plus the walk stabilizer failed to generate the group")

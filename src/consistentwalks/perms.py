@@ -122,11 +122,6 @@ class Perm(tuple):
         return f"Perm{tuple(self)!r}"
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """Apply ``p`` then ``q`` (right action)."""
-    return p * q
-
-
 def _as_perms(generators: Iterable[Sequence[int]]) -> list[Perm]:
     return [g if isinstance(g, Perm) else Perm.from_images(g) for g in generators]
 
@@ -442,8 +437,3 @@ class PermutationGroup:
                     return size
         return None
 
-
-def close_group(generators, degree: int | None = None,
-                cap: int = DEFAULT_GROUP_CAP) -> PermutationGroup:
-    """Closure of ``generators`` into a materialized group, coset by coset."""
-    return PermutationGroup.close(generators, degree=degree, cap=cap)

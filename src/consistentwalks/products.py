@@ -95,9 +95,9 @@ def blowup_cycle_family(graph: Graph, group: PermutationGroup,
     """Build the fiber-sweeping cycles over each base orbit representative.
 
     The cycle for fiber count j walks the base cycle through fibers
-    0..j-1 in order; its shunt applies the base shunt and advances the
-    fiber index on arrival at the root vertex.  Every shunt is verified to
-    be a blow-up automorphism that shunts its cycle.
+    0..j-1 in order; its shunt is the lifted base shunt times the rotation
+    of fibers 0..j-1 at the root vertex.  Every shunt is verified to be a
+    blow-up automorphism that shunts its cycle.
     """
     if m < 2:
         raise BadParameters("the family needs m >= 2")
@@ -113,19 +113,14 @@ def blowup_cycle_family(graph: Graph, group: PermutationGroup,
     for i, record in enumerate(table.records):
         rep = record.representative
         support = rep[:-1]
-        base_shunt = shunts(group, graph, rep)[0]
+        lifted_shunt = lift_base_perm(shunts(group, graph, rep)[0], m)
         root = rep[0]
         for j in range(1, m + 1):
             cycle = tuple(blowup_point(v, fiber, m)
                           for fiber in range(j) for v in support)
             cycle += (blowup_point(root, 0, m),)
-            images = [0] * (n * m)
-            for v in range(n):
-                advance = base_shunt[v] == root
-                for a in range(m):
-                    image_fiber = (a + 1) % j if advance and a < j else a
-                    images[blowup_point(v, a, m)] = blowup_point(base_shunt[v], image_fiber, m)
-            shunt = Perm(images)
+            rotation = Perm((*range(1, j), 0, *range(j, m)))
+            shunt = lifted_shunt * fiber_perm(n, m, root, rotation)
             verify_automorphisms(blowup, [shunt])
             invariant(all(shunt[a] == b for a, b in zip(cycle, cycle[1:])),
                       f"constructed element does not shunt the fiber cycle for {rep}")

@@ -22,7 +22,7 @@ from .errors import (
     invariant,
 )
 from .graphs import Graph, is_arc_transitive
-from .perms import Perm, PermutationGroup, close_group
+from .perms import Perm, PermutationGroup
 from .walks import (
     Walk,
     apply_perm,
@@ -47,19 +47,20 @@ class ReachabilityReport:
                 "method": self.method, "witness": self.witness}
 
 
+def _shunt_group(group: PermutationGroup, walk: Walk, shunt: Perm) -> PermutationGroup:
+    """<G_prefix, shunt>: the group the walk's whole shunt coset generates."""
+    return PermutationGroup.close(group.pointwise_stabilizer(walk[:-1]).generators
+                                  + (shunt,), degree=group.degree)
+
+
 def reachability_by_shunt_group(group: PermutationGroup, graph: Graph,
                               walk: Sequence[int]) -> ReachabilityReport:
-    """Decide reachability via transitivity of the group the shunts generate.
-
-    The shunt group is assembled as <prefix stabilizer, one shunt>, which
-    equals the group generated by the full shunt coset.
-    """
+    """Decide reachability via transitivity of the group the shunts generate."""
     w = validate_walk(graph, walk)
     shs = shunts(group, graph, w)
     if not shs:
         raise NotConsistent(f"walk {w} has no shunt in the group")
-    shunt_group = close_group(group.pointwise_stabilizer(w[:-1]).generators + (shs[0],),
-                              degree=group.degree)
+    shunt_group = _shunt_group(group, w, shs[0])
     verdict = shunt_group.is_transitive(range(graph.vertex_count))
     return ReachabilityReport(walk=w, verdict=verdict, method="shunt-group",
                            witness={"shunt_group_order": shunt_group.order,
@@ -153,12 +154,13 @@ def check_conditions(group: PermutationGroup, graph: Graph,
     prefix = w[:-1]
     shifted = apply_perm(shunt, prefix)          # == w[1:]
     ell = successor_count(group, graph, w)
-    k = successor_count(group, graph, prefix)
-    invariant(ell <= k, f"walk {w} has more successors than its prefix")
-    joined = close_group(group.pointwise_stabilizer(prefix).generators
-                         + group.pointwise_stabilizer(shifted).generators, degree=group.degree)
-    cond_a = no_intermediate_divisor(ell, k)
     prefix_succ = set(successors(group, graph, prefix))
+    k = len(prefix_succ)
+    invariant(ell <= k, f"walk {w} has more successors than its prefix")
+    joined = PermutationGroup.close(group.pointwise_stabilizer(prefix).generators
+                                    + group.pointwise_stabilizer(shifted).generators,
+                                    degree=group.degree)
+    cond_a = no_intermediate_divisor(ell, k)
     orbit = joined.tuple_orbit(min(prefix_succ))
     invariant(orbit <= prefix_succ, "the joined stabilizer leaves the prefix successors")
     cond_b = orbit == prefix_succ
@@ -242,40 +244,32 @@ def successor_reachability_classes(group: PermutationGroup, graph: Graph,
                       cap: int = SIM_ORBIT_CAP) -> list[frozenset[Walk]]:
     """Partition of the prefix orbit into successor-reachability classes.
 
-    Nodes are the orbit of the walk's prefix; each orbit member of the full
-    walk contributes the edge (its prefix -> its tail).  Components of the
-    symmetrized relation are the classes; the group must permute them.
+    Nodes are the orbit of the walk's prefix p; each orbit member of the
+    full walk contributes the edge (its prefix -> its tail).  The classes,
+    components of the symmetrized relation, are the G-images of the block
+    p^H of H = <G_p, s>, as edges leave p*x only for p*s*h*x with h in G_p.
+    ``cap`` bounds the prefix orbit, no longer the walk orbit.
     """
     w = validate_walk(graph, walk)
     if len(w) < 3:
         raise WalkTooShort(f"the relation needs walk length >= 2, got {w}")
-    if not group.transporter(w[:-1], w[1:]):
+    prefix = w[:-1]
+    shs = group.transporter(prefix, w[1:])
+    if not shs:
         raise NotConsistent(f"walk {w} has no shunt in the group")
     try:
-        prefix_orbit = group.tuple_orbit(w[:-1], cap=cap)
-        walk_orbit = group.tuple_orbit(w, cap=cap)
+        prefix_orbit = group.tuple_orbit(prefix, cap=cap)
     except CapExceeded as exc:
         raise OrbitTooLarge(str(exc)) from exc
-    index = {t: i for i, t in enumerate(sorted(prefix_orbit))}
-    parent = list(range(len(index)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for member in walk_orbit:
-        a, b = find(index[member[:-1]]), find(index[member[1:]])
-        if a != b:
-            parent[b] = a
-    buckets: dict[int, set[Walk]] = {}
-    for t, i in index.items():
-        buckets.setdefault(find(i), set()).add(t)
-    classes = sorted((frozenset(c) for c in buckets.values()), key=min)
-    class_of = {t: k for k, cls in enumerate(classes) for t in cls}
-    for gen in group.generators:
-        for cls in classes:
-            images = {class_of[apply_perm(gen, t)] for t in cls}
-            invariant(len(images) == 1, "classes are not a G-invariant partition")
+    block = _shunt_group(group, w, shs[0]).tuple_orbit(prefix)
+    classes: list[frozenset[Walk]] = []
+    placed: set[Walk] = set()
+    for t in sorted(prefix_orbit):
+        if t not in placed:
+            g = group.transporter(prefix, t)[0]
+            cls = frozenset(apply_perm(g, b) for b in block)
+            placed |= cls
+            classes.append(cls)
+    invariant(sum(map(len, classes)) == len(prefix_orbit),
+              "the shunt group's blocks do not partition the prefix orbit")
     return classes

@@ -13,6 +13,7 @@ Only this module lists and names these orbits.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -198,20 +199,20 @@ class CycleOrbitTable:
         return rec
 
 
-def _rooted_cycles(group: PermutationGroup, graph: Graph, root: int) -> set[Walk]:
-    """Every G-consistent rooted directed cycle starting at ``root``.
+def _rooted_cycles(group: PermutationGroup, graph: Graph, root: int) -> Counter[Walk]:
+    """Every G-consistent rooted directed cycle at ``root`` -> its shunt count.
 
     A consistent cycle rooted at u with shunt g is the g-cycle through u,
     and g maps u to a neighbor v; conversely every g in the transporter
     of u onto a neighbor v shunts its own cycle through u.
     """
-    out: set[Walk] = set()
+    out: Counter[Walk] = Counter()
     for v in graph.adj[root]:
         for g in group.transporter((root,), (v,)):
             cycle = [root, v]
             while cycle[-1] != root:
                 cycle.append(g[cycle[-1]])
-            out.add(tuple(cycle))
+            out[tuple(cycle)] += 1
     return out
 
 
@@ -219,7 +220,7 @@ def enumerate_consistent_cycles(group: PermutationGroup, graph: Graph) -> set[Wa
     """Every G-consistent rooted directed cycle: the union over all roots."""
     out: set[Walk] = set()
     for root in range(graph.vertex_count):
-        out |= _rooted_cycles(group, graph, root)
+        out.update(_rooted_cycles(group, graph, root))
     return out
 
 
@@ -242,31 +243,29 @@ def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbit
     The cycles rooted at the least vertex r of each vertex orbit are split
     under G_r; an orbit's least member is rooted at r and represents it,
     and its size is |G| / |G_(rep)|.  The shunts of a cycle are a coset of
-    the stabilizer of its vertices, so its shunt count is |G_(rep)| too.
+    the stabilizer of its vertices, so |G_(rep)| is the count `_rooted_cycles` gives.
     For a vertex-transitive group on a connected d-valent graph the table
     has exactly d records; otherwise the count check is skipped and the
     table is still returned.
     """
-    rooted: list[list[Walk]] = []
+    records: list[OrbitRecord] = []
     placed: set[int] = set()
     for root in range(graph.vertex_count):
         if root not in placed:
             placed |= group.orbit(root)
-            rooted += partition_cycles(group.pointwise_stabilizer((root,)),
-                                       _rooted_cycles(group, graph, root))
-    rooted.sort(key=lambda members: (len(members[0]), members[0]))
-    records = []
-    for members in rooted:
-        rep = members[0]
-        stab = group.pointwise_stabilizer(rep[:-1])
-        records.append(OrbitRecord(
-            representative=rep,
-            length=len(rep) - 1,
-            orbit_size=group.order // stab.order,
-            shunt_count=stab.order,
-            stabilizer_order=stab.order,
-            trivial=len(rep) == 3,
-        ))
+            cycles = _rooted_cycles(group, graph, root)
+            for members in partition_cycles(group.pointwise_stabilizer((root,)), cycles):
+                rep = members[0]
+                order = cycles[rep]
+                records.append(OrbitRecord(
+                    representative=rep,
+                    length=len(rep) - 1,
+                    orbit_size=group.order // order,
+                    shunt_count=order,
+                    stabilizer_order=order,
+                    trivial=len(rep) == 3,
+                ))
+    records.sort(key=lambda r: (r.length, r.representative))
     transitive = is_vertex_transitive(group, graph)
     if transitive:
         invariant(len(records) == graph.valence(),

@@ -114,4 +114,4 @@ def c4_wreath():
     base = cw.named_graph("cycle:4")
     blowup, _ = cw.lex_blowup(base, 2)
     gens = cw.wreath_group_generators(base, cw.automorphism_group(base), 2)
-    return blowup, cw.close_group(gens)
+    return blowup, cw.PermutationGroup.close(gens)

@@ -275,3 +275,49 @@ def oracle_selection(group: cw.PermutationGroup, reps):
         rooted.append(sorted(c for c in orbit if c[0] == rep[0]))
     matrix = prefix_tree_matrix(rooted)
     return select_representatives(rooted, matrix), matrix
+
+
+def union_find_reachability_classes(group: cw.PermutationGroup,
+                                    walk) -> list[frozenset[tuple[int, ...]]]:
+    """Successor-reachability classes as components over the whole walk orbit.
+
+    Every group element's image of the walk joins its prefix to its tail in
+    a union-find over the prefix orbit; the components, ordered by their
+    least members.  The library's construction before it read the classes
+    off the shunt group's blocks.
+    """
+    walk = tuple(walk)
+    walk_orbit = {tuple(g[v] for v in walk) for g in group.elements}
+    index = {t: i for i, t in enumerate(sorted({m[:-1] for m in walk_orbit}))}
+    parent = list(range(len(index)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for member in walk_orbit:
+        a, b = find(index[member[:-1]]), find(index[member[1:]])
+        if a != b:
+            parent[b] = a
+    buckets: dict[int, set[tuple[int, ...]]] = {}
+    for t, i in index.items():
+        buckets.setdefault(find(i), set()).add(t)
+    return sorted((frozenset(c) for c in buckets.values()), key=min)
+
+
+def blowup_shunt_by_images(base_shunt: cw.Perm, root: int, m: int, j: int) -> cw.Perm:
+    """The blow-up family's shunt for fiber count j, point by point: the
+    base shunt moves each point (v, a) to its own fiber index at
+    base_shunt[v], except that arriving at ``root`` advances fibers 0..j-1
+    cyclically.  The library's image loop before it composed a lift with
+    a fiber rotation."""
+    n = len(base_shunt)
+    images = [0] * (n * m)
+    for v in range(n):
+        advance = base_shunt[v] == root
+        for a in range(m):
+            image_fiber = (a + 1) % j if advance and a < j else a
+            images[v * m + a] = base_shunt[v] * m + image_fiber
+    return cw.Perm(images)

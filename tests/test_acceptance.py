@@ -130,7 +130,7 @@ def test_criterion_8_generation(family):
         report = cw.verify_generation(blow_group, blowup)
         shunt_set = list(report.shunts)
         chosen_stab = blow_group.pointwise_stabilizer(report.chosen_walk[:-1])
-        closure = cw.close_group(
+        closure = cw.PermutationGroup.close(
             shunt_set + list(chosen_stab.small_generating_set()),
             degree=blow_group.degree)
         assert closure.order == blow_group.order
@@ -154,14 +154,14 @@ def test_criterion_9_overlap_maximal_representatives(family, censuses):
 def test_criterion_10_wps_detection():
     with criterion(10, "subregular witnesses for dihedral actions, none for C3/S4"):
         def dihedral(n):
-            return cw.close_group([
+            return cw.PermutationGroup.close([
                 cw.Perm(tuple(range(1, n)) + (0,)),
                 cw.Perm(tuple((-i) % n for i in range(n)))])
         w3 = cw.weakly_p_subregular(dihedral(3))
         w4 = cw.weakly_p_subregular(dihedral(4))
         assert w3 is not None and w3.prime == 2
         assert w4 is not None and w4.prime == 2
-        c3 = cw.close_group([cw.Perm((1, 2, 0))])
+        c3 = cw.PermutationGroup.close([cw.Perm((1, 2, 0))])
         assert cw.weakly_p_subregular(c3) is None
-        s4 = cw.close_group([cw.Perm((1, 0, 2, 3)), cw.Perm((1, 2, 3, 0))])
+        s4 = cw.PermutationGroup.close([cw.Perm((1, 0, 2, 3)), cw.Perm((1, 2, 3, 0))])
         assert cw.weakly_p_subregular(s4) is None

@@ -141,6 +141,18 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["payload"]["orbit_count"] == 2
 
 
+@pytest.mark.parametrize("target, exc", [("missing/report.json", "FileNotFoundError"),
+                                         ("", "IsADirectoryError")])
+def test_unwritable_out_is_one_json_line(tmp_path, capsys, target, exc):
+    path = str(tmp_path / target) if target else str(tmp_path)
+    code, out, err = run_cli(["orbits", "--graph", "cycle:5", "--out", path], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert path in error["message"] and exc in error["message"]
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(["trivial-walk", "--graph", "cycle:6",
                             "--method", "4valent"], capsys)

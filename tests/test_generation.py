@@ -89,7 +89,7 @@ def test_oracle_selection_is_census(name, family, censuses):
     # to run pick the census representatives, and the matrix is their overlaps
     if name == "c6-rotations":
         graph = cw.named_graph("cycle:6")
-        group = cw.close_group([cw.Perm((1, 2, 3, 4, 5, 0))])
+        group = cw.PermutationGroup.close([cw.Perm((1, 2, 3, 4, 5, 0))])
         table = cw.consistent_cycle_orbits(group, graph)
     else:
         (graph, group), table = family[name], censuses[name]
@@ -153,7 +153,7 @@ def test_shunts_plus_any_representative_stabilizer_generate(family):
         shunt_set = cw.shunt_generating_set(group, graph, reps)
         for rep in reps:
             stab = group.pointwise_stabilizer(rep[:-1])
-            closure = cw.close_group(
+            closure = cw.PermutationGroup.close(
                 shunt_set + list(stab.small_generating_set()), degree=group.degree)
             assert closure.order == group.order
 

@@ -233,7 +233,7 @@ def test_local_group_against_sweep_oracle(family):
 
 def test_local_group_trivial_and_k5(family):
     graph, _ = family["q3"]
-    trivial = cw.close_group([], degree=graph.vertex_count)
+    trivial = cw.PermutationGroup.close([], degree=graph.vertex_count)
     assert cw.local_group(trivial, graph, 0).group.order == 1
     k5, aut5 = family["k5"]
     local = cw.local_group(aut5, k5, 0)
@@ -246,7 +246,7 @@ def test_is_n_arc_transitive(family):
     assert cw.is_n_arc_transitive(aut6, c6, 1)
     pet, autp = family["petersen"]
     assert cw.is_n_arc_transitive(autp, pet, 2)
-    rot = cw.close_group([cw.Perm((1, 2, 3, 4, 5, 0))])
+    rot = cw.PermutationGroup.close([cw.Perm((1, 2, 3, 4, 5, 0))])
     assert not cw.is_n_arc_transitive(rot, c6, 1)
 
 
@@ -261,7 +261,7 @@ def test_no_n_arcs():
     star = cw.named_graph("complete_bipartite:1:2")
     assert n_arcs(star, 2)
     with pytest.raises(NoNArcs):
-        trivial = cw.close_group([], degree=3)
+        trivial = cw.PermutationGroup.close([], degree=3)
         cw.is_n_arc_transitive(trivial, star, 3)
 
 

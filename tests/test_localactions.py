@@ -23,7 +23,7 @@ import oracles
 def dihedral(n: int) -> cw.PermutationGroup:
     rotation = cw.Perm(tuple(range(1, n)) + (0,))
     reflection = cw.Perm(tuple((-i) % n for i in range(n)))
-    return cw.close_group([rotation, reflection])
+    return cw.PermutationGroup.close([rotation, reflection])
 
 
 def test_wps_dihedral_degree_3():
@@ -42,19 +42,19 @@ def test_wps_dihedral_degree_4():
 
 
 def test_wps_regular_cyclic_none():
-    c3 = cw.close_group([cw.Perm((1, 2, 0))])
+    c3 = cw.PermutationGroup.close([cw.Perm((1, 2, 0))])
     assert cw.weakly_p_subregular(c3) is None
 
 
 def test_wps_symmetric_4_none():
-    s4 = cw.close_group([cw.Perm((1, 0, 2, 3)), cw.Perm((1, 2, 3, 0))])
+    s4 = cw.PermutationGroup.close([cw.Perm((1, 0, 2, 3)), cw.Perm((1, 2, 3, 0))])
     assert s4.order == 24
     assert cw.weakly_p_subregular(s4) is None
 
 
 def test_wps_requires_transitivity():
     with pytest.raises(NotTransitive):
-        cw.weakly_p_subregular(cw.close_group([cw.Perm((1, 0, 2))]))
+        cw.weakly_p_subregular(cw.PermutationGroup.close([cw.Perm((1, 0, 2))]))
 
 
 def test_wps_accepts_local_action(family):

@@ -32,16 +32,16 @@ REFLECTION = Perm((0, 3, 2, 1))
 
 def test_compose_identity_and_inverse():
     p = Perm((2, 0, 1))
-    assert cw.compose(Perm.identity(3), p) == p
-    assert cw.compose(p, Perm.identity(3)) == p
-    assert cw.compose(p, p.inverse()).is_identity()
+    assert Perm.identity(3) * p == p
+    assert p * Perm.identity(3) == p
+    assert (p * p.inverse()).is_identity()
 
 
 def test_compose_right_action_order():
     # (0 1) then (1 2): point images evaluated right-to-left in exponent form
     p = Perm((1, 0, 2))
     q = Perm((0, 2, 1))
-    r = cw.compose(p, q)
+    r = p * q
     for v in range(3):
         assert r[v] == q[p[v]]
     assert r == Perm((2, 0, 1))  # the 3-cycle 0->2->1->0
@@ -49,7 +49,7 @@ def test_compose_right_action_order():
 
 def test_compose_degree_mismatch():
     with pytest.raises(DegreeMismatch):
-        cw.compose(Perm((1, 0)), Perm((0, 1, 2)))
+        Perm((1, 0)) * Perm((0, 1, 2))
 
 
 def test_from_images_rejects_non_bijection():
@@ -58,42 +58,43 @@ def test_from_images_rejects_non_bijection():
 
 
 def test_close_group_dihedral_matches_square_oracle():
-    group = cw.close_group([ROTATION, REFLECTION])
+    group = PermutationGroup.close([ROTATION, REFLECTION])
     assert group.order == 8
     assert set(group.elements) == square_symmetries()
 
 
 def test_close_group_empty_generators():
-    group = cw.close_group([], degree=5)
+    group = PermutationGroup.close([], degree=5)
     assert group.order == 1
     assert group.identity in group
 
 
 def test_close_group_transpositions_give_symmetric_group():
     gens = [Perm.from_cycles(5, (i, i + 1)) for i in range(4)]
-    group = cw.close_group(gens)
+    group = PermutationGroup.close(gens)
     assert group.order == 120
     assert set(group.elements) == {Perm(p) for p in permutations(range(5))}
 
 
 def test_close_group_cap(family):
     with pytest.raises(CapExceeded):
-        cw.close_group([ROTATION, REFLECTION], cap=5)
+        PermutationGroup.close([ROTATION, REFLECTION], cap=5)
     for name in ("c6", "petersen", "c4k2"):
         group = family[name][1]
         gens = group.small_generating_set()
         with pytest.raises(CapExceeded, match=f"group closure reached {group.order} "):
-            cw.close_group(gens, degree=group.degree, cap=group.order - 1)
-        assert cw.close_group(gens, degree=group.degree, cap=group.order).order == group.order
+            PermutationGroup.close(gens, degree=group.degree, cap=group.order - 1)
+        closed = PermutationGroup.close(gens, degree=group.degree, cap=group.order)
+        assert closed.order == group.order
     for cap in (0, -3):
         with pytest.raises(BadParameters):
-            cw.close_group([ROTATION], cap=cap)
+            PermutationGroup.close([ROTATION], cap=cap)
 
 
 def test_full_closure_on_small_groups():
     # quadratic product/inverse closure, affordable only at this scale
     for gens in ([ROTATION, REFLECTION], [Perm((1, 2, 3, 4, 5, 0))]):
-        group = cw.close_group(gens)
+        group = PermutationGroup.close(gens)
         elements = set(group.elements)
         assert group.identity in elements
         for a in elements:
@@ -103,9 +104,9 @@ def test_full_closure_on_small_groups():
 
 
 def test_orbit_examples():
-    trivial = cw.close_group([], degree=5)
+    trivial = PermutationGroup.close([], degree=5)
     assert trivial.orbit(3) == {3}
-    d4 = cw.close_group([ROTATION, REFLECTION])
+    d4 = PermutationGroup.close([ROTATION, REFLECTION])
     assert d4.orbit(0) == {0, 1, 2, 3}
     assert {p[0] for p in d4.elements} == set(d4.orbit(0))
     fixer = d4.pointwise_stabilizer((0,))
@@ -165,7 +166,7 @@ def test_transporter_matches_plain_scan(family):
 
 def test_transporter_over_65536_elements_matches_plain_scan():
     # S_8 x S_2 on 10 points: 80,640 elements, past the 2-byte bucket positions
-    group = cw.close_group([Perm.from_cycles(10, (0, 1)),
+    group = PermutationGroup.close([Perm.from_cycles(10, (0, 1)),
                             Perm.from_cycles(10, tuple(range(8))),
                             Perm.from_cycles(10, (8, 9))])
     assert group.order == 80640 > 1 << 16
@@ -178,7 +179,7 @@ def test_transporter_over_65536_elements_matches_plain_scan():
 
 def test_orbit_stabilizer_identity_on_random_tuples():
     rng = random.Random(20240809)
-    groups = [cw.close_group([ROTATION, REFLECTION]),
+    groups = [PermutationGroup.close([ROTATION, REFLECTION]),
               cw.automorphism_group(cw.named_graph("complete:4")),
               cw.automorphism_group(cw.named_graph("cycle:6"))]
     for group in groups:
@@ -191,34 +192,34 @@ def test_orbit_stabilizer_identity_on_random_tuples():
 
 
 def test_is_transitive():
-    trivial = cw.close_group([], degree=2)
+    trivial = PermutationGroup.close([], degree=2)
     assert not trivial.is_transitive()
-    rot6 = cw.close_group([Perm((1, 2, 3, 4, 5, 0))])
+    rot6 = PermutationGroup.close([Perm((1, 2, 3, 4, 5, 0))])
     assert rot6.is_transitive()
     pet = cw.automorphism_group(cw.named_graph("petersen"))
     assert not pet.pointwise_stabilizer((0,)).is_transitive()
     with pytest.raises(DomainNotInvariant):
-        cw.close_group([ROTATION]).is_transitive(domain={0, 1})
+        PermutationGroup.close([ROTATION]).is_transitive(domain={0, 1})
     with pytest.raises(BadParameters):
         trivial.is_transitive(domain=set())
 
 
 def test_subgroup_equals():
-    d4 = cw.close_group([ROTATION, REFLECTION])
+    d4 = PermutationGroup.close([ROTATION, REFLECTION])
     assert d4.subgroup_equals(d4)
-    trivial = cw.close_group([], degree=4)
+    trivial = PermutationGroup.close([], degree=4)
     assert not trivial.subgroup_equals(d4)
-    a = cw.close_group([Perm((1, 0))])
-    b = cw.close_group([Perm((1, 0)), Perm((1, 0))])
+    a = PermutationGroup.close([Perm((1, 0))])
+    b = PermutationGroup.close([Perm((1, 0)), Perm((1, 0))])
     assert a.subgroup_equals(b)
-    swap01 = cw.close_group([Perm((1, 0, 2, 3))])
-    swap23 = cw.close_group([Perm((0, 1, 3, 2))])  # same order, other elements
+    swap01 = PermutationGroup.close([Perm((1, 0, 2, 3))])
+    swap23 = PermutationGroup.close([Perm((0, 1, 3, 2))])  # same order, other elements
     assert not swap01.subgroup_equals(swap23) and not swap23.subgroup_equals(swap01)
 
 
 def test_min_generating_size_small_cases():
-    assert cw.close_group([], degree=3).min_generating_size() == 0
-    rot6 = cw.close_group([Perm((1, 2, 3, 4, 5, 0))])
+    assert PermutationGroup.close([], degree=3).min_generating_size() == 0
+    rot6 = PermutationGroup.close([Perm((1, 2, 3, 4, 5, 0))])
     assert rot6.min_generating_size() == 1
 
 
@@ -233,8 +234,8 @@ def test_min_generating_size_petersen(family):
         (a, b)
         for i, a in enumerate(aut.elements)
         for b in aut.elements[i + 1:]
-        if cw.close_group([a, b], degree=aut.degree).order == 120)
-    assert cw.close_group(list(witness), degree=aut.degree).subgroup_equals(aut)
+        if PermutationGroup.close([a, b], degree=aut.degree).order == 120)
+    assert PermutationGroup.close(list(witness), degree=aut.degree).subgroup_equals(aut)
 
 
 # greedy generators, frozen: how the closure is regrown must not change them
@@ -280,7 +281,7 @@ def ladder(family):
 def test_small_generating_set_generates(family, ladder):
     for name, (_, group) in {**family, **ladder}.items():
         gens = group.small_generating_set()
-        assert cw.close_group(gens, degree=group.degree).subgroup_equals(group)
+        assert PermutationGroup.close(gens, degree=group.degree).subgroup_equals(group)
         if name in SMALL_GENERATORS:
             assert [tuple(g) for g in gens] == SMALL_GENERATORS[name]
 
@@ -298,7 +299,7 @@ def test_membership_matches_element_set(ladder):
 
 
 def test_group_without_identity_refused():
-    d4 = cw.close_group([ROTATION, REFLECTION])
+    d4 = PermutationGroup.close([ROTATION, REFLECTION])
     for elements in ([g for g in d4.elements if not g.is_identity()], []):
         with pytest.raises(BadParameters, match="identity missing"):
             PermutationGroup(4, elements)
@@ -310,7 +311,7 @@ def test_close_group_orders_match_sympy(ladder):
         arc = (0, graph.adj[0][0])
         for sub in (group, group.pointwise_stabilizer(arc[:1]), group.pointwise_stabilizer(arc)):
             gens = sub.small_generating_set()
-            closed = cw.close_group(gens, degree=group.degree)
+            closed = PermutationGroup.close(gens, degree=group.degree)
             assert closed.subgroup_equals(sub), name
             oracle = combinatorics.PermutationGroup(
                 [combinatorics.Permutation(list(g)) for g in gens])
@@ -318,13 +319,13 @@ def test_close_group_orders_match_sympy(ladder):
 
 
 def test_serialization_round_trip():
-    d4 = cw.close_group([ROTATION, REFLECTION])
+    d4 = PermutationGroup.close([ROTATION, REFLECTION])
     data = d4.to_json()
     assert data["degree"] == 4
     rebuilt = PermutationGroup.close(data["generators"], degree=data["degree"])
     assert rebuilt.subgroup_equals(d4)
     # a closure keeps only the generators that enlarged the group
-    redundant = cw.close_group([ROTATION, ROTATION.inverse(), Perm.identity(4), REFLECTION])
+    redundant = PermutationGroup.close([ROTATION, ROTATION.inverse(), Perm.identity(4), REFLECTION])
     assert redundant.to_json()["generators"] == [list(ROTATION), list(REFLECTION)]
 
 
@@ -336,7 +337,7 @@ def test_products_and_orbits_at_small_degrees():
             for q in perms:
                 assert p * q == Perm(q[v] for v in p)
                 assert isinstance(p * q, Perm)
-        group = cw.close_group(perms, degree=degree)
+        group = PermutationGroup.close(perms, degree=degree)
         assert set(group.elements) == set(perms)
         tuples = [()] + [tuple(t) for size in (1, 2, 3)
                          for t in product(range(degree), repeat=size)]
@@ -352,7 +353,7 @@ def test_products_and_orbits_at_small_degrees():
 def test_from_strong_generators_at_small_degrees(degree, generators):
     gens = [Perm(g) for g in generators]
     expanded = PermutationGroup.from_strong_generators(degree, gens)
-    assert expanded.elements == tuple(sorted(cw.close_group(gens, degree=degree).elements))
+    assert expanded.elements == tuple(sorted(PermutationGroup.close(gens, degree=degree).elements))
     assert expanded.generators == tuple(gens)
 
 
@@ -360,7 +361,7 @@ def test_from_strong_generators_lists_the_closure_in_order(ladder):
     for name, (graph, group) in ladder.items():
         strong = graphs_module._strong_generators(graph)[0]
         expanded = PermutationGroup.from_strong_generators(graph.vertex_count, strong)
-        closed = cw.close_group(strong, degree=graph.vertex_count)
+        closed = PermutationGroup.close(strong, degree=graph.vertex_count)
         assert list(expanded.elements) == sorted(closed.elements), name
         assert expanded.elements == group.elements, name
 

@@ -97,7 +97,7 @@ def test_wreath_generators_embed_and_fill_aut(family):
     gens = cw.wreath_group_generators(base, base_aut, 2)
     blowup, _ = cw.lex_blowup(base, 2)
     verify_automorphisms(blowup, gens)
-    wreath = cw.close_group(gens)
+    wreath = cw.PermutationGroup.close(gens)
     assert wreath.order == 2 ** 8 * 48
     _, blow_aut = family["q3k2"]
     assert wreath.subgroup_equals(blow_aut)  # twin-free base: wreath is all of Aut
@@ -110,6 +110,19 @@ def test_lift_and_fiber_perm_shapes():
     cycled = fiber_perm(4, 3, 2, cw.Perm((1, 2, 0)))
     assert cycled[cw.graphs.blowup_point(2, 0, 3)] == cw.graphs.blowup_point(2, 1, 3)
     assert cycled[cw.graphs.blowup_point(1, 0, 3)] == cw.graphs.blowup_point(1, 0, 3)
+
+
+@pytest.mark.parametrize("spec", ["cycle:4", "hypercube:3", "petersen"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_family_shunts_match_image_oracle(spec, m):
+    graph = cw.named_graph(spec)
+    group = cw.automorphism_group(graph)
+    fam = cw.blowup_cycle_family(graph, group, m)
+    assert len(fam.shunts) == graph.valence() * m
+    for (i, j), shunt in fam.shunts.items():
+        rep = fam.base_representatives[i]
+        base_shunt = cw.shunts(group, graph, rep)[0]
+        assert shunt == oracles.blowup_shunt_by_images(base_shunt, rep[0], m, j), (i, j)
 
 
 def test_no_trivial_stabilizer_verdicts(family, censuses):

@@ -1,4 +1,4 @@
-"""Property tests of the census on random connected circulants.
+"""Property tests of the census and of walks on random connected circulants.
 
 Each graph circulant:n:S (n <= 12, at most three steps) is taken under
 its rotations Z_n, the dihedral group D_n, and its full automorphism
@@ -8,6 +8,7 @@ groups use.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,9 +33,9 @@ def acting_group(kind, graph):
     n = graph.vertex_count
     rotation = cw.Perm((i + 1) % n for i in range(n))
     if kind == "cyclic":
-        return cw.close_group([rotation])
+        return cw.PermutationGroup.close([rotation])
     if kind == "dihedral":
-        return cw.close_group([rotation, cw.Perm((-i) % n for i in range(n))])
+        return cw.PermutationGroup.close([rotation, cw.Perm((-i) % n for i in range(n))])
     try:
         return cw.automorphism_group(graph, cap=AUT_ORDER_LIMIT)
     except CapExceeded:
@@ -59,3 +60,25 @@ def test_census_properties_on_circulants(kind, spec):
     reps, overlaps = cw.overlap_maximal_representatives(group, graph)
     assert reps == census_reps
     assert [list(row) for row in overlaps.orbit_overlaps] == matrix
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "dihedral", "aut"])
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(spec=connected_circulants(), seed=st.integers(0, 2 ** 16))
+def test_walk_properties_on_circulants(kind, spec, seed):
+    graph = cw.named_graph(spec)
+    group = acting_group(kind, graph)
+    if group is None:
+        return
+    rng = random.Random(seed)
+    walk = oracles.random_consistent_walk(group, graph, rng, max_length=4)
+    while len(walk) < 3:
+        extensions = cw.consistent_extensions(group, graph, walk)
+        walk = extensions[rng.randrange(len(extensions))]
+    by_group = cw.reachability_by_shunt_group(group, graph, walk)
+    assert by_group.verdict == cw.reachability_by_chase(group, graph, walk).verdict
+    classes = cw.successor_reachability_classes(group, graph, walk)
+    assert classes == oracles.union_find_reachability_classes(group, walk)
+    prefix_order = group.pointwise_stabilizer(walk[:-1]).order
+    walk_order = group.pointwise_stabilizer(walk).order
+    assert prefix_order == walk_order * cw.successor_count(group, graph, walk)

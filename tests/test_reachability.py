@@ -22,7 +22,7 @@ def test_arc_has_property_r(family):
 
 def test_property_r_under_rotations_only():
     c6 = cw.named_graph("cycle:6")
-    rotations = cw.close_group([ROTATION6])
+    rotations = cw.PermutationGroup.close([ROTATION6])
     report = cw.reachability_by_shunt_group(rotations, c6, (0, 1, 2))
     assert report.verdict
     assert report.witness["shunt_group_order"] == 6
@@ -36,9 +36,9 @@ def test_shunt_group_equals_closure_of_all_shunts(family):
         graph, group = family[name]
         walk = oracles.random_consistent_walk(group, graph, rng, max_length=4)
         all_shunts = cw.shunts(group, graph, walk)
-        direct = cw.close_group(all_shunts, degree=group.degree)
+        direct = cw.PermutationGroup.close(all_shunts, degree=group.degree)
         prefix_stab = group.pointwise_stabilizer(walk[:-1])
-        via_prefix_stabilizer = cw.close_group(
+        via_prefix_stabilizer = cw.PermutationGroup.close(
             list(prefix_stab.small_generating_set()) + [all_shunts[0]],
             degree=group.degree)
         assert direct.subgroup_equals(via_prefix_stabilizer)
@@ -46,7 +46,7 @@ def test_shunt_group_equals_closure_of_all_shunts(family):
 
 def test_property_r_not_consistent():
     c6 = cw.named_graph("cycle:6")
-    rotations = cw.close_group([ROTATION6])
+    rotations = cw.PermutationGroup.close([ROTATION6])
     with pytest.raises(NotConsistent):
         cw.reachability_by_shunt_group(rotations, c6, (0, 1, 0))
     with pytest.raises(NotConsistent):
@@ -223,7 +223,7 @@ def test_certify_failure_reasons(family):
 
 def test_successor_reachability_classes_rotations_single_class():
     c6 = cw.named_graph("cycle:6")
-    rotations = cw.close_group([ROTATION6])
+    rotations = cw.PermutationGroup.close([ROTATION6])
     classes = cw.successor_reachability_classes(rotations, c6, (0, 1, 2))
     assert len(classes) == 1
 
@@ -239,6 +239,18 @@ def test_successor_reachability_classes_block_structure(family):
     sizes = {len(c) for c in classes}
     assert len(sizes) == 1  # blocks of a transitive action share a size
     assert sum(len(c) for c in classes) == len(aut4.tuple_orbit((0, 1)))
+
+
+@pytest.mark.parametrize("seed", [5, 17, 41])
+def test_successor_classes_match_union_find_oracle(family, seed):
+    rng = random.Random(seed)
+    for name, (graph, group) in family.items():
+        walk = oracles.random_consistent_walk(group, graph, rng, max_length=4)
+        while len(walk) < 3:
+            extensions = cw.consistent_extensions(group, graph, walk)
+            walk = extensions[rng.randrange(len(extensions))]
+        classes = cw.successor_reachability_classes(group, graph, walk)
+        assert classes == oracles.union_find_reachability_classes(group, walk), (name, walk)
 
 
 def test_sim_alpha_prefix_and_shift_share_class(family):

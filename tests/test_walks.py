@@ -39,7 +39,7 @@ def test_shunts_c6(family):
 
 def test_shunts_rotation_only_trivial_walk():
     c6 = cw.named_graph("cycle:6")
-    rotations = cw.close_group([ROTATION6])
+    rotations = cw.PermutationGroup.close([ROTATION6])
     # no rotation both sends 0 to 1 and 1 to 0, in either orientation
     assert cw.shunts(rotations, c6, (0, 1, 0)) == []
     assert cw.shunts(rotations, c6, (1, 0, 1)) == []
@@ -115,7 +115,7 @@ def test_successors_petersen_two_arc(family):
 
 def test_successors_not_consistent():
     c6 = cw.named_graph("cycle:6")
-    rotations = cw.close_group([ROTATION6])
+    rotations = cw.PermutationGroup.close([ROTATION6])
     with pytest.raises(NotConsistent):
         cw.successors(rotations, c6, (0, 1, 0))
 
@@ -142,7 +142,7 @@ def test_order_identity_on_random_walks(family):
     for edges in (NET_EDGES, TWO_TRIANGLES_EDGES):
         graph = cw.Graph(6, edges)
         cases.append((graph, cw.automorphism_group(graph)))
-    cases.append((cw.named_graph("cycle:6"), cw.close_group([ROTATION6])))
+    cases.append((cw.named_graph("cycle:6"), cw.PermutationGroup.close([ROTATION6])))
     for graph, group in cases:
         for _ in range(5):
             walk = oracles.random_consistent_walk(group, graph, rng)
@@ -178,7 +178,7 @@ TWO_TRIANGLES_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
 def census_case(name, family, censuses):
     """(graph, group, census) for a family name or one of three extra groups."""
     if name == "c6-rotations":
-        graph, group = cw.named_graph("cycle:6"), cw.close_group([ROTATION6])
+        graph, group = cw.named_graph("cycle:6"), cw.PermutationGroup.close([ROTATION6])
     elif name in ("net", "two-triangles"):
         graph = cw.Graph(6, NET_EDGES if name == "net" else TWO_TRIANGLES_EDGES)
         group = cw.automorphism_group(graph)
