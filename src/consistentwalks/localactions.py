@@ -11,7 +11,9 @@ Every search extends walks one vertex at a time and carries the shunts
 along: the shunts of an extension are the walk's shunts that send its last
 vertex to the new endpoint.  So only the walks a search starts from query
 the group, and successor counts and stabilizer orders come from the split
-of the shunts.
+of the shunts.  The exhaustive search starts from one arc per arc orbit:
+a trivial stabilizer and consistency are invariant under the group, so
+the other arcs' subtrees are images of the ones searched.
 """
 
 from __future__ import annotations
@@ -210,15 +212,28 @@ def find_trivial_walk_4valent(group: PermutationGroup,
 
 def _shunt_descent(group: PermutationGroup, graph: Graph, depth_cap: int
                    ) -> Iterator[tuple[Walk, list[Perm], dict[int, list[Perm]]]]:
-    """Every consistent walk of length <= ``depth_cap`` with its shunts, depth first.
+    """The consistent walks of length <= ``depth_cap`` from the least arc
+    of each arc orbit, with their shunts, depth first.
 
     Arcs come in lexicographic order, each followed by its extensions,
-    least endpoint first.  Yields (walk, shunts, shunts split by the image
-    of the last vertex).  Only the arcs query the group, each when its
-    turn comes: the shunts of walk + (x,) are the walk's shunts that send
-    its last vertex to x.
+    least endpoint first.  An arc in the G-orbit of an earlier arc is
+    skipped: an automorphism sending it to that arc maps its consistent
+    walks onto consistent walks of the same length there and conjugates
+    their stabilizers, so a G-invariant property such as a trivial
+    stabilizer holds below the skipped arc only if it holds below the
+    searched one.  That needs G to act by automorphisms of the graph.  An
+    arc's orbit is computed once its subtree is exhausted, so a consumer
+    that stops in the first subtree pays for none.
+
+    Yields (walk, shunts, shunts split by the image of the last vertex).
+    Only the searched arcs query the group, each when its turn comes: the
+    shunts of walk + (x,) are the walk's shunts that send its last vertex
+    to x.
     """
+    covered: set[tuple[int, ...]] = set()  # arcs in the orbit of a searched arc
     for arc in sorted((u, w) for u in range(graph.vertex_count) for w in graph.adj[u]):
+        if arc in covered:
+            continue
         shs = group.transporter(arc[:1], arc[1:])
         stack = [(arc, shs)] if shs else []
         while stack:
@@ -227,6 +242,7 @@ def _shunt_descent(group: PermutationGroup, graph: Graph, depth_cap: int
             yield walk, shs, by_end
             if len(walk) - 1 < depth_cap:
                 stack.extend((walk + (x,), by_end[x]) for x in sorted(by_end, reverse=True))
+        covered |= group.tuple_orbit(arc)
 
 
 def find_trivial_walk_exhaustive(group: PermutationGroup, graph: Graph,
@@ -239,9 +255,12 @@ def find_trivial_walk_exhaustive(group: PermutationGroup, graph: Graph,
     the images of v_n under its shunts; and |G_(w)| = |shunts| / |Succ|,
     since the shunts are the coset G_(v_0..v_{n-1}) * g0 (orbit–stabilizer).
     So G_(w) is trivial exactly when no two shunts send v_n to the same
-    vertex, and the group is queried at most once per arc.  The stabilizer
-    order of the returned walk is recomputed once; there is no other
-    certificate.
+    vertex, and the group is queried at most once per arc orbit.  Only the
+    least arc a of each arc orbit is searched, which returns the same first
+    witness: a witness below a later arc b of a's orbit has an image below
+    a, which is searched first.  So ``group`` must act by automorphisms of
+    ``graph``.  The stabilizer order of the returned walk is recomputed
+    once; there is no other certificate.
     """
     if depth_cap < 1:
         raise BadParameters(f"depth cap must be at least 1, got {depth_cap}")

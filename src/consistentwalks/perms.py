@@ -12,7 +12,9 @@ only :meth:`PermutationGroup.close`, the greedy generators and
 :meth:`PermutationGroup.min_generating_size`.  Point and tuple orbits use
 a breadth-first closure over the group's one generator tuple: those its
 closure kept, the automorphism search's strong generators, or (for a
-filtered subgroup) a greedy set computed on first read.  No other module
+filtered subgroup) a greedy set computed on first read;
+:func:`tuple_orbit_under` runs the same closure over any generators, so an
+orbit under a generated group needs no closure of that group.  No other module
 reads how a group is stored.  Everything here is immutable and safe to
 share.
 
@@ -158,6 +160,22 @@ def _closure(seen: set, frontier: list, gens: Sequence[Perm],
                         return seen
                     new.append(y)
         frontier = new
+    return seen
+
+
+def tuple_orbit_under(generators: Sequence[Perm], tup: Sequence[int],
+                      cap: int | None = None) -> set[tuple[int, ...]]:
+    """Orbit of a point tuple under the group ``generators`` generate,
+    coordinatewise, without closing that group.
+
+    Raises :class:`CapExceeded` once the orbit holds over ``cap`` tuples.
+    """
+    start = tuple(tup)
+    limit = math.inf if cap is None else cap
+    seen = _closure({start}, [start], generators, _tuple_getter, limit)
+    if len(seen) > limit:
+        raise CapExceeded(f"tuple orbit reached {len(seen)} tuples, "
+                          f"over the cap of {cap}")
     return seen
 
 
@@ -347,13 +365,7 @@ class PermutationGroup:
 
     def tuple_orbit(self, tup: Sequence[int], cap: int | None = None) -> set[tuple[int, ...]]:
         """Orbit of a point tuple under the coordinatewise action."""
-        start = tuple(tup)
-        limit = math.inf if cap is None else cap
-        seen = _closure({start}, [start], self.generators, _tuple_getter, limit)
-        if len(seen) > limit:
-            raise CapExceeded(f"tuple orbit reached {len(seen)} tuples, "
-                              f"over the cap of {cap}")
-        return seen
+        return tuple_orbit_under(self.generators, tup, cap)
 
     def transporter(self, src: Sequence[int], dst: Sequence[int]) -> list[Perm]:
         """All elements mapping ``src`` onto ``dst`` pointwise, sorted.

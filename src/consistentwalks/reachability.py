@@ -22,7 +22,7 @@ from .errors import (
     invariant,
 )
 from .graphs import Graph, is_arc_transitive
-from .perms import Perm, PermutationGroup
+from .perms import Perm, PermutationGroup, tuple_orbit_under
 from .walks import (
     Walk,
     apply_perm,
@@ -47,20 +47,18 @@ class ReachabilityReport:
                 "method": self.method, "witness": self.witness}
 
 
-def _shunt_group(group: PermutationGroup, walk: Walk, shunt: Perm) -> PermutationGroup:
-    """<G_prefix, shunt>: the group the walk's whole shunt coset generates."""
-    return PermutationGroup.close(group.pointwise_stabilizer(walk[:-1]).generators
-                                  + (shunt,), degree=group.degree)
-
-
 def reachability_by_shunt_group(group: PermutationGroup, graph: Graph,
                               walk: Sequence[int]) -> ReachabilityReport:
-    """Decide reachability via transitivity of the group the shunts generate."""
+    """Decide reachability via transitivity of the group the shunts generate.
+
+    The whole shunt coset G_prefix * s generates <G_prefix, s>.
+    """
     w = validate_walk(graph, walk)
     shs = shunts(group, graph, w)
     if not shs:
         raise NotConsistent(f"walk {w} has no shunt in the group")
-    shunt_group = _shunt_group(group, w, shs[0])
+    shunt_group = PermutationGroup.close(group.pointwise_stabilizer(w[:-1]).generators
+                                         + (shs[0],), degree=group.degree)
     verdict = shunt_group.is_transitive(range(graph.vertex_count))
     return ReachabilityReport(walk=w, verdict=verdict, method="shunt-group",
                            witness={"shunt_group_order": shunt_group.order,
@@ -248,6 +246,7 @@ def successor_reachability_classes(group: PermutationGroup, graph: Graph,
     full walk contributes the edge (its prefix -> its tail).  The classes,
     components of the symmetrized relation, are the G-images of the block
     p^H of H = <G_p, s>, as edges leave p*x only for p*s*h*x with h in G_p.
+    The block is a closure over H's generators; H itself is never built.
     ``cap`` bounds the prefix orbit, no longer the walk orbit.
     """
     w = validate_walk(graph, walk)
@@ -261,7 +260,8 @@ def successor_reachability_classes(group: PermutationGroup, graph: Graph,
         prefix_orbit = group.tuple_orbit(prefix, cap=cap)
     except CapExceeded as exc:
         raise OrbitTooLarge(str(exc)) from exc
-    block = _shunt_group(group, w, shs[0]).tuple_orbit(prefix)
+    block = tuple_orbit_under(group.pointwise_stabilizer(prefix).generators + (shs[0],),
+                              prefix)
     classes: list[frozenset[Walk]] = []
     placed: set[Walk] = set()
     for t in sorted(prefix_orbit):

@@ -178,6 +178,58 @@ def test_shunt_descent_carries_each_walks_shunts(name, family):
         assert len(shs) == len(by_end) * len(stabilizers[walk]), walk
 
 
+def orbit_least_consistent_walks(group, graph, max_length):
+    """Consistent walks of length 1..max_length from the least arc of each
+    arc orbit, in lexicographic order, by scanning the elements."""
+    least_arcs, covered = [], set()
+    for arc in sorted((u, w) for u in range(graph.vertex_count) for w in graph.adj[u]):
+        if arc not in covered:
+            least_arcs.append(arc)
+            covered |= {(g[arc[0]], g[arc[1]]) for g in group.elements}
+    found, frontier = [], least_arcs
+    while frontier:
+        frontier = [w for w in frontier if oracles.oracle_shunts(group, w)]
+        found += frontier
+        frontier = [w + (x,) for w in frontier if len(w) <= max_length
+                    for x in graph.adj[w[-1]]]
+    return sorted(found)
+
+
+def rotations_of_c6():
+    return cw.named_graph("cycle:6"), cw.PermutationGroup.close([cw.Perm((1, 2, 3, 4, 5, 0))])
+
+
+@pytest.mark.parametrize("name", [*FAMILY_VALENCE, "c6-rotations"])
+def test_shunt_descent_visits_walks_from_orbit_least_arcs(name, family):
+    graph, group = rotations_of_c6() if name == "c6-rotations" else family[name]
+    visited = [walk for walk, _, _ in _shunt_descent(group, graph, 3)]
+    assert visited == orbit_least_consistent_walks(group, graph, 3)
+
+
+@pytest.mark.parametrize("name", [*FAMILY_VALENCE, "c6-rotations"])
+def test_shunt_descent_queries_once_per_arc_orbit(name, family, monkeypatch):
+    graph, group = rotations_of_c6() if name == "c6-rotations" else family[name]
+    calls = {"transporter": 0, "tuple_orbit": 0}
+
+    def counting(method_name):
+        method = getattr(cw.PermutationGroup, method_name)
+
+        def counted(self, *args):
+            calls[method_name] += 1
+            return method(self, *args)
+        return counted
+    for method_name in calls:
+        monkeypatch.setattr(cw.PermutationGroup, method_name, counting(method_name))
+    descent = _shunt_descent(group, graph, 3)
+    next(descent)
+    # the first arc's orbit waits until its subtree is exhausted
+    assert calls == {"transporter": 1, "tuple_orbit": 0}
+    for _ in descent:
+        pass
+    arc_orbits = 2 if name == "c6-rotations" else 1  # C6's two directions
+    assert calls == {"transporter": arc_orbits, "tuple_orbit": arc_orbits}
+
+
 @pytest.mark.parametrize("name,finder", [
     ("q3", cw.find_trivial_walk_wps), ("petersen", cw.find_trivial_walk_wps),
     ("k5", cw.find_trivial_walk_4valent), ("q4", cw.find_trivial_walk_4valent),

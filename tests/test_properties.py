@@ -2,9 +2,10 @@
 
 Each graph circulant:n:S (n <= 12, at most three steps) is taken under
 its rotations Z_n, the dihedral group D_n, and its full automorphism
-group when that has at most 1000 elements.  These use the public API
-and the brute force in ``oracles``, so they hold whatever backend the
-groups use.
+group when that has at most 1000 elements.  The exhaustive trivial-walk
+search is checked against the census there and on four named graphs.
+These use the public API and the brute force in ``oracles``, so they
+hold whatever backend the groups use.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import consistentwalks as cw
-from consistentwalks.errors import CapExceeded
+from consistentwalks.errors import CapExceeded, NoWitness
 
 import oracles
 
@@ -42,6 +43,37 @@ def acting_group(kind, graph):
         return None
 
 
+def exhaustive_search_agrees_with_census(group, graph, table):
+    """On at most 64 vertices the default depth cap of 64 reaches every
+    consistent cycle, and a consistent walk has a trivial stabilizer
+    exactly when some consistent cycle does: the walk's induced cycle
+    holds its vertices, and a cycle's representative is such a walk.  So
+    the search ends in NoWitness exactly when no census record is trivial.
+    Returns whether a witness exists."""
+    assert graph.vertex_count <= 64
+    trivial_record = any(r.stabilizer_order == 1 for r in table.records)
+    try:
+        cw.find_trivial_walk_exhaustive(group, graph)
+    except NoWitness:
+        assert not trivial_record
+        return False
+    assert trivial_record
+    return True
+
+
+@pytest.mark.parametrize("spec,m,witness", [
+    ("hypercube:3", 2, False), ("petersen", 2, False),
+    ("cycle:4", 2, True), ("hypercube:5", 1, True),
+])
+def test_exhaustive_search_no_witness_iff_no_trivial_census_record(spec, m, witness):
+    graph = cw.named_graph(spec)
+    if m > 1:
+        graph = cw.lex_blowup(graph, m)[0]
+    group = cw.automorphism_group(graph)
+    table = cw.consistent_cycle_orbits(group, graph)
+    assert exhaustive_search_agrees_with_census(group, graph, table) == witness
+
+
 @pytest.mark.parametrize("kind", ["cyclic", "dihedral", "aut"])
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
 @given(spec=connected_circulants())
@@ -51,6 +83,7 @@ def test_census_properties_on_circulants(kind, spec):
     if group is None:
         return
     table = cw.consistent_cycle_orbits(group, graph)
+    exhaustive_search_agrees_with_census(group, graph, table)
     assert len(table.records) == graph.valence()
     for record in table.records:
         assert record.orbit_size * record.stabilizer_order == group.order
