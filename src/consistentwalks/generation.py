@@ -22,7 +22,7 @@ from collections.abc import Sequence
 
 from .errors import NotConnected, NotConsistent, NotVertexTransitive, invariant
 from .graphs import Graph
-from .perms import Perm, PermutationGroup
+from .perms import Perm, PermutationGroup, generated_order
 from .walks import Walk, consistent_cycle_orbits, shunts
 
 EXACT_DELTA_ORDER_LIMIT = 200
@@ -148,9 +148,11 @@ def verify_generation(group: PermutationGroup, graph: Graph) -> GenerationReport
     """Build the shunt set, verify it generates, report generator bounds.
 
     The chosen walk is the representative with the smallest stabilizer
-    (trivial first, then lexicographic); the closure of the shunts with its
-    stabilizer must be the whole group, and the shunts alone must generate
-    whenever that stabilizer is trivial.
+    (trivial first, then lexicographic); the shunts with its stabilizer
+    must generate the whole group, and the shunts alone must generate
+    whenever that stabilizer is trivial.  No join is closed: the order of
+    H = <shunts>, and of <shunts, G_(w)>, is |0^H| * |H_0|, with H_0 closed
+    from its Schreier generators inside G_0 (:func:`perms.generated_order`).
     """
     if not graph.connected:
         raise NotConnected("generation needs a connected graph")
@@ -159,13 +161,13 @@ def verify_generation(group: PermutationGroup, graph: Graph) -> GenerationReport
         raise NotVertexTransitive("generation needs a vertex-transitive group")
     reps = [r.representative for r in table.records]
     shunt_set = shunt_generating_set(group, graph, reps)
-    shunt_group = PermutationGroup.close(shunt_set, degree=group.degree)
-    generates = shunt_group.order == group.order
+    shunt_group_order = generated_order(group.degree, shunt_set)
+    generates = shunt_group_order == group.order
     chosen = min(table.records, key=lambda r: (r.stabilizer_order, r.representative))
     chosen_stab = group.pointwise_stabilizer(chosen.representative[:-1])
     # <shunts, G_(w)> contains <shunts>, so it is G whenever the shunts generate
-    with_stab_generates = generates or PermutationGroup.close(
-        shunt_set + list(chosen_stab.generators), degree=group.degree).order == group.order
+    with_stab_generates = generates or generated_order(
+        group.degree, shunt_set + list(chosen_stab.generators)) == group.order
     invariant(with_stab_generates,
               "shunts plus the walk stabilizer failed to generate the group")
     if chosen_stab.order == 1:
@@ -176,7 +178,7 @@ def verify_generation(group: PermutationGroup, graph: Graph) -> GenerationReport
     min_generators_exact = (group.min_generating_size()
                    if group.order <= EXACT_DELTA_ORDER_LIMIT else None)
     return GenerationReport(
-        shunts=tuple(shunt_set), shunt_group_order=shunt_group.order,
+        shunts=tuple(shunt_set), shunt_group_order=shunt_group_order,
         group_order=group.order, valence=graph.valence(),
         chosen_walk=chosen.representative,
         chosen_walk_stabilizer_order=chosen_stab.order, generates=generates,

@@ -5,8 +5,9 @@ backtracking along the base 0..n-1, run level by level from the deepest
 point: at each level it looks for one automorphism per point that the
 stabilizer found so far does not yet reach, so it returns a strong
 generating set and |Aut| as a product of orbit lengths, not one leaf per
-automorphism.  The group is closed once from them, after the order has
-been checked against the cap.  Graphs are limited to 64 vertices, so
+automorphism.  Once the order has been checked against the cap, the group
+is kept as the stabilizer chain of those generators, and no element is
+built until one is read.  Graphs are limited to 64 vertices, so
 neighborhoods fit in machine-int bitmasks.
 """
 
@@ -309,13 +310,16 @@ def check_search_size(vertex_count: int) -> None:
 
 
 def automorphism_group(graph: Graph, cap: int = DEFAULT_GROUP_CAP) -> PermutationGroup:
-    """The full automorphism group, expanded from its strong generators.
+    """The full automorphism group, as the stabilizer chain of its strong generators.
 
     The level-by-level search (:func:`_strong_generators`) gives |Aut| as
     a product of orbit lengths before any element is built, so a group
-    over ``cap`` is refused with its exact order.  Otherwise its elements
-    are expanded from the basic transversals, and it keeps the search's
-    strong generators as its generators.
+    over ``cap`` is refused with its exact order.  Otherwise the group
+    keeps the search's strong generators as its generators and as a
+    stabilizer chain (:meth:`PermutationGroup.from_strong_generators`):
+    queries rooted at its first base point, 0 on a vertex-transitive
+    graph, are answered inside that point's stabilizer, and the elements
+    are expanded from the basic transversals only when read.
     Candidate masks are machine-int bitmasks, so graphs over
     ``AUTOMORPHISM_VERTEX_LIMIT`` vertices are refused.
     """

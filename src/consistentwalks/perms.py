@@ -3,29 +3,36 @@
 Permutations act on the right throughout: ``v ** (g*h) == (v ** g) ** h``
 in exponent notation, i.e. ``(g*h)[v] == h[g[v]]``.  A product is one C
 call, ``operator.itemgetter(*g)(h)``, and the closures below build each
-getter once and apply it to many permutations.  Groups are fully
-materialized.  The automorphism group is expanded from its basic
-transversals (:meth:`PermutationGroup.from_strong_generators`), already in
-lexicographic order and one product per element.  Dimino's closure, which
-grows the subgroup generated so far a whole right coset at a time, backs
-only :meth:`PermutationGroup.close`, the greedy generators and
-:meth:`PermutationGroup.min_generating_size`.  Point and tuple orbits use
-a breadth-first closure over the group's one generator tuple: those its
+getter once and apply it to many permutations.  A closed group is
+materialized: Dimino's closure, which grows the subgroup generated so far a
+whole right coset at a time, backs :meth:`PermutationGroup.close`, the
+greedy generators and :meth:`PermutationGroup.min_generating_size`.  The
+automorphism group is a stabilizer chain instead
+(:meth:`PermutationGroup.from_strong_generators`): its first base point
+beta, the Schreier-tree transversal of beta's orbit, and G_beta, itself a
+chain.  Its order is a product of orbit lengths, membership is a sift, and
+its elements are expanded from the transversals, already in lexicographic
+order, only when something reads them.  Point and tuple orbits use a
+breadth-first closure over the group's one generator tuple: those its
 closure kept, the automorphism search's strong generators, or (for a
 filtered subgroup) a greedy set computed on first read;
 :func:`tuple_orbit_under` runs the same closure over any generators, so an
-orbit under a generated group needs no closure of that group.  No other module
-reads how a group is stored.  Everything here is immutable and safe to
-share.
+orbit under a generated group needs no closure of that group, and
+:func:`generated_order` gives the order of a generated group from an orbit
+and its point stabilizer.  No other module reads how a group is stored.
+Everything here is immutable and safe to share.
 
 ``PermutationGroup.transporter``, behind every stabilizer and shunt query,
-answers from a per-source-point bucket index: for a point ``a`` it holds
-the element positions grouped by the image of ``a``, so a query starts
-from the |G|/|orbit| elements sending ``src[0]`` to ``dst[0]`` instead of
-all of G.  A point's row is built on its first query, at 2 bytes per
-element (4 above 65,536 elements); a group that is never queried builds
-none.  Rows are a cache of the immutable element list: two racing builds
-of one row store equal rows.
+answers a query whose first source point is a chain's base point beta
+inside G_beta, through the transversal element sending beta to the first
+target point, and reads no element of the whole group.  Any other query
+uses a per-source-point bucket index: for a point ``a`` it holds the
+element positions grouped by the image of ``a``, so a query starts from
+the |G|/|orbit| elements sending ``src[0]`` to ``dst[0]`` instead of all
+of G.  A point's row is built on its first query, at 2 bytes per element
+(4 above 65,536 elements); a group that is never queried this way builds
+none and, as a chain, expands no element.  Rows and expanded elements are
+caches of immutable data: two racing builds store equal values.
 
 Each answer is computed once.  A ``PermutationGroup`` trusts its element
 list to be a group in lexicographic order, and a transporter answer is not
@@ -235,28 +242,50 @@ def _dimino(degree: int, candidates: Iterable[Perm],
     return seen, kept
 
 
-class PermutationGroup:
-    """A finite permutation group with a materialized element set.
+def generated_order(degree: int, generators: Sequence[Perm]) -> int:
+    """|H| for H = <generators>, as |0^H| * |H_0| (orbit–stabilizer).
 
-    ``elements`` must already form a group and come in lexicographic
-    order, so every iteration order downstream is deterministic, the
-    identity comes first and membership is a bisection.  The constructor
-    checks only that the identity comes first, in O(1), not order, closure
-    or inverses.  Every caller passes a sorted group by construction: a
-    Dimino closure sorted once (:meth:`close`), a transversal expansion
-    (:meth:`from_strong_generators`) or the sorted transporter answer of a
-    group fixing given points (:meth:`pointwise_stabilizer`).
+    H_0 is closed by Dimino's closure from the Schreier generators
+    u_x * s * u_(s[x])^-1, for x in the orbit and s a generator, where u is
+    the orbit's transversal (Schreier's lemma), so H itself is never built.
+    The closure is as large as H_0: a caller bounds it by knowing H to lie
+    in a group whose point stabilizer G_0 it can afford.
+    """
+    trans = _transversal(degree, 0, generators)
+    inverses = {b: u.inverse() for b, u in trans.items()}
+    schreier = (trans[x] * s * inverses[s[x]] for x in trans for s in generators)
+    return len(trans) * len(_dimino(degree, schreier)[0])
+
+
+class PermutationGroup:
+    """A finite permutation group, materialized or a stabilizer chain.
+
+    ``elements`` is a group in lexicographic order, so every iteration
+    order downstream is deterministic and the identity comes first.  A
+    group built by the constructor holds them from the start: it checks
+    only that the identity comes first, in O(1), not order, closure or
+    inverses, and every caller passes a sorted group by construction, a
+    Dimino closure sorted once (:meth:`close`) or the sorted transporter
+    answer of a group fixing given points (:meth:`pointwise_stabilizer`).
+    Membership is then a bisection.
+
+    A chain (:meth:`from_strong_generators`) holds a base point beta, the
+    transversal of beta's orbit and G_beta, and expands its elements on
+    first read.  Its order, its membership test and every query whose
+    first source point is beta go down the chain instead.
     """
 
-    __slots__ = ("degree", "elements", "_generators", "_index")
+    __slots__ = ("degree", "_elements", "_generators", "_index", "_chain")
 
     def __init__(self, degree: int, elements: Iterable[Perm], generators=None):
         self.degree = degree
-        self.elements: tuple[Perm, ...] = tuple(elements)
+        self._elements: tuple[Perm, ...] | None = tuple(elements)
         self._generators = tuple(generators) if generators is not None else None
         # source point -> (element positions grouped by image, bucket offsets)
         self._index: dict[int, tuple[array, list[int]]] = {}
-        if not self.elements or self.elements[0] != Perm.identity(degree):
+        # (beta, beta's orbit point b -> u with u[beta] == b, G_beta), or None
+        self._chain: tuple[int, dict[int, Perm], PermutationGroup] | None = None
+        if not self._elements or self._elements[0] != Perm.identity(degree):
             raise BadParameters("identity missing from element set")
 
     # -- construction ------------------------------------------------------
@@ -288,30 +317,52 @@ class PermutationGroup:
     @classmethod
     def from_strong_generators(cls, degree: int,
                                generators: Sequence[Perm]) -> "PermutationGroup":
-        """The group of strong generators for the base 0..degree-1, expanded
-        from its basic transversals; the generators stay the group's own.
+        """The group of strong generators for the base 0..degree-1, as a
+        stabilizer chain; the generators stay the group's own.
 
         The generators moving no point below i generate G_i, the stabilizer
-        of 0..i-1, and every element of G_i is u*r for one u in G_(i+1) and
-        one r in the transversal of i's orbit (Sims 1970).  So every element
-        g is u_(n-1) * ... * u_0, read off level by level, and the prefix
-        r = u_(i-1) * ... * u_0 already fixes g[0..i-1] while g[i] = r[b]
-        for the u_i sending i to b.  Expanding each prefix r in the order of
-        r[b] therefore lists the elements in lexicographic order, one
-        product per element of each level.
+        of 0..i-1 (Sims 1970).  So every generator fixes each point below
+        beta, the least point any of them moves, and those moving no point
+        up to beta generate G_beta, built the same way.  Nothing is
+        expanded: the group keeps beta, the Schreier-tree transversal of
+        beta's orbit and G_beta, and ``order`` is the orbit length times
+        |G_beta|.
         """
+        generators = tuple(generators)
         firsts = [next((v for v, x in enumerate(g) if v != x), degree)
                   for g in generators]
-        elements = [Perm.identity(degree)]
-        for i in range(degree):
-            level = [g for g, first in zip(generators, firsts) if first >= i]
-            trans = _transversal(degree, i, level)
-            if len(trans) == 1:
-                continue
+        group = cls.__new__(cls)
+        group.degree, group._generators, group._index = degree, generators, {}
+        group._elements, group._chain = None, None
+        beta = min(firsts, default=degree)
+        if beta == degree:
+            group._elements = (Perm.identity(degree),)
+        else:
+            rest = [g for g, first in zip(generators, firsts) if first > beta]
+            group._chain = (beta, _transversal(degree, beta, generators),
+                            cls.from_strong_generators(degree, rest))
+        return group
+
+    def _expand(self) -> tuple[Perm, ...]:
+        """A chain's elements in lexicographic order, from its transversals.
+
+        Every element of a chain group is h*u for one h in G_beta and one u
+        in the transversal, so with base points beta_1 < beta_2 < ... every
+        element g is u_k * ... * u_1, read off level by level, and
+        the prefix r = u_(i-1) * ... * u_1 already fixes g at every point
+        below beta_i while g[beta_i] = r[b] for the u_i sending beta_i to b.
+        Expanding each prefix r in the order of r[b] therefore lists the
+        elements in lexicographic order, one product per element of each
+        level.
+        """
+        elements = [Perm.identity(self.degree)]
+        group = self
+        while group._chain is not None:
+            _, trans, group = group._chain
             getters = {b: itemgetter(*u) for b, u in trans.items()}
             elements = [Perm(getters[b](r)) for r in elements
                         for b in sorted(trans, key=r.__getitem__)]
-        return cls(degree, elements, generators=generators)
+        return tuple(elements)
 
     def to_json(self) -> dict:
         return {"degree": self.degree,
@@ -320,8 +371,17 @@ class PermutationGroup:
     # -- basic queries -----------------------------------------------------
 
     @property
+    def elements(self) -> tuple[Perm, ...]:
+        if self._elements is None:
+            self._elements = self._expand()
+        return self._elements
+
+    @property
     def order(self) -> int:
-        return len(self.elements)
+        if self._chain is None:
+            return len(self.elements)
+        _, trans, stabilizer = self._chain
+        return len(trans) * stabilizer.order
 
     @property
     def identity(self) -> Perm:
@@ -334,14 +394,26 @@ class PermutationGroup:
         return self._generators
 
     def __contains__(self, p) -> bool:
-        i = bisect.bisect_left(self.elements, p)
-        return i < len(self.elements) and self.elements[i] == p
+        """A bisection of the elements, or down a chain a sift: p lies in
+        the chain group iff u = u_(p[beta]) exists and p * u^-1 lies in G_beta."""
+        if len(p) != self.degree:
+            return False
+        group = self
+        while group._chain is not None:
+            beta, trans, group = group._chain
+            u = trans.get(p[beta])
+            if u is None:
+                return False
+            p = Perm(_tuple_getter(p)(u.inverse()))
+        elements = group.elements
+        i = bisect.bisect_left(elements, p)
+        return i < len(elements) and elements[i] == p
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
     def __repr__(self) -> str:
         return f"<PermutationGroup degree={self.degree} order={self.order}>"
@@ -371,21 +443,38 @@ class PermutationGroup:
         """All elements mapping ``src`` onto ``dst`` pointwise, sorted.
 
         A coset of the pointwise stabilizer of ``src``, or empty; the empty
-        tuples give every element.
+        tuples give every element.  When ``src`` starts at a chain's base
+        point, the answer comes from G_beta and reads no element of the
+        chain group; otherwise from the bucket index.
         """
         if len(src) != len(dst):
             raise BadParameters(f"point tuples {tuple(src)} and {tuple(dst)} differ in length")
         for p in itertools.chain(src, dst):
             if not 0 <= p < self.degree:
                 raise BadParameters(f"point {p} outside degree {self.degree}")
+        # down the chain while src starts at its base point: g = h * u for
+        # the u sending beta to dst[0] and h in G_beta sending the rest of
+        # src to u^-1 of the rest of dst
+        group, lift = self, None
+        while src and group._chain is not None and src[0] == group._chain[0]:
+            _, trans, group = group._chain
+            u = trans.get(dst[0])
+            if u is None:
+                return []
+            back = u.inverse()
+            src, dst = src[1:], [back[b] for b in dst[1:]]
+            lift = u if lift is None else u * lift
         if not src:
-            return list(self.elements)
-        order, offsets = self._index_row(src[0])
-        elements = self.elements
-        found = [elements[i] for i in order[offsets[dst[0]]:offsets[dst[0] + 1]]]
-        for a, b in itertools.islice(zip(src, dst), 1, None):
-            found = [g for g in found if g[a] == b]
-        return found
+            found = list(group.elements)
+        else:
+            order, offsets = group._index_row(src[0])
+            elements = group.elements
+            found = [elements[i] for i in order[offsets[dst[0]]:offsets[dst[0] + 1]]]
+            for a, b in itertools.islice(zip(src, dst), 1, None):
+                found = [g for g in found if g[a] == b]
+        if lift is None:
+            return found
+        return sorted(Perm(itemgetter(*h)(lift)) for h in found)
 
     def _index_row(self, a: int) -> tuple[array, list[int]]:
         """Element positions stably sorted by the image of ``a``, and the
@@ -405,11 +494,18 @@ class PermutationGroup:
         return row
 
     def pointwise_stabilizer(self, points: Sequence[int]) -> "PermutationGroup":
-        """Subgroup fixing every listed point; the empty tuple gives the group itself."""
-        pts = tuple(points)
+        """Subgroup fixing every listed point; the empty tuple gives the group itself.
+
+        Points that start at a chain's base point beta are G_beta's own
+        stabilizer of the rest, so (beta,) alone gives G_beta with its
+        strong generators.
+        """
+        group, pts = self, tuple(points)
+        while pts and group._chain is not None and pts[0] == group._chain[0]:
+            group, pts = group._chain[2], pts[1:]
         if not pts:
-            return self
-        return PermutationGroup(self.degree, self.transporter(pts, pts))
+            return group
+        return PermutationGroup(group.degree, group.transporter(pts, pts))
 
     def is_transitive(self, domain: Iterable[int] | None = None) -> bool:
         """True iff one orbit covers ``domain`` (default: all points)."""

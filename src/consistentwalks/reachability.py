@@ -72,26 +72,34 @@ def reachability_by_chase(group: PermutationGroup, graph: Graph,
 
     Successors are explored in lexicographic order, so the witness chain to
     ``target`` is reproducible.  Verdict is true iff every vertex of the
-    graph is the last vertex of some reachable walk.
+    graph is the last vertex of some reachable walk.  The group is queried
+    once, for the walk's shunts: an element t carries successors to
+    successors, Succ(w^t) = Succ(w)^t, so each reached walk w^t carries its
+    t, and a child reached by the shunt h carries h * t.
     """
     w = validate_walk(graph, walk)
     if target is not None and not 0 <= target < graph.vertex_count:
         raise BadParameters(f"target {target} outside 0..{graph.vertex_count - 1}")
+    shs = group.transporter(w[:-1], w[1:])
+    if not shs:
+        raise NotConsistent(f"walk {w} has no shunt in the group")
+    # each successor of w with one shunt reaching it
+    steps = {apply_perm(h, w): h for h in shs}
     total = graph.vertex_count
     reached = {w[-1]}
     parent: dict[Walk, Walk | None] = {w: None}
     target_walk = w if target == w[-1] else None
-    frontier = [w]
+    frontier = [(w, group.identity)]
     while frontier and len(reached) < total:
         next_frontier = []
-        for cur in frontier:
-            for s in successors(group, graph, cur):
-                if s not in parent:
-                    parent[s] = cur
-                    next_frontier.append(s)
-                    reached.add(s[-1])
-                    if target_walk is None and s[-1] == target:
-                        target_walk = s
+        for cur, t in frontier:
+            for child, h in sorted((apply_perm(t, s), h) for s, h in steps.items()):
+                if child not in parent:
+                    parent[child] = cur
+                    next_frontier.append((child, h * t))
+                    reached.add(child[-1])
+                    if target_walk is None and child[-1] == target:
+                        target_walk = child
         frontier = sorted(next_frontier)
     verdict = len(reached) == total
     chain: list[list[int]] | None = None

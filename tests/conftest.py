@@ -36,23 +36,37 @@ def group_answers_rederived():
     The library computes each answer once.  Here, for the whole session,
     every ``PermutationGroup`` is checked to list its elements in strictly
     increasing order, which its constructor trusts, and to be closed under
-    inverses; every transporter answer to map ``src`` onto ``dst``, and
-    every nonempty one to be the coset g0 * G_(dst) of its least element g0.  That covers
-    every shunt set, and with it every successor set:
-    apply_perm(g0 * h, w) == apply_perm(h, apply_perm(g0, w)).  The methods
-    are wrapped on the class itself, so every caller in every module goes
-    through the checks.
+    inverses: a group built by the constructor when it is built, and a
+    stabilizer chain, built without the constructor, when its elements are
+    expanded, whose count must then be its order.  Every transporter answer
+    must map ``src`` onto ``dst``, and every nonempty one must be the coset
+    G_(src) * g0 of its least element g0, which keeps the check on the
+    route that ``src`` selects.  That covers every shunt set, and with it
+    every successor set: apply_perm(h * g0, w) == apply_perm(g0,
+    apply_perm(h, w)).  The methods are wrapped on the class itself, so
+    every caller in every module goes through the checks.
     """
-    init, transporter = PermutationGroup.__init__, PermutationGroup.transporter
+    init, expand = PermutationGroup.__init__, PermutationGroup._expand
+    transporter = PermutationGroup.transporter
+
+    def check_elements(group, elements):
+        assert all(a < b for a, b in zip(elements, elements[1:])), (
+            f"elements of {group!r} are not in strictly increasing order")
+        members = set(elements)
+        for p in elements:
+            assert p.inverse() in members, f"inverse of {p} missing from {group!r}"
 
     @functools.wraps(init)
     def checked_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        elements = self.elements
-        assert all(a < b for a, b in zip(elements, elements[1:])), (
-            f"elements of {self!r} are not in strictly increasing order")
-        for p in elements:
-            assert p.inverse() in self, f"inverse of {p} missing from {self!r}"
+        check_elements(self, self.elements)
+
+    @functools.wraps(expand)
+    def checked_expand(self):
+        elements = expand(self)
+        check_elements(self, elements)
+        assert len(elements) == self.order, f"{self!r} expanded to {len(elements)} elements"
+        return elements
 
     @functools.wraps(transporter)
     def checked_transporter(self, src, dst):
@@ -62,16 +76,18 @@ def group_answers_rederived():
             f"transporter {tuple(src)} -> {tuple(dst)} returned a non-transporting element")
         if found and tuple(src) != tuple(dst):
             g0 = found[0]
-            assert {g0 * h for h in transporter(self, dst, dst)} == set(found), (
-                f"transporter {tuple(src)} -> {tuple(dst)} is not a coset of G_{tuple(dst)}")
+            assert {h * g0 for h in transporter(self, src, src)} == set(found), (
+                f"transporter {tuple(src)} -> {tuple(dst)} is not a coset of G_{tuple(src)}")
         return found
 
     PermutationGroup.__init__ = checked_init
+    PermutationGroup._expand = checked_expand
     PermutationGroup.transporter = checked_transporter
     try:
         yield
     finally:
         PermutationGroup.__init__ = init
+        PermutationGroup._expand = expand
         PermutationGroup.transporter = transporter
 
 

@@ -146,6 +146,41 @@ def exhaustive_trivial_walk(group: cw.PermutationGroup, graph: cw.Graph,
     return None
 
 
+def chase_by_successor_queries(group: cw.PermutationGroup, graph: cw.Graph,
+                               walk, target=None) -> dict:
+    """The reachability chase with one successor query per reached walk:
+    breadth first, each frontier sorted and each walk's successors in
+    order, so the first walk found ending at ``target`` gives the chain.
+    The library's chase before it carried one element per reached walk.
+    Returns the verdict, the vertices reached and the chain."""
+    w = tuple(walk)
+    reached = {w[-1]}
+    parent = {w: None}
+    target_walk = w if target == w[-1] else None
+    frontier = [w]
+    while frontier and len(reached) < graph.vertex_count:
+        next_frontier = []
+        for cur in frontier:
+            for s in cw.successors(group, graph, cur):
+                if s not in parent:
+                    parent[s] = cur
+                    next_frontier.append(s)
+                    reached.add(s[-1])
+                    if target_walk is None and s[-1] == target:
+                        target_walk = s
+        frontier = sorted(next_frontier)
+    chain = None
+    if target is not None and target_walk is not None:
+        chain = []
+        node = target_walk
+        while node != w:
+            chain.append(list(node))
+            node = parent[node]
+        chain.reverse()
+    return {"verdict": len(reached) == graph.vertex_count, "reached": reached,
+            "chain": chain}
+
+
 def all_rooted_cycles(graph: cw.Graph) -> set[tuple[int, ...]]:
     """Every rooted directed cycle (including trivial ones) by path DFS."""
     out: set[tuple[int, ...]] = set()

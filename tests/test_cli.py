@@ -3,8 +3,10 @@ import time
 
 import pytest
 
+from consistentwalks import cli
 from consistentwalks.cli import main
-from consistentwalks.graphs import Graph
+from consistentwalks.graphs import Graph, lex_blowup, named_graph
+from consistentwalks.perms import PermutationGroup
 
 
 def run_cli(args, capsys):
@@ -429,3 +431,67 @@ def test_blowup_demo_small(capsys):
     assert payload["blowup_group_order"] == 1152
     assert payload["no_trivial_stabilizer"] in (True, False)
     assert len(payload["family"]["cycles"]) == 4
+
+
+@pytest.fixture(scope="module")
+def q3k2_file(tmp_path_factory):
+    graph = lex_blowup(named_graph("hypercube:3"), 2)[0]
+    path = tmp_path_factory.mktemp("graphs") / "q3k2.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in graph.edges()))
+    return str(path)
+
+
+COLD_QUERIES = {
+    "orbits": ["orbits", "--graph", "Q3[2K1]"],
+    "generators": ["generators", "--graph", "Q3[2K1]"],
+    "trivial-walk": ["trivial-walk", "--graph", "Q3[2K1]", "--method", "exhaustive",
+                     "--depth-cap", "4"],
+    "property-r": ["property-r", "--graph", "Q3[2K1]", "--walk", "0,2,6", "--target", "15"],
+    "blowup-demo": ["blowup-demo", "--graph", "hypercube:3", "--m", "2"],
+}
+
+
+def payload_with_groups(argv, monkeypatch, capsys, prepare):
+    """The payload (or error) of ``argv``, each automorphism group the CLI
+    builds passed through ``prepare`` first, and those groups."""
+    search = cli.automorphism_group
+    built = []
+
+    def prepared_search(*args, **kwargs):
+        group = search(*args, **kwargs)
+        built.append(group)
+        return prepare(group)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "automorphism_group", prepared_search)
+        code, out, err = run_cli(argv, capsys)
+    assert code in (0, 1), err
+    return (json.loads(out)["payload"] if code == 0 else json.loads(err)), built
+
+
+@pytest.mark.parametrize("name", sorted(COLD_QUERIES))
+def test_cold_queries_never_expand_aut(name, q3k2_file, monkeypatch, capsys):
+    # every query here is rooted at 0, so Aut's stabilizer chain answers it
+    argv = [q3k2_file if a == "Q3[2K1]" else a for a in COLD_QUERIES[name]]
+    expand = PermutationGroup._expand
+    expanded = []
+
+    def counting_expand(self):
+        expanded.append(self)
+        return expand(self)
+
+    monkeypatch.setattr(PermutationGroup, "_expand", counting_expand)
+    cold, built = payload_with_groups(argv, monkeypatch, capsys, lambda group: group)
+    assert len(built) == (2 if name == "blowup-demo" else 1)
+    assert not [g for g in expanded if any(g is aut for aut in built)]
+
+    def read_elements(group):
+        assert len(group.elements) == group.order
+        return group
+
+    warm, _ = payload_with_groups(argv, monkeypatch, capsys, read_elements)
+    assert warm == cold
+    closed, _ = payload_with_groups(
+        argv, monkeypatch, capsys,
+        lambda group: PermutationGroup.close(group.generators, degree=group.degree))
+    assert closed == cold

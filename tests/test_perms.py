@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations, product
 
@@ -371,3 +372,76 @@ def test_transversal_expansion_is_closed_under_strong_generators(ladder):
     for name, (graph, group) in ladder.items():
         strong = graphs_module._strong_generators(graph)[0]
         assert all(p * g in group for p in group.elements for g in strong), name
+
+
+def base_point(group: PermutationGroup) -> int:
+    """The least point any generator moves: a stabilizer chain's first base point."""
+    return min((v for g in group.generators for v, x in enumerate(g) if v != x),
+               default=0)
+
+
+@pytest.fixture(scope="module")
+def routed_groups(family, tmp_path_factory):
+    """name -> group: Aut of the eight family graphs and of hypercube:5, each
+    Aut's first point stabilizer, and the closure of a --group-file."""
+    from consistentwalks import cli
+    groups = {name: aut for name, (_, aut) in family.items()}
+    groups["q5"] = cw.automorphism_group(cw.named_graph("hypercube:5"))
+    for name, aut in list(groups.items()):
+        groups[f"{name}_0"] = aut.pointwise_stabilizer((base_point(aut),))
+    # Aut(Q3)_0 from a group file: a closed group, not transitive
+    path = tmp_path_factory.mktemp("group") / "q3_0.json"
+    path.write_text(json.dumps([list(g) for g in groups["q3_0"].generators]))
+    args = cli.build_parser().parse_args(
+        ["orbits", "--graph", "hypercube:3", "--group-file", str(path)])
+    groups["q3_0_file"] = cli.parse_inputs(args)[1]
+    return groups
+
+
+def test_base_point_route_matches_plain_scan(routed_groups):
+    rng = random.Random(20261019)
+    for name, group in routed_groups.items():
+        n, beta = group.degree, base_point(group)
+        # half the queries go down two levels of a chain
+        second = base_point(group.pointwise_stabilizer((beta,)))
+        assert group.order == len(group.elements), name
+        elements = group.elements
+        queries = [((beta,), (b,)) for b in range(n)]
+        for _ in range(40):
+            src = (beta, second if rng.random() < 0.5 else rng.randrange(n))
+            src += tuple(rng.randrange(n) for _ in range(rng.randint(0, 1)))
+            if rng.random() < 0.5:
+                dst = tuple(rng.randrange(n) for _ in src)
+            else:
+                g = elements[rng.randrange(len(elements))]
+                dst = tuple(g[a] for a in src)
+            queries.append((src, dst))
+        for src, dst in queries:
+            found = group.transporter(src, dst)
+            assert found == oracles.oracle_transporter(group, src, dst), (name, src, dst)
+            assert found == sorted(found), (name, src, dst)
+        for rest in [()] + [tuple(rng.randrange(n) for _ in range(k)) for k in (1, 1, 2, 2)]:
+            points = (beta,) + rest
+            stab = group.pointwise_stabilizer(points)
+            assert set(stab.elements) == set(oracles.oracle_stabilizer(group, points)), (
+                name, points)
+            assert stab.order == len(stab.elements), (name, points)
+        members = set(elements)
+        transpositions = [Perm.from_cycles(n, (a, b)) for a in range(n) for b in range(a + 1, n)]
+        shuffled = [Perm(rng.sample(range(n), n)) for _ in range(50)]
+        for p in [*elements, *transpositions, *shuffled]:
+            assert (p in group) == (p in members), (name, p)
+        for src, dst in (((beta,), (-1,)), ((beta,), (n,)), ((beta, n), (beta, 0)),
+                         ((beta, 0), (n, 0)), ((beta, 0), (0, -1)), ((beta,), ())):
+            with pytest.raises(BadParameters):
+                group.transporter(src, dst)
+        for points in ((beta, -1), (beta, n)):
+            with pytest.raises(BadParameters):
+                group.pointwise_stabilizer(points)
+
+
+def test_base_point_stabilizer_keeps_strong_generators(family):
+    for name, (_, aut) in family.items():
+        stab = aut.pointwise_stabilizer((0,))
+        assert stab.generators == tuple(g for g in aut.generators if g[0] == 0), name
+        assert aut.pointwise_stabilizer((0,)) is stab, name

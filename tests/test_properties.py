@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import consistentwalks as cw
+from consistentwalks import generation
 from consistentwalks.errors import CapExceeded, NoWitness
+from consistentwalks.perms import generated_order
 
 import oracles
 
@@ -115,3 +117,49 @@ def test_walk_properties_on_circulants(kind, spec, seed):
     prefix_order = group.pointwise_stabilizer(walk[:-1]).order
     walk_order = group.pointwise_stabilizer(walk).order
     assert prefix_order == walk_order * cw.successor_count(group, graph, walk)
+
+
+def closed_order(degree, generators):
+    return cw.PermutationGroup.close(generators, degree=degree).order
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "dihedral", "aut"])
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(spec=connected_circulants())
+def test_generated_order_matches_closure_on_circulants(kind, spec):
+    # under Z_n and D_n the shunts generate at most that proper subgroup of Aut
+    graph = cw.named_graph(spec)
+    group = acting_group(kind, graph)
+    if group is None:
+        return
+    reps = [r.representative for r in cw.consistent_cycle_orbits(group, graph).records]
+    shunt_set = cw.shunt_generating_set(group, graph, reps)
+    n = graph.vertex_count
+    for gens in (shunt_set, *([s] for s in shunt_set)):
+        assert generated_order(n, gens) == closed_order(n, gens), (spec, gens)
+
+
+def test_generated_order_of_sets_that_do_not_generate(family, c4_wreath):
+    for name, (graph, aut) in family.items():
+        reps = [r.representative for r in cw.consistent_cycle_orbits(aut, graph).records]
+        n = graph.vertex_count
+        for s in cw.shunt_generating_set(aut, graph, reps):
+            assert generated_order(n, [s]) == closed_order(n, [s]) < aut.order, name
+        # generators that all fix 0: the orbit is {0} and H_0 is H
+        stab = aut.pointwise_stabilizer((0,))
+        assert generated_order(n, stab.generators) == stab.order, name
+    # the shunts under the fiber-wreath subgroup of Aut(C4[2K1])
+    blowup, wreath = c4_wreath
+    reps = [r.representative for r in cw.consistent_cycle_orbits(wreath, blowup).records]
+    shunt_set = cw.shunt_generating_set(wreath, blowup, reps)
+    order = generated_order(blowup.vertex_count, shunt_set)
+    assert order == closed_order(blowup.vertex_count, shunt_set) <= wreath.order
+    assert wreath.order < family["c4k2"][1].order
+
+
+def test_verify_generation_unchanged_with_closed_joins(family, monkeypatch):
+    joined = {name: generation.verify_generation(aut, graph).to_json()
+              for name, (graph, aut) in family.items()}
+    monkeypatch.setattr(generation, "generated_order", closed_order)
+    for name, (graph, aut) in family.items():
+        assert generation.verify_generation(aut, graph).to_json() == joined[name], name

@@ -79,6 +79,41 @@ def test_methods_agree_on_samples(family):
             assert by_group.verdict == by_chase.verdict
 
 
+def test_chase_matches_successor_query_oracle(family):
+    # the library's chase queries the group once; the oracle once per reached walk
+    rng = random.Random(20261019)
+    for name, (graph, aut) in family.items():
+        for group in (aut, aut.pointwise_stabilizer((0,))):
+            arcs = [(u, v) for u in range(graph.vertex_count) for v in graph.adj[u]
+                    if cw.shunts(group, graph, (u, v))]
+            if not arcs:  # G_0 moves no vertex to a neighbor
+                continue
+            walks = [arcs[rng.randrange(len(arcs))]]  # lengths 1 to 5
+            while len(walks[-1]) < 6:
+                extensions = cw.consistent_extensions(group, graph, walks[-1])
+                walks.append(extensions[rng.randrange(len(extensions))])
+            for walk in walks:
+                reached = oracles.chase_by_successor_queries(group, graph, walk)["reached"]
+                unreached = [v for v in range(graph.vertex_count) if v not in reached]
+                for target in (walk[-1], rng.randrange(graph.vertex_count), *unreached[:1]):
+                    report = cw.reachability_by_chase(group, graph, walk, target=target)
+                    expected = oracles.chase_by_successor_queries(group, graph, walk, target)
+                    assert report.verdict == expected["verdict"], (name, walk, target)
+                    assert report.witness == {"reached_vertices": len(expected["reached"]),
+                                              "target": target, "chain": expected["chain"]}, (
+                        name, walk, target)
+        # an arc walked back and on is never consistent: a shunt sends its
+        # first vertex to two different ones
+        u, v = graph.adj[0][0], 0
+        walk = (u, v, u, next(x for x in graph.adj[u] if x != v))
+        for group in (aut, aut.pointwise_stabilizer((0,))):
+            with pytest.raises(NotConsistent) as ours:
+                cw.reachability_by_chase(group, graph, walk)
+            with pytest.raises(NotConsistent) as theirs:
+                oracles.chase_by_successor_queries(group, graph, walk)
+            assert str(ours.value) == str(theirs.value), name
+
+
 def test_blowup_two_arc_fiber_chase(c4_wreath):
     # a 2-arc in the C4 blow-up under the fiber wreath group: compute both
     # verdicts, no claim which way, only that they agree
