@@ -9,6 +9,7 @@ across runs for a fixed input and version.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -259,7 +260,10 @@ def run(args: argparse.Namespace) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cwalks`` parser, built once per process: it holds no state
+    between calls, and each ``parse_args`` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="cwalks",
         description="Consistent walks and cycles in vertex-transitive graphs.")

@@ -33,7 +33,7 @@ from .errors import (
     invariant,
 )
 from .graphs import Graph, LocalAction, is_arc_transitive, is_n_arc_transitive, local_group
-from .perms import Perm, PermutationGroup
+from .perms import Perm, PermutationGroup, tuple_orbit_under
 from .walks import (
     Walk,
     ConsistencyWitness,
@@ -77,7 +77,9 @@ def weakly_p_subregular(local: LocalAction | PermutationGroup) -> WpsWitness | N
     Brute force over ordered point pairs: x needs a prime-order point
     stabilizer, and the two orbits under the joined stabilizers must cover
     the domain.  A witness implies the two-point stabilizer is trivial,
-    which is checked.
+    which is checked.  The joined group J = <L_x, L_y> is never built: its
+    orbits are closures over the two stabilizers' generators, and since
+    L_x <= J is its stabilizer of x, |J| = |L_x| * |x^J|.
     """
     group = local.group if isinstance(local, LocalAction) else local
     domain = range(group.degree)
@@ -89,17 +91,17 @@ def weakly_p_subregular(local: LocalAction | PermutationGroup) -> WpsWitness | N
             continue
         for y in domain:
             stab_y = group.pointwise_stabilizer((y,))
-            joined = PermutationGroup.close(
-                stab_x.generators + stab_y.generators, degree=group.degree)
-            covered = joined.orbit(x) | joined.orbit(y)
-            if covered == frozenset(domain):
+            joined_gens = stab_x.generators + stab_y.generators
+            orbit_x = tuple_orbit_under(joined_gens, (x,))
+            covered = {p for (p,) in orbit_x | tuple_orbit_under(joined_gens, (y,))}
+            if covered == set(domain):
                 invariant(group.pointwise_stabilizer((x, y)).order == 1,
                           f"points {x},{y} have a nontrivial joint stabilizer")
                 return WpsWitness(prime=stab_x.order, x=x, y=y,
                                   x_stabilizer_order=stab_x.order,
                                   y_stabilizer_order=stab_y.order,
                                   covered=tuple(sorted(covered)),
-                                  joined_order=joined.order)
+                                  joined_order=stab_x.order * len(orbit_x))
     return None
 
 

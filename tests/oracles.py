@@ -204,11 +204,33 @@ def all_rooted_cycles(graph: cw.Graph) -> set[tuple[int, ...]]:
     return out
 
 
-def oracle_cycle_orbits(group: cw.PermutationGroup,
-                        graph: cw.Graph) -> list[list[tuple[int, ...]]]:
+def element_cycles(group: cw.PermutationGroup, graph: cw.Graph) -> set[tuple[int, ...]]:
+    """Every consistent cycle read off the definition: the g-cycle through
+    u, for every element g and every vertex u that g sends to a neighbor.
+
+    Linear in |G| * n, so it reaches graphs whose cycles a DFS cannot list.
+    """
+    out: set[tuple[int, ...]] = set()
+    for g in group.elements:
+        for u in range(graph.vertex_count):
+            if graph.has_edge(u, g[u]):
+                cycle = [u, g[u]]
+                while cycle[-1] != u:
+                    cycle.append(g[cycle[-1]])
+                out.add(tuple(cycle))
+    return out
+
+
+def oracle_cycle_orbits(group: cw.PermutationGroup, graph: cw.Graph,
+                        consistent=None) -> list[list[tuple[int, ...]]]:
     """Consistent-cycle orbits from scratch: DFS cycles, element filters,
-    and full-orbit expansion by applying every group element."""
-    consistent = {c for c in all_rooted_cycles(graph) if oracle_shunts(group, c)}
+    and full-orbit expansion by applying every group element.
+
+    ``consistent``, when given, replaces the filtered DFS cycles, e.g. by
+    :func:`element_cycles`.
+    """
+    if consistent is None:
+        consistent = {c for c in all_rooted_cycles(graph) if oracle_shunts(group, c)}
     seen: set[tuple[int, ...]] = set()
     orbits = []
     for c in sorted(consistent):
@@ -223,8 +245,15 @@ def oracle_cycle_orbits(group: cw.PermutationGroup,
 
 def random_consistent_walk(group: cw.PermutationGroup, graph: cw.Graph,
                            rng, max_length: int = 5) -> tuple[int, ...]:
-    """Seeded sampler: a random shunted arc extended to a random length."""
+    """Seeded sampler: a random shunted arc extended to a random length.
+
+    Raises ValueError when no element sends any vertex to a neighbor, as
+    under Aut(Q3)_0, where no arc is consistent and the sampler would
+    redraw elements forever.
+    """
     elements = group.elements
+    if not any(graph.has_edge(u, g[u]) for g in elements for u in range(graph.vertex_count)):
+        raise ValueError("no element sends a vertex to a neighbor: no arc is consistent")
     starts: list[int] = []
     while not starts:
         g = elements[rng.randrange(len(elements))]

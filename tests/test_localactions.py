@@ -64,6 +64,26 @@ def test_wps_accepts_local_action(family):
     assert witness is not None and witness.prime == 2
 
 
+def test_wps_join_against_its_closure(family):
+    # the witness's join order and covered points, from L_x and L_y's
+    # generators, against closing <L_x, L_y> from their full element lists
+    locals_ = [dihedral(3), dihedral(4), dihedral(6)] + [
+        cw.local_group(family[name][1], family[name][0], 0).group
+        for name in ("q3", "petersen", "k5", "q4", "c4k2")]
+    found = 0
+    for group in locals_:
+        witness = cw.weakly_p_subregular(group)
+        if witness is None:
+            continue
+        found += 1
+        joined = cw.PermutationGroup.close(
+            oracles.oracle_stabilizer(group, (witness.x,))
+            + oracles.oracle_stabilizer(group, (witness.y,)), degree=group.degree)
+        assert witness.joined_order == joined.order
+        assert set(witness.covered) == joined.orbit(witness.x) | joined.orbit(witness.y)
+    assert found >= 3
+
+
 @pytest.mark.parametrize("name", ["q3", "petersen"])
 def test_find_trivial_walk_wps(name, family):
     graph, group = family[name]

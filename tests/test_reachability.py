@@ -171,6 +171,28 @@ def all_consistent_walks_up_to(group, graph, max_length):
         walks = fresh
 
 
+def test_check_conditions_join_against_its_closure(family, c4_wreath):
+    # J = <G_prefix, G_shifted> closed from the stabilizers' full element
+    # lists: its order, its orbit of the least successor and its equality
+    # with G_inner must be what check_conditions reads from J's generators
+    cases = [family[name] for name in ("c6", "k4", "q3", "petersen")] + [c4_wreath]
+    seen_c = set()
+    for graph, group in cases:
+        for walk in all_consistent_walks_up_to(group, graph, 3):
+            report = cw.check_conditions(group, graph, walk, cw.shunts(group, graph, walk)[0])
+            prefix, shifted = walk[:-1], walk[1:]
+            joined = cw.PermutationGroup.close(
+                oracles.oracle_stabilizer(group, prefix)
+                + oracles.oracle_stabilizer(group, shifted), degree=group.degree)
+            prefix_succ = set(cw.successors(group, graph, prefix))
+            assert report.joined_stabilizer_order == joined.order, walk
+            assert report.condition_b == (joined.tuple_orbit(min(prefix_succ)) == prefix_succ)
+            inner = set(oracles.oracle_stabilizer(group, walk[1:-1]))
+            assert report.condition_c == (set(joined.elements) == inner), walk
+            seen_c.add(report.condition_c)
+    assert seen_c == {False, True}
+
+
 def test_conditions_lift_property_r_exhaustively(family):
     # whenever the prefix reaches every vertex and some condition holds, the
     # walk itself does too; exhaustive over the small graphs'

@@ -217,6 +217,87 @@ def test_census_against_oracle(name, lengths, family, censuses):
     assert cw.partition_cycles(group, cycles) == oracle_orbits
 
 
+def rotation(n, step=1):
+    return cw.Perm(tuple((i + step) % n for i in range(n)))
+
+
+def reflection(n, shift=0):
+    """i -> shift - i (mod n)."""
+    return cw.Perm(tuple((shift - i) % n for i in range(n)))
+
+
+# groups whose vertex stabilizers have several orbits on the neighbors
+SEVERAL_NEIGHBOR_ORBITS = {
+    "z12": ("circulant:12:1,5", [rotation(12)]),
+    "d12": ("circulant:12:1,5", [rotation(12), reflection(12)]),
+    # swaps 0 with 1 and 3 with 4, the only arcs it shunts
+    "c6-reflection": ("cycle:6", [reflection(6, 1)]),
+    # sends no vertex to a neighbor: an empty census
+    "z4-on-c8": ("cycle:8", [rotation(8, 2)]),
+}
+
+
+def neighbor_orbit_count(group, graph, root):
+    return len({group.pointwise_stabilizer((root,)).orbit(v) for v in graph.adj[root]})
+
+
+@pytest.mark.parametrize("name", [*SEVERAL_NEIGHBOR_ORBITS, "c4k2", "q3k2"])
+def test_census_from_least_neighbors_against_oracle(name, family, censuses):
+    if name in SEVERAL_NEIGHBOR_ORBITS:
+        spec, gens = SEVERAL_NEIGHBOR_ORBITS[name]
+        graph, group = cw.named_graph(spec), cw.PermutationGroup.close(gens)
+        table = cw.consistent_cycle_orbits(group, graph)
+        assert max(neighbor_orbit_count(group, graph, r)
+                   for r in range(graph.vertex_count)) > 1
+        consistent = oracles.element_cycles(group, graph)
+        assert consistent == {c for c in oracles.all_rooted_cycles(graph)
+                              if oracles.oracle_shunts(group, c)}
+    else:
+        # the DFS cannot list the cycles of these blow-ups in time
+        (graph, group), table = family[name], censuses[name]
+        consistent = oracles.element_cycles(group, graph)
+    oracle_orbits = oracles.oracle_cycle_orbits(group, graph, consistent)
+    assert [(r.representative, r.orbit_size, r.shunt_count) for r in table.records] == [
+        (orbit[0], len(orbit), len(oracles.oracle_shunts(group, orbit[0])))
+        for orbit in oracle_orbits]
+
+
+def census_neighbor_queries(monkeypatch, group, graph):
+    """The one-point transporter queries from a vertex onto a neighbor
+    that one census makes, in order."""
+    queries = []
+    transporter = cw.PermutationGroup.transporter
+
+    def counted(self, src, dst):
+        if len(src) == 1 and graph.has_edge(src[0], dst[0]):
+            queries.append((src[0], dst[0]))
+        return transporter(self, src, dst)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cw.PermutationGroup, "transporter", counted)
+        cw.consistent_cycle_orbits(group, graph)
+    return queries
+
+
+def test_census_queries_one_neighbor_per_stabilizer_orbit(family, monkeypatch):
+    for name, (graph, group) in family.items():
+        assert census_neighbor_queries(monkeypatch, group, graph) == [
+            (0, graph.adj[0][0])], name
+    c6 = cw.named_graph("cycle:6")
+    rotations = cw.PermutationGroup.close([ROTATION6])
+    assert census_neighbor_queries(monkeypatch, rotations, c6) == [(0, 1), (0, 5)]
+    spec, gens = SEVERAL_NEIGHBOR_ORBITS["d12"]
+    graph, group = cw.named_graph(spec), cw.PermutationGroup.close(gens)
+    assert census_neighbor_queries(monkeypatch, group, graph) == [(0, 1), (0, 5)]
+
+
+def test_random_consistent_walk_refuses_a_group_without_consistent_arcs(family):
+    graph, aut = family["q3"]
+    with pytest.raises(ValueError, match="no arc is consistent"):
+        oracles.random_consistent_walk(aut.pointwise_stabilizer((0,)), graph,
+                                       random.Random(1))
+
+
 def test_census_k5_shunt_counts(censuses):
     table = censuses["k5"]
     assert sorted(table.shunt_counts()) == [1, 1, 2, 6]
