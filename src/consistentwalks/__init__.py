@@ -27,7 +27,6 @@ from .walks import (
     OrbitRecord,
     Walk,
     consistent_cycle_orbits,
-    consistent_extensions,
     enumerate_consistent_cycles,
     induced_cycle,
     is_consistent,
@@ -74,4 +73,7 @@ from .generation import (
     verify_generation,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

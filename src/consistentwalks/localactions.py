@@ -85,12 +85,11 @@ def weakly_p_subregular(local: LocalAction | PermutationGroup) -> WpsWitness | N
     domain = range(group.degree)
     if not group.is_transitive(domain):
         raise NotTransitive("the local action must be transitive")
-    for x in domain:
-        stab_x = group.pointwise_stabilizer((x,))
+    stabs = [group.pointwise_stabilizer((v,)) for v in domain]
+    for x, stab_x in enumerate(stabs):
         if not _is_prime(stab_x.order):
             continue
-        for y in domain:
-            stab_y = group.pointwise_stabilizer((y,))
+        for y, stab_y in enumerate(stabs):
             joined_gens = stab_x.generators + stab_y.generators
             orbit_x = tuple_orbit_under(joined_gens, (x,))
             covered = {p for (p,) in orbit_x | tuple_orbit_under(joined_gens, (y,))}

@@ -25,9 +25,9 @@ from .graphs import Graph, is_arc_transitive
 from .perms import Perm, PermutationGroup, tuple_orbit_under
 from .walks import (
     Walk,
+    _split_shunts,
     apply_perm,
     shunts,
-    successor_count,
     successors,
     validate_walk,
 )
@@ -157,11 +157,16 @@ def check_conditions(group: PermutationGroup, graph: Graph,
     With J the group generated by the stabilizers of the walk's prefix and
     of the prefix's shunt image: (a) no intermediate divisor between the
     two successor counts, (b) J transitive on the prefix's successors,
-    (c) J equal to the stabilizer of the shared inner subwalk.  J is never
-    built: it contains G_prefix, which is therefore its stabilizer of the
-    prefix, so |J| = |G_prefix| * |prefix^J| (orbit–stabilizer), and both
-    orbits are closures over J's generators.  Both stabilizers fix the
-    inner subwalk, so J <= G_inner and (c) holds iff |J| == |G_inner|.
+    (c) J equal to the stabilizer of the shared inner subwalk.  Two group
+    queries, both rooted at w[0], give everything: the prefix's shunt coset,
+    split at its last vertex into the successors, and G_prefix.  The
+    coset's part at w[-1] holds the walk's shunts; its least, g0, conjugates
+    G_prefix to the shifted stabilizer g0^-1 * G_prefix * g0 (``shunt`` may
+    lie outside the group and is only checked).  J is never built: it
+    contains G_prefix, so |J| = |G_prefix| * |prefix^J| (orbit–stabilizer).
+    Both stabilizers fix the inner subwalk, so J <= G_inner and (c) holds
+    iff |J| == |G_inner|, the prefix's shunt count, as its shunts are a
+    coset of G_(w[:-2]) carrying w[:-2] onto the inner subwalk.
     """
     w = validate_walk(graph, walk)
     if len(w) < 3:
@@ -170,19 +175,23 @@ def check_conditions(group: PermutationGroup, graph: Graph,
         if shunt[a] != b:
             raise NotConsistent(f"{shunt} is not a shunt of {w}")
     prefix = w[:-1]
-    shifted = apply_perm(shunt, prefix)          # == w[1:]
-    ell = successor_count(group, graph, w)
-    prefix_succ = set(successors(group, graph, prefix))
-    k = len(prefix_succ)
+    prefix_shunts = group.transporter(prefix[:-1], prefix[1:])
+    by_end = _split_shunts(prefix_shunts, prefix[-1])
+    if w[-1] not in by_end:
+        raise NotConsistent(f"walk {w} has no shunt in the group")
+    own = by_end[w[-1]]
+    ell, k = len(_split_shunts(own, w[-1])), len(by_end)
     invariant(ell <= k, f"walk {w} has more successors than its prefix")
     prefix_stab = group.pointwise_stabilizer(prefix)
-    joined_gens = prefix_stab.generators + group.pointwise_stabilizer(shifted).generators
+    g0, back = own[0], own[0].inverse()
+    joined_gens = prefix_stab.generators + tuple(back * h * g0 for h in prefix_stab.generators)
     joined_order = prefix_stab.order * len(tuple_orbit_under(joined_gens, prefix))
     cond_a = no_intermediate_divisor(ell, k)
+    prefix_succ = {prefix[1:] + (x,) for x in by_end}
     orbit = tuple_orbit_under(joined_gens, min(prefix_succ))
     invariant(orbit <= prefix_succ, "the joined stabilizer leaves the prefix successors")
     cond_b = orbit == prefix_succ
-    cond_c = joined_order == group.pointwise_stabilizer(w[1:-1]).order
+    cond_c = joined_order == len(prefix_shunts)
     invariant(not cond_c or cond_b, "condition (c) must imply condition (b)")
     return ConditionReport(walk=w, shunt=shunt, succ_count=ell,
                            prefix_succ_count=k, condition_a=cond_a,

@@ -120,17 +120,6 @@ def _split_shunts(shs: Sequence[Perm], last: int) -> dict[int, list[Perm]]:
     return split
 
 
-def consistent_extensions(group: PermutationGroup, graph: Graph,
-                          walk: Sequence[int]) -> list[Walk]:
-    """One-vertex extensions of the walk that are still consistent, sorted.
-
-    These are exactly the walks (v_0..v_n, w) with w an endpoint of some
-    successor.
-    """
-    w = validate_walk(graph, walk)
-    return sorted({w + (s[-1],) for s in successors(group, graph, w)})
-
-
 def induced_cycle(witness: ConsistencyWitness) -> Walk:
     """The unique rooted directed cycle the walk and its shunt induce.
 

@@ -125,6 +125,14 @@ def fixes_successors_by_extension_counts(group: cw.PermutationGroup, graph: cw.G
                for s in cw.successors(group, graph, walk))
 
 
+def consistent_extensions(group: cw.PermutationGroup, graph: cw.Graph,
+                          walk) -> list[tuple[int, ...]]:
+    """One-vertex extensions of the walk that are still consistent, sorted:
+    the walks (v_0..v_n, x) with x the last vertex of some successor."""
+    walk = tuple(walk)
+    return sorted({walk + (s[-1],) for s in cw.successors(group, graph, walk)})
+
+
 def exhaustive_trivial_walk(group: cw.PermutationGroup, graph: cw.Graph,
                             depth_cap: int = 64):
     """The trivial-walk search node by node: (walk, least shunt), or None.
@@ -142,7 +150,7 @@ def exhaustive_trivial_walk(group: cw.PermutationGroup, graph: cw.Graph,
         if group.pointwise_stabilizer(walk).order == 1:
             return walk, cw.shunts(group, graph, walk)[0]
         if len(walk) - 1 < depth_cap:
-            stack.extend(reversed(cw.consistent_extensions(group, graph, walk)))
+            stack.extend(reversed(consistent_extensions(group, graph, walk)))
     return None
 
 
@@ -262,7 +270,7 @@ def random_consistent_walk(group: cw.PermutationGroup, graph: cw.Graph,
     walk = (u, g[u])
     target = rng.randint(1, max_length)
     while len(walk) - 1 < target:
-        extensions = cw.consistent_extensions(group, graph, walk)
+        extensions = consistent_extensions(group, graph, walk)
         walk = extensions[rng.randrange(len(extensions))]
     return walk
 

@@ -434,18 +434,29 @@ def test_blowup_demo_small(capsys):
 
 
 @pytest.fixture(scope="module")
-def q3k2_file(tmp_path_factory):
-    graph = lex_blowup(named_graph("hypercube:3"), 2)[0]
-    path = tmp_path_factory.mktemp("graphs") / "q3k2.txt"
-    path.write_text("".join(f"{u} {v}\n" for u, v in graph.edges()))
-    return str(path)
+def blowup_files(tmp_path_factory):
+    """"C4[2K1]" and "Q3[2K1]" -> an edge-list file of that blow-up."""
+    folder = tmp_path_factory.mktemp("graphs")
+    files = {}
+    for name, base in (("C4[2K1]", "cycle:4"), ("Q3[2K1]", "hypercube:3")):
+        graph = lex_blowup(named_graph(base), 2)[0]
+        path = folder / f"{base.replace(':', '')}k2.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in graph.edges()))
+        files[name] = str(path)
+    return files
 
 
+# `trivial-walk --method wps` is left out: its walk starts at a neighbor
+# of 0, so its certificate's queries are not rooted at Aut's base point
 COLD_QUERIES = {
     "orbits": ["orbits", "--graph", "Q3[2K1]"],
     "generators": ["generators", "--graph", "Q3[2K1]"],
     "trivial-walk": ["trivial-walk", "--graph", "Q3[2K1]", "--method", "exhaustive",
                      "--depth-cap", "4"],
+    "trivial-walk-auto-c4k2": ["trivial-walk", "--graph", "C4[2K1]", "--method", "auto"],
+    "trivial-walk-auto-q4": ["trivial-walk", "--graph", "hypercube:4", "--method", "auto"],
+    "trivial-walk-4valent-k5": ["trivial-walk", "--graph", "complete:5",
+                                "--method", "4valent"],
     "property-r": ["property-r", "--graph", "Q3[2K1]", "--walk", "0,2,6", "--target", "15"],
     "blowup-demo": ["blowup-demo", "--graph", "hypercube:3", "--m", "2"],
 }
@@ -470,9 +481,9 @@ def payload_with_groups(argv, monkeypatch, capsys, prepare):
 
 
 @pytest.mark.parametrize("name", sorted(COLD_QUERIES))
-def test_cold_queries_never_expand_aut(name, q3k2_file, monkeypatch, capsys):
+def test_cold_queries_never_expand_aut(name, blowup_files, monkeypatch, capsys):
     # every query here is rooted at 0, so Aut's stabilizer chain answers it
-    argv = [q3k2_file if a == "Q3[2K1]" else a for a in COLD_QUERIES[name]]
+    argv = [blowup_files.get(a, a) for a in COLD_QUERIES[name]]
     expand = PermutationGroup._expand
     expanded = []
 

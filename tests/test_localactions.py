@@ -264,7 +264,7 @@ def test_extend_while_branching_matches_successor_queries(name, finder, family):
     # each step takes the least extension that still branches, and the
     # last walk has none
     for k in range(3, len(walk) + 1):
-        for ext in cw.consistent_extensions(group, graph, walk[:k]):
+        for ext in oracles.consistent_extensions(group, graph, walk[:k]):
             if ext == walk[:k + 1]:
                 break
             assert cw.successor_count(group, graph, ext) <= 1, ext

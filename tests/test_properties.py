@@ -108,7 +108,7 @@ def test_walk_properties_on_circulants(kind, spec, seed):
     rng = random.Random(seed)
     walk = oracles.random_consistent_walk(group, graph, rng, max_length=4)
     while len(walk) < 3:
-        extensions = cw.consistent_extensions(group, graph, walk)
+        extensions = oracles.consistent_extensions(group, graph, walk)
         walk = extensions[rng.randrange(len(extensions))]
     by_group = cw.reachability_by_shunt_group(group, graph, walk)
     assert by_group.verdict == cw.reachability_by_chase(group, graph, walk).verdict

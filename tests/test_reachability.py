@@ -90,7 +90,7 @@ def test_chase_matches_successor_query_oracle(family):
                 continue
             walks = [arcs[rng.randrange(len(arcs))]]  # lengths 1 to 5
             while len(walks[-1]) < 6:
-                extensions = cw.consistent_extensions(group, graph, walks[-1])
+                extensions = oracles.consistent_extensions(group, graph, walks[-1])
                 walks.append(extensions[rng.randrange(len(extensions))])
             for walk in walks:
                 reached = oracles.chase_by_successor_queries(group, graph, walk)["reached"]
@@ -147,7 +147,7 @@ def test_check_conditions_c_implies_b(family):
         for _ in range(5):
             walk = oracles.random_consistent_walk(group, graph, rng, max_length=4)
             if len(walk) < 3:
-                walk = cw.consistent_extensions(group, graph, walk)[0]
+                walk = oracles.consistent_extensions(group, graph, walk)[0]
             shunt = cw.shunts(group, graph, walk)[0]
             report = cw.check_conditions(group, graph, walk, shunt)
             assert not report.condition_c or report.condition_b
@@ -165,32 +165,112 @@ def all_consistent_walks_up_to(group, graph, max_length):
              if cw.is_consistent(group, graph, (u, w))]
     for _ in range(max_length - 1):
         longer = [ext for w in walks if len(w) <= max_length
-                  for ext in cw.consistent_extensions(group, graph, w)]
+                  for ext in oracles.consistent_extensions(group, graph, w)]
         fresh = [w for w in longer if len(w) - 1 <= max_length]
         yield from fresh
         walks = fresh
 
 
+def closure_oracle_conditions(group, graph, walk):
+    """(joined order, (b), (c)) with J = <G_prefix, G_shifted> closed from
+    the stabilizers' full element lists."""
+    prefix, shifted = walk[:-1], walk[1:]
+    joined = cw.PermutationGroup.close(
+        oracles.oracle_stabilizer(group, prefix)
+        + oracles.oracle_stabilizer(group, shifted), degree=group.degree)
+    prefix_succ = set(cw.successors(group, graph, prefix))
+    inner = set(oracles.oracle_stabilizer(group, walk[1:-1]))
+    return (joined.order, joined.tuple_orbit(min(prefix_succ)) == prefix_succ,
+            set(joined.elements) == inner)
+
+
 def test_check_conditions_join_against_its_closure(family, c4_wreath):
-    # J = <G_prefix, G_shifted> closed from the stabilizers' full element
-    # lists: its order, its orbit of the least successor and its equality
-    # with G_inner must be what check_conditions reads from J's generators
+    # the closed J's order, its orbit of the least successor and its
+    # equality with G_inner must be what check_conditions reads from J's
+    # generators, whichever shunt of the walk is passed
     cases = [family[name] for name in ("c6", "k4", "q3", "petersen")] + [c4_wreath]
     seen_c = set()
     for graph, group in cases:
         for walk in all_consistent_walks_up_to(group, graph, 3):
-            report = cw.check_conditions(group, graph, walk, cw.shunts(group, graph, walk)[0])
-            prefix, shifted = walk[:-1], walk[1:]
-            joined = cw.PermutationGroup.close(
-                oracles.oracle_stabilizer(group, prefix)
-                + oracles.oracle_stabilizer(group, shifted), degree=group.degree)
-            prefix_succ = set(cw.successors(group, graph, prefix))
-            assert report.joined_stabilizer_order == joined.order, walk
-            assert report.condition_b == (joined.tuple_orbit(min(prefix_succ)) == prefix_succ)
-            inner = set(oracles.oracle_stabilizer(group, walk[1:-1]))
-            assert report.condition_c == (set(joined.elements) == inner), walk
-            seen_c.add(report.condition_c)
+            expected = closure_oracle_conditions(group, graph, walk)
+            for shunt in cw.shunts(group, graph, walk):
+                report = cw.check_conditions(group, graph, walk, shunt)
+                assert report.shunt == shunt
+                assert (report.joined_stabilizer_order, report.condition_b,
+                        report.condition_c) == expected, (walk, shunt)
+            seen_c.add(expected[2])
     assert seen_c == {False, True}
+
+
+def test_check_conditions_under_a_subgroup_with_an_outside_shunt(family, c4_wreath):
+    # the shunt passed may be an automorphism outside the group: the
+    # report still describes the group's stabilizers
+    k4, aut4 = family["k4"]
+    a4 = cw.PermutationGroup.close([cw.Perm.from_cycles(4, (0, 1, 2)),
+                                    cw.Perm.from_cycles(4, (1, 2, 3))])
+    odd = cw.Perm.from_cycles(4, (0, 1, 2, 3))
+    cases = [(k4, a4, (0, 1, 2), odd)]
+    graph, wreath = c4_wreath
+    _, aut = family["c4k2"]
+    for walk in all_consistent_walks_up_to(wreath, graph, 3):
+        outside = [s for s in cw.shunts(aut, graph, walk) if s not in wreath]
+        cases += [(graph, wreath, walk, s) for s in outside[:2]]
+    assert len(cases) > 1
+    for graph, group, walk, shunt in cases:
+        assert shunt not in group
+        report = cw.check_conditions(group, graph, walk, shunt)
+        expected = closure_oracle_conditions(group, graph, walk)
+        assert (report.joined_stabilizer_order, report.condition_b,
+                report.condition_c) == expected, (walk, shunt)
+        assert (report.succ_count, report.prefix_succ_count) == (
+            cw.successor_count(group, graph, walk),
+            cw.successor_count(group, graph, walk[:-1]))
+    # (0 1 2 3) is the only shunt of these walks in S4, and it is odd; the
+    # second one's prefix has no shunt in A4 either
+    for walk in ((0, 1, 2, 3), (0, 1, 2, 3, 0)):
+        assert cw.shunts(aut4, k4, walk) == [odd]
+        with pytest.raises(NotConsistent) as caught:
+            cw.check_conditions(a4, k4, walk, odd)
+        assert str(caught.value) == f"walk {walk} has no shunt in the group"
+
+
+def test_check_conditions_queries_the_group_twice_at_the_first_vertex(family, c4_wreath,
+                                                                     monkeypatch):
+    # the prefix's shunt coset and G_prefix, both rooted at walk[0]; calls
+    # nested inside those two queries do not count
+    calls, depth, current = [], [0], [None]
+
+    def counting(method_name):
+        method = getattr(cw.PermutationGroup, method_name)
+
+        def counted(self, points, *args):
+            if depth[0] == 0 and self is current[0]:
+                calls.append((method_name, tuple(points)))
+            depth[0] += 1
+            try:
+                return method(self, points, *args)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    def no_successor_query(*args):
+        raise AssertionError("check_conditions queried successors")
+
+    for method_name in ("transporter", "pointwise_stabilizer"):
+        monkeypatch.setattr(cw.PermutationGroup, method_name, counting(method_name))
+    monkeypatch.setattr(cw.walks, "successors", no_successor_query)
+    monkeypatch.setattr(cw.reachability, "successors", no_successor_query)
+    cases = [family[name] for name in ("c6", "k4", "q3", "petersen", "c4k2")] + [c4_wreath]
+    for graph, group in cases:
+        current[0] = None
+        walks = list(all_consistent_walks_up_to(group, graph, 3))
+        shunt_lists = [cw.shunts(group, graph, w) for w in walks]
+        current[0] = group
+        for walk, shs in zip(walks, shunt_lists):
+            calls.clear()
+            cw.check_conditions(group, graph, walk, shs[0])
+            assert len(calls) <= 2, (walk, calls)
+            assert all(points[0] == walk[0] for _, points in calls), (walk, calls)
 
 
 def test_conditions_lift_property_r_exhaustively(family):
@@ -235,7 +315,7 @@ def test_stabilizer_fixes_successors_against_sweep_oracle(family):
     verdicts = set()
     for name, (graph, group) in family.items():
         arc = (0, graph.adj[0][0])
-        for walk in [arc, *cw.consistent_extensions(group, graph, arc)]:
+        for walk in [arc, *oracles.consistent_extensions(group, graph, arc)]:
             verdict = cw.stabilizer_fixes_successors(group, graph, walk)
             assert verdict == oracles.oracle_fixes_successors(group, walk), (name, walk)
             assert verdict == oracles.fixes_successors_by_extension_counts(
@@ -304,7 +384,7 @@ def test_successor_classes_match_union_find_oracle(family, seed):
     for name, (graph, group) in family.items():
         walk = oracles.random_consistent_walk(group, graph, rng, max_length=4)
         while len(walk) < 3:
-            extensions = cw.consistent_extensions(group, graph, walk)
+            extensions = oracles.consistent_extensions(group, graph, walk)
             walk = extensions[rng.randrange(len(extensions))]
         classes = cw.successor_reachability_classes(group, graph, walk)
         assert classes == oracles.union_find_reachability_classes(group, walk), (name, walk)
@@ -315,7 +395,7 @@ def test_sim_alpha_prefix_and_shift_share_class(family):
         graph, group = family[name]
         walk = oracles.random_consistent_walk(group, graph, random.Random(19), max_length=3)
         if len(walk) < 3:
-            walk = cw.consistent_extensions(group, graph, walk)[0]
+            walk = oracles.consistent_extensions(group, graph, walk)[0]
         shunt = cw.shunts(group, graph, walk)[0]
         classes = cw.successor_reachability_classes(group, graph, walk)
         prefix = walk[:-1]
