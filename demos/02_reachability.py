@@ -40,8 +40,7 @@ for step in by_chase.witness["chain"]:
 k4 = cw.named_graph("complete:4")
 aut4 = cw.automorphism_group(k4)
 two_arc = (0, 1, 2)
-shunt = cw.shunts(aut4, k4, two_arc)[0]
-report = cw.check_conditions(aut4, k4, two_arc, shunt)
+report = cw.check_conditions(aut4, k4, two_arc)
 print(f"\nK4 walk {two_arc}: successor counts {report.succ_count} "
       f"(walk) vs {report.prefix_succ_count} (prefix)")
 print(f"conditions: divisor-gap {report.condition_a}, "

@@ -26,7 +26,7 @@ aut = cw.automorphism_group(q3)
 local = cw.local_group(aut, q3, 0)
 print(f"cube Q3: local group order {local.group.order} on "
       f"neighborhood {local.domain}")
-witness = cw.weakly_p_subregular(local)
+witness = cw.weakly_p_subregular(local.group)
 print(f"subregular witness: p = {witness.prime}, points "
       f"{witness.x}, {witness.y}, joined order {witness.joined_order}")
 

@@ -42,14 +42,14 @@ print(f"fiber-wreath subgroup order {wreath.order}; "
 # each base orbit representative lifts to m cycles sweeping 1..m fibers,
 # and these hit every orbit of the blow-up's consistent cycles exactly once
 table = cw.consistent_cycle_orbits(blow_aut, blowup)
-ids = cw.family_orbit_ids(family, blow_aut, table=table)
+ids = cw.family_orbit_ids(family, blow_aut, table)
 print("\nlifted cycle family (orbit representative index, fibers swept):")
 for (i, j), cycle in sorted(family.cycles.items()):
     print(f"  rep {i}, {j} fiber(s): length {len(cycle) - 1:>2} "
           f"-> blow-up orbit {ids[i, j]}")
 print(f"orbits hit, pairwise distinct: {sorted(ids.values())}")
 
-ok, offender = cw.verify_no_trivial_stabilizer(blow_aut, blowup, table=table)
+ok, offender = cw.verify_no_trivial_stabilizer(table)
 print(f"\nno consistent cycle with trivial stabilizer: {ok}")
 print("stabilizer orders across the six orbits:",
       [rec.stabilizer_order for rec in table.records])
@@ -57,5 +57,5 @@ print("stabilizer orders across the six orbits:",
 # contrast: the Petersen graph does have a trivial-stabilizer cycle
 pet = cw.named_graph("petersen")
 autp = cw.automorphism_group(pet)
-ok, offender = cw.verify_no_trivial_stabilizer(autp, pet)
+ok, offender = cw.verify_no_trivial_stabilizer(cw.consistent_cycle_orbits(autp, pet))
 print(f"\nPetersen for contrast: verdict {ok}, offending cycle {offender}")

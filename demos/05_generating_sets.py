@@ -35,7 +35,7 @@ for spec in ("petersen", "complete:5"):
 # The blow-up from the counterexample demo has no trivial-stabilizer cycle,
 # so the guarantee degrades to "shunts + a cycle stabilizer generate".
 q3 = cw.named_graph("hypercube:3")
-blowup, _ = cw.lex_blowup(q3, 2)
+blowup = cw.lex_blowup(q3, 2)
 blow_aut = cw.automorphism_group(blowup)
 report = cw.verify_generation(blow_aut, blowup)
 print(f"\nQ3 blow-up: generates={report.generates}, "

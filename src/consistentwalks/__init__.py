@@ -27,7 +27,6 @@ from .walks import (
     OrbitRecord,
     Walk,
     consistent_cycle_orbits,
-    enumerate_consistent_cycles,
     induced_cycle,
     is_consistent,
     partition_cycles,
@@ -66,7 +65,6 @@ from .products import (
 from .generation import (
     GenerationReport,
     OverlapMatrix,
-    orbit_overlap,
     overlap,
     overlap_maximal_representatives,
     shunt_generating_set,

@@ -39,6 +39,7 @@ from .graphs import (
     verify_automorphisms,
 )
 from .localactions import (
+    DEFAULT_WALK_DEPTH,
     find_trivial_walk_4valent,
     find_trivial_walk_exhaustive,
     find_trivial_walk_wps,
@@ -48,8 +49,6 @@ from .perms import DEFAULT_GROUP_CAP, Perm, PermutationGroup
 from .products import blowup_cycle_family, family_orbit_ids, verify_no_trivial_stabilizer
 from .reachability import reachability_by_chase, reachability_by_shunt_group
 from .walks import consistent_cycle_orbits
-
-DEFAULT_WALK_DEPTH = 64
 
 
 def _read_text(path: Path, what: str) -> str:
@@ -194,7 +193,7 @@ def _payload_trivial_walk(graph, group, args) -> dict:
 
 def _payload_wps_check(graph, group, args) -> dict:
     local = local_group(group, graph, args.vertex)
-    witness = weakly_p_subregular(local)
+    witness = weakly_p_subregular(local.group)
     return {"vertex": args.vertex, "neighborhood": list(local.domain),
             "local_order": local.group.order,
             "witness": witness.to_json() if witness else None}
@@ -205,9 +204,8 @@ def _payload_blowup_demo(graph, group, args) -> dict:
     family = blowup_cycle_family(graph, group, args.m)
     blowup_group = automorphism_group(family.blowup, cap=args.cap_group)
     table = consistent_cycle_orbits(blowup_group, family.blowup)
-    ids = family_orbit_ids(family, blowup_group, table=table)
-    verdict, offender = verify_no_trivial_stabilizer(blowup_group, family.blowup,
-                                                     table=table)
+    ids = family_orbit_ids(family, blowup_group, table)
+    verdict, offender = verify_no_trivial_stabilizer(table)
     return {"family": family.to_json(),
             "blowup_vertices": family.blowup.vertex_count,
             "blowup_group_order": blowup_group.order,

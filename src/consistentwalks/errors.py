@@ -52,10 +52,6 @@ class NotAutomorphisms(ConsistentWalksError):
     """A supplied permutation does not preserve the graph's adjacency."""
 
 
-class DomainNotInvariant(ConsistentWalksError):
-    """A generator moves a point outside the requested action domain."""
-
-
 class NoNArcs(ConsistentWalksError):
     """The graph has no n-arc for the requested n."""
 

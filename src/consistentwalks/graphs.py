@@ -342,7 +342,7 @@ class LocalAction:
     base_vertex: int
     domain: tuple[int, ...]
     group: PermutationGroup
-    stabilizer_order: int = 1
+    stabilizer_order: int
 
     @property
     def kernel_order(self) -> int:
@@ -414,12 +414,11 @@ def blowup_point(v: int, i: int, m: int) -> int:
     return v * m + i
 
 
-def lex_blowup(graph: Graph, m: int) -> tuple[Graph, dict[tuple[int, int], int]]:
-    """Replace each vertex by an independent m-set; join fibers of adjacent vertices."""
+def lex_blowup(graph: Graph, m: int) -> Graph:
+    """Replace each vertex by an independent m-set; join fibers of adjacent
+    vertices.  Point i of vertex v's fiber is ``blowup_point(v, i, m)``."""
     if m < 1:
         raise BadParameters("m must be >= 1")
-    labels = {(v, i): blowup_point(v, i, m)
-              for v in range(graph.vertex_count) for i in range(m)}
     edges = [(blowup_point(u, i, m), blowup_point(v, j, m))
              for u, v in graph.edges() for i in range(m) for j in range(m)]
-    return Graph(graph.vertex_count * m, edges), labels
+    return Graph(graph.vertex_count * m, edges)

@@ -32,7 +32,7 @@ from .errors import (
     WrongValence,
     invariant,
 )
-from .graphs import Graph, LocalAction, is_arc_transitive, is_n_arc_transitive, local_group
+from .graphs import Graph, is_arc_transitive, is_n_arc_transitive, local_group
 from .perms import Perm, PermutationGroup, tuple_orbit_under
 from .walks import (
     Walk,
@@ -43,6 +43,8 @@ from .walks import (
     shunts,
 )
 from .reachability import certify_trivial_stabilizer
+
+DEFAULT_WALK_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ def _is_prime(n: int) -> bool:
     return all(n % k for k in range(2, int(n ** 0.5) + 1))
 
 
-def weakly_p_subregular(local: LocalAction | PermutationGroup) -> WpsWitness | None:
+def weakly_p_subregular(group: PermutationGroup) -> WpsWitness | None:
     """First witness pair in lexicographic order, or None.
 
     Brute force over ordered point pairs: x needs a prime-order point
@@ -81,9 +83,8 @@ def weakly_p_subregular(local: LocalAction | PermutationGroup) -> WpsWitness | N
     orbits are closures over the two stabilizers' generators, and since
     L_x <= J is its stabilizer of x, |J| = |L_x| * |x^J|.
     """
-    group = local.group if isinstance(local, LocalAction) else local
     domain = range(group.degree)
-    if not group.is_transitive(domain):
+    if not group.is_transitive():
         raise NotTransitive("the local action must be transitive")
     stabs = [group.pointwise_stabilizer((v,)) for v in domain]
     for x, stab_x in enumerate(stabs):
@@ -145,7 +146,7 @@ def find_trivial_walk_wps(group: PermutationGroup,
         raise NotArcTransitive("the search needs an arc-transitive group")
     base = 0
     local = local_group(group, graph, base)
-    witness = weakly_p_subregular(local)
+    witness = weakly_p_subregular(local.group)
     if witness is None:
         raise NoWitness("the local group is not weakly p-subregular")
     x = local.domain[witness.x]
@@ -247,7 +248,8 @@ def _shunt_descent(group: PermutationGroup, graph: Graph, depth_cap: int
 
 
 def find_trivial_walk_exhaustive(group: PermutationGroup, graph: Graph,
-                                 depth_cap: int = 64) -> tuple[ConsistencyWitness, dict]:
+                                 depth_cap: int = DEFAULT_WALK_DEPTH
+                                 ) -> tuple[ConsistencyWitness, dict]:
     """Depth-first extension until a trivial-stabilizer walk appears.
 
     Fallback for graphs the structural searches do not cover.  For a walk

@@ -53,7 +53,6 @@ from .errors import (
     BadParameters,
     CapExceeded,
     DegreeMismatch,
-    DomainNotInvariant,
     InvalidPermutation,
 )
 
@@ -507,16 +506,9 @@ class PermutationGroup:
             return group
         return PermutationGroup(group.degree, group.transporter(pts, pts))
 
-    def is_transitive(self, domain: Iterable[int] | None = None) -> bool:
-        """True iff one orbit covers ``domain`` (default: all points)."""
-        dom = frozenset(range(self.degree) if domain is None else domain)
-        if not dom:
-            raise BadParameters("empty domain")
-        for g in self.generators:
-            for x in dom:
-                if g[x] not in dom:
-                    raise DomainNotInvariant(f"generator moves {x} to {g[x]} outside domain")
-        return self.orbit(min(dom)) == dom
+    def is_transitive(self) -> bool:
+        """True iff one orbit covers every point."""
+        return len(self.orbit(0)) == self.degree
 
     def subgroup_equals(self, other: "PermutationGroup") -> bool:
         """True iff the element sets coincide: the orders agree and this

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .errors import BaseNotVertexTransitive, BadParameters, invariant
 from .graphs import (
     Graph,
-    automorphism_group,
     blowup_point,
     is_vertex_transitive,
     lex_blowup,
@@ -64,8 +63,7 @@ def wreath_group_generators(base_graph: Graph, base_group: PermutationGroup,
     if m >= 3:
         gens.append(fiber_perm(n, m, 0, Perm(tuple(range(1, m)) + (0,))))
     gens.extend(lift_base_perm(p, m) for p in base_group.generators)
-    blowup, _ = lex_blowup(base_graph, m)
-    verify_automorphisms(blowup, gens)
+    verify_automorphisms(lex_blowup(base_graph, m), gens)
     return gens
 
 
@@ -106,7 +104,7 @@ def blowup_cycle_family(graph: Graph, group: PermutationGroup,
     if not is_vertex_transitive(group, graph):
         raise BaseNotVertexTransitive("the base group must be vertex-transitive")
     table = consistent_cycle_orbits(group, graph)
-    blowup, _ = lex_blowup(graph, m)
+    blowup = lex_blowup(graph, m)
     n = graph.vertex_count
     cycles: dict[tuple[int, int], Walk] = {}
     shunt_map: dict[tuple[int, int], Perm] = {}
@@ -135,41 +133,34 @@ def blowup_cycle_family(graph: Graph, group: PermutationGroup,
 
 def family_orbit_ids(family: BlowupCycleFamily,
                      blowup_group: PermutationGroup,
-                     table: CycleOrbitTable | None = None,
-                     ) -> dict[tuple[int, int], int]:
+                     table: CycleOrbitTable) -> dict[tuple[int, int], int]:
     """Index of each family cycle's orbit in the blow-up's census table.
 
     A cycle lies in a record's orbit when some element maps the record's
     representative onto it; a rooted cycle is its vertices up to the
-    closing one, so the transporter of those decides it.
+    closing one, so the transporter of those decides it.  ``table`` is the
+    census of ``blowup_group`` on the family's blow-up.
     """
-    if table is None:
-        table = consistent_cycle_orbits(blowup_group, family.blowup)
     return {key: next(k for k, r in enumerate(table.records)
                       if r.length == len(cycle) - 1
                       and blowup_group.transporter(r.representative[:-1], cycle[:-1]))
             for key, cycle in family.cycles.items()}
 
 
-def verify_no_trivial_stabilizer(group: PermutationGroup, graph: Graph,
-                                 table: CycleOrbitTable | None = None,
-                                 ) -> tuple[bool, Walk | None]:
+def verify_no_trivial_stabilizer(table: CycleOrbitTable) -> tuple[bool, Walk | None]:
     """True iff every consistent-cycle orbit has a nontrivial stabilizer.
 
     Every consistent walk induces a consistent cycle with a stabilizer at
     most as large, so checking orbit representatives settles all walks.
     Returns the offending cycle when the answer is False.
     """
-    if table is None:
-        table = consistent_cycle_orbits(group, graph)
     for record in table.records:
         if record.stabilizer_order == 1:
             return False, record.representative
     return True, None
 
 
-def check_blowup_hypotheses(graph: Graph,
-                             group: PermutationGroup | None = None) -> dict:
+def check_blowup_hypotheses(graph: Graph, group: PermutationGroup) -> dict:
     """Hypothesis report for the blow-up counterexample construction.
 
     The circulant-with-adjacent-steps exclusion is checked through its
@@ -177,8 +168,6 @@ def check_blowup_hypotheses(graph: Graph,
     spanning consistent cycle's shunt would generate a cyclic
     vertex-regular subgroup).
     """
-    if group is None:
-        group = automorphism_group(graph)
     table = consistent_cycle_orbits(group, graph)
     spanning = [r.representative for r in table.records
                 if r.length == graph.vertex_count]

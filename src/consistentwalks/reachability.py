@@ -22,15 +22,8 @@ from .errors import (
     invariant,
 )
 from .graphs import Graph, is_arc_transitive
-from .perms import Perm, PermutationGroup, tuple_orbit_under
-from .walks import (
-    Walk,
-    _split_shunts,
-    apply_perm,
-    shunts,
-    successors,
-    validate_walk,
-)
+from .perms import PermutationGroup, tuple_orbit_under
+from .walks import Walk, _split_shunts, apply_perm, validate_walk
 
 SIM_ORBIT_CAP = 100_000
 
@@ -62,12 +55,12 @@ def reachability_by_shunt_group(group: PermutationGroup, graph: Graph,
     compactly.
     """
     w = validate_walk(graph, walk)
-    shs = shunts(group, graph, w)
+    shs = group.transporter(w[:-1], w[1:])
     if not shs:
         raise NotConsistent(f"walk {w} has no shunt in the group")
     shunt_group = PermutationGroup.close(group.pointwise_stabilizer(w[:-1]).generators
                                          + (shs[0],), degree=group.degree)
-    verdict = shunt_group.is_transitive(range(graph.vertex_count))
+    verdict = shunt_group.is_transitive()
     return ReachabilityReport(walk=w, verdict=verdict, method="shunt-group",
                            witness={"shunt_group_order": shunt_group.order,
                                     "transitive": verdict})
@@ -133,7 +126,6 @@ def no_intermediate_divisor(smaller: int, larger: int) -> bool:
 @dataclass(frozen=True)
 class ConditionReport:
     walk: Walk
-    shunt: Perm
     succ_count: int          # successors of the walk itself
     prefix_succ_count: int   # successors of the walk minus its last vertex
     condition_a: bool
@@ -151,7 +143,7 @@ class ConditionReport:
 
 
 def check_conditions(group: PermutationGroup, graph: Graph,
-                     walk: Sequence[int], shunt: Perm) -> ConditionReport:
+                     walk: Sequence[int]) -> ConditionReport:
     """Evaluate the three conditions that lift reachability one step.
 
     With J the group generated by the stabilizers of the walk's prefix and
@@ -161,9 +153,10 @@ def check_conditions(group: PermutationGroup, graph: Graph,
     queries, both rooted at w[0], give everything: the prefix's shunt coset,
     split at its last vertex into the successors, and G_prefix.  The
     coset's part at w[-1] holds the walk's shunts; its least, g0, conjugates
-    G_prefix to the shifted stabilizer g0^-1 * G_prefix * g0 (``shunt`` may
-    lie outside the group and is only checked).  J is never built: it
-    contains G_prefix, so |J| = |G_prefix| * |prefix^J| (orbit–stabilizer).
+    G_prefix to the shifted stabilizer g0^-1 * G_prefix * g0, as every
+    shunt does, since two shunts differ by an element of G_prefix.  J is
+    never built: it contains G_prefix, so |J| = |G_prefix| * |prefix^J|
+    (orbit–stabilizer).
     Both stabilizers fix the inner subwalk, so J <= G_inner and (c) holds
     iff |J| == |G_inner|, the prefix's shunt count, as its shunts are a
     coset of G_(w[:-2]) carrying w[:-2] onto the inner subwalk.
@@ -171,9 +164,6 @@ def check_conditions(group: PermutationGroup, graph: Graph,
     w = validate_walk(graph, walk)
     if len(w) < 3:
         raise WalkTooShort(f"conditions need walk length >= 2, got {w}")
-    for a, b in zip(w, w[1:]):
-        if shunt[a] != b:
-            raise NotConsistent(f"{shunt} is not a shunt of {w}")
     prefix = w[:-1]
     prefix_shunts = group.transporter(prefix[:-1], prefix[1:])
     by_end = _split_shunts(prefix_shunts, prefix[-1])
@@ -193,7 +183,7 @@ def check_conditions(group: PermutationGroup, graph: Graph,
     cond_b = orbit == prefix_succ
     cond_c = joined_order == len(prefix_shunts)
     invariant(not cond_c or cond_b, "condition (c) must imply condition (b)")
-    return ConditionReport(walk=w, shunt=shunt, succ_count=ell,
+    return ConditionReport(walk=w, succ_count=ell,
                            prefix_succ_count=k, condition_a=cond_a,
                            condition_b=cond_b, condition_c=cond_c,
                            joined_stabilizer_order=joined_order)
@@ -205,11 +195,16 @@ def stabilizer_fixes_successors(group: PermutationGroup, graph: Graph,
 
     The stabilizer fixes every vertex of a successor but its last one, x,
     since those lie on the walk, so it fixes the successor exactly when the
-    orbit of x under it is {x}.
+    orbit of x under it is {x}.  The shunts sending v_n to x are the coset
+    G_(w) * g of any one of them, g, so they send x to |x^G_(w)| vertices:
+    the walk's shunt coset decides the check, and no stabilizer is built.
     """
     w = validate_walk(graph, walk)
-    stab = group.pointwise_stabilizer(w)
-    return all(stab.orbit(s[-1]) == {s[-1]} for s in successors(group, graph, w))
+    shs = group.transporter(w[:-1], w[1:])
+    if not shs:
+        raise NotConsistent(f"walk {w} has no shunt in the group")
+    return all(len(_split_shunts(ext, x)) == 1
+               for x, ext in _split_shunts(shs, w[-1]).items())
 
 
 def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
@@ -228,10 +223,8 @@ def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
         raise NotConnected("certification needs a connected graph")
     if not is_arc_transitive(group, graph):
         raise NotArcTransitive("certification needs an arc-transitive group")
-    shs = shunts(group, graph, w)
-    if not shs:
-        raise NotConsistent(f"walk {w} has no shunt in the group")
-    g = shs[0]
+    # read off the shunt coset, which also refuses an inconsistent walk
+    fixes_successors = stabilizer_fixes_successors(group, graph, w)
     r = len(w) - 1
     seed_walk = w[: seed_length + 1]
     seed_report = reachability_by_shunt_group(group, graph, seed_walk)
@@ -247,7 +240,7 @@ def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
         cert["failure_reason"] = f"seed walk {list(seed_walk)} is not reaching every vertex"
         return cert
     for n in range(seed_length, r):
-        report = check_conditions(group, graph, w[: n + 2], g)
+        report = check_conditions(group, graph, w[: n + 2])
         cert["prefix_conditions"].append(
             {"n": n, "a": report.condition_a, "b": report.condition_b,
              "c": report.condition_c})
@@ -255,7 +248,7 @@ def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
             cert["certified"] = False
             cert["failure_reason"] = f"prefix of length {n} violates all three conditions"
             return cert
-    if not stabilizer_fixes_successors(group, graph, w):
+    if not fixes_successors:
         cert["certified"] = False
         cert["failure_reason"] = "final fix check"
         return cert

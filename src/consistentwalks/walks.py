@@ -51,7 +51,6 @@ class ConsistencyWitness:
 
     walk: Walk
     shunt: Perm
-    group: PermutationGroup
 
     def __post_init__(self):
         for a, b in zip(self.walk, self.walk[1:]):
@@ -73,10 +72,11 @@ def shunts(group: PermutationGroup, graph: Graph, walk: Sequence[int]) -> list[P
 def is_consistent(group: PermutationGroup, graph: Graph,
                   walk: Sequence[int]) -> ConsistencyWitness | None:
     """A witness with the lexicographically smallest shunt, or None."""
-    found = shunts(group, graph, walk)
+    w = validate_walk(graph, walk)
+    found = group.transporter(w[:-1], w[1:])
     if not found:
         return None
-    return ConsistencyWitness(walk=validate_walk(graph, walk), shunt=found[0], group=group)
+    return ConsistencyWitness(walk=w, shunt=found[0])
 
 
 def successors(group: PermutationGroup, graph: Graph,

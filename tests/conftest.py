@@ -101,8 +101,8 @@ def build_family_graphs() -> dict[str, cw.Graph]:
         "k5": cw.named_graph("complete:5"),
         "q4": cw.named_graph("hypercube:4"),
     }
-    graphs["c4k2"] = cw.lex_blowup(cw.named_graph("cycle:4"), 2)[0]
-    graphs["q3k2"] = cw.lex_blowup(cw.named_graph("hypercube:3"), 2)[0]
+    graphs["c4k2"] = cw.lex_blowup(cw.named_graph("cycle:4"), 2)
+    graphs["q3k2"] = cw.lex_blowup(cw.named_graph("hypercube:3"), 2)
     return graphs
 
 
@@ -128,6 +128,6 @@ def censuses(family):
 def c4_wreath():
     """C4 blow-up with the fiber-wreath subgroup (local group dihedral)."""
     base = cw.named_graph("cycle:4")
-    blowup, _ = cw.lex_blowup(base, 2)
+    blowup = cw.lex_blowup(base, 2)
     gens = cw.wreath_group_generators(base, cw.automorphism_group(base), 2)
     return blowup, cw.PermutationGroup.close(gens)

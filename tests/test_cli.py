@@ -439,7 +439,7 @@ def blowup_files(tmp_path_factory):
     folder = tmp_path_factory.mktemp("graphs")
     files = {}
     for name, base in (("C4[2K1]", "cycle:4"), ("Q3[2K1]", "hypercube:3")):
-        graph = lex_blowup(named_graph(base), 2)[0]
+        graph = lex_blowup(named_graph(base), 2)
         path = folder / f"{base.replace(':', '')}k2.txt"
         path.write_text("".join(f"{u} {v}\n" for u, v in graph.edges()))
         files[name] = str(path)

@@ -16,7 +16,13 @@ from consistentwalks.errors import (
     TooFewVertices,
     UnknownSpec,
 )
-from consistentwalks.graphs import Graph, n_arcs, parse_edge_list_text, verify_automorphisms
+from consistentwalks.graphs import (
+    Graph,
+    blowup_point,
+    n_arcs,
+    parse_edge_list_text,
+    verify_automorphisms,
+)
 from consistentwalks.perms import PermutationGroup
 
 import oracles
@@ -108,7 +114,7 @@ def leaf_oracle_graph(name: str) -> Graph:
     if name == "edgeless:5":
         return cw.Graph(5, [])
     if name.endswith("[2K1]"):
-        return cw.lex_blowup(cw.named_graph(name[:-5]), 2)[0]
+        return cw.lex_blowup(cw.named_graph(name[:-5]), 2)
     return cw.named_graph(name)
 
 
@@ -159,7 +165,7 @@ def test_automorphism_ceiling_names_order_without_closing(monkeypatch):
 
     monkeypatch.setattr(perms_module, "_dimino", no_closure)
     monkeypatch.setattr(PermutationGroup, "from_strong_generators", no_closure)
-    graph = cw.lex_blowup(cw.named_graph("hypercube:3"), 3)[0]
+    graph = cw.lex_blowup(cw.named_graph("hypercube:3"), 3)
     started = time.perf_counter()
     with pytest.raises(CapExceeded) as info:
         cw.automorphism_group(graph)
@@ -196,7 +202,7 @@ def test_automorphisms_preserve_adjacency(family):
 
 
 def test_automorphism_search_leaves_no_cyclic_garbage():
-    graph = cw.lex_blowup(cw.named_graph("hypercube:3"), 2)[0]
+    graph = cw.lex_blowup(cw.named_graph("hypercube:3"), 2)
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -269,7 +275,7 @@ def test_twin_vertices():
     assert cw.twin_vertices(cw.named_graph("cycle:6")) == []
     k23 = cw.named_graph("complete_bipartite:2:3")
     assert cw.twin_vertices(k23) == [(0, 1), (2, 3), (2, 4), (3, 4)]
-    blowup, _ = cw.lex_blowup(cw.named_graph("cycle:4"), 2)
+    blowup = cw.lex_blowup(cw.named_graph("cycle:4"), 2)
     pairs = cw.twin_vertices(blowup)
     for v in range(4):
         assert (2 * v, 2 * v + 1) in pairs
@@ -277,23 +283,25 @@ def test_twin_vertices():
 
 def test_lex_blowup():
     c4 = cw.named_graph("cycle:4")
-    blowup, labels = cw.lex_blowup(c4, 2)
+    blowup = cw.lex_blowup(c4, 2)
     assert blowup.vertex_count == 8 and blowup.valence() == 4
-    assert labels[(2, 1)] == 5
-    same, _ = cw.lex_blowup(c4, 1)
+    assert blowup_point(2, 1, 2) == 5
+    same = cw.lex_blowup(c4, 1)
     assert same.edges() == c4.edges()
-    q3b, _ = cw.lex_blowup(cw.named_graph("hypercube:3"), 2)
+    q3b = cw.lex_blowup(cw.named_graph("hypercube:3"), 2)
     assert q3b.vertex_count == 16 and q3b.valence() == 6
     # adjacency follows the base graph on first coordinates
-    for (u, i), pu in labels.items():
-        for (v, j), pv in labels.items():
-            assert blowup.has_edge(pu, pv) == c4.has_edge(u, v)
+    points = [(v, i) for v in range(4) for i in range(2)]
+    for u, i in points:
+        for v, j in points:
+            assert blowup.has_edge(blowup_point(u, i, 2),
+                                   blowup_point(v, j, 2)) == c4.has_edge(u, v)
 
 
 def test_blowup_fibers_are_twin_classes():
     q3 = cw.named_graph("hypercube:3")
     assert cw.twin_vertices(q3) == []
-    blowup, _ = cw.lex_blowup(q3, 2)
+    blowup = cw.lex_blowup(q3, 2)
     assert cw.twin_vertices(blowup) == [(2 * v, 2 * v + 1) for v in range(8)]
 
 

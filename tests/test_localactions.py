@@ -60,7 +60,7 @@ def test_wps_requires_transitivity():
 def test_wps_accepts_local_action(family):
     graph, aut = family["q3"]
     local = cw.local_group(aut, graph, 0)
-    witness = cw.weakly_p_subregular(local)
+    witness = cw.weakly_p_subregular(local.group)
     assert witness is not None and witness.prime == 2
 
 
@@ -151,7 +151,7 @@ def test_find_trivial_walk_exhaustive(family):
     witness, cert = cw.find_trivial_walk_exhaustive(aut, q3)
     assert cert["certified"]
     assert len(oracles.oracle_stabilizer(aut, witness.walk)) == 1
-    blowup, _ = cw.lex_blowup(q3, 2)
+    blowup = cw.lex_blowup(q3, 2)
     baut = cw.automorphism_group(blowup)
     with pytest.raises(NoWitness):
         cw.find_trivial_walk_exhaustive(baut, blowup, depth_cap=4)

@@ -133,8 +133,7 @@ def test_no_intermediate_divisor_arithmetic():
 
 def test_check_conditions_k4(family):
     k4, aut = family["k4"]
-    shunt = cw.shunts(aut, k4, (0, 1, 2))[0]
-    report = cw.check_conditions(aut, k4, (0, 1, 2), shunt)
+    report = cw.check_conditions(aut, k4, (0, 1, 2))
     assert (report.succ_count, report.prefix_succ_count) == (2, 3)
     assert report.condition_a and report.condition_b and report.condition_c
     assert report.succ_count <= report.prefix_succ_count
@@ -148,15 +147,14 @@ def test_check_conditions_c_implies_b(family):
             walk = oracles.random_consistent_walk(group, graph, rng, max_length=4)
             if len(walk) < 3:
                 walk = oracles.consistent_extensions(group, graph, walk)[0]
-            shunt = cw.shunts(group, graph, walk)[0]
-            report = cw.check_conditions(group, graph, walk, shunt)
+            report = cw.check_conditions(group, graph, walk)
             assert not report.condition_c or report.condition_b
 
 
 def test_check_conditions_walk_too_short(family):
     c6, aut = family["c6"]
     with pytest.raises(WalkTooShort):
-        cw.check_conditions(aut, c6, (0, 1), cw.shunts(aut, c6, (0, 1))[0])
+        cw.check_conditions(aut, c6, (0, 1))
 
 
 def all_consistent_walks_up_to(group, graph, max_length):
@@ -187,41 +185,39 @@ def closure_oracle_conditions(group, graph, walk):
 def test_check_conditions_join_against_its_closure(family, c4_wreath):
     # the closed J's order, its orbit of the least successor and its
     # equality with G_inner must be what check_conditions reads from J's
-    # generators, whichever shunt of the walk is passed
+    # generators
     cases = [family[name] for name in ("c6", "k4", "q3", "petersen")] + [c4_wreath]
     seen_c = set()
     for graph, group in cases:
         for walk in all_consistent_walks_up_to(group, graph, 3):
             expected = closure_oracle_conditions(group, graph, walk)
-            for shunt in cw.shunts(group, graph, walk):
-                report = cw.check_conditions(group, graph, walk, shunt)
-                assert report.shunt == shunt
-                assert (report.joined_stabilizer_order, report.condition_b,
-                        report.condition_c) == expected, (walk, shunt)
+            report = cw.check_conditions(group, graph, walk)
+            assert (report.joined_stabilizer_order, report.condition_b,
+                    report.condition_c) == expected, walk
             seen_c.add(expected[2])
     assert seen_c == {False, True}
 
 
 def test_check_conditions_under_a_subgroup_with_an_outside_shunt(family, c4_wreath):
-    # the shunt passed may be an automorphism outside the group: the
-    # report still describes the group's stabilizers
+    # walks that also have shunts in Aut outside the group: the report
+    # describes the group's own stabilizers
     k4, aut4 = family["k4"]
     a4 = cw.PermutationGroup.close([cw.Perm.from_cycles(4, (0, 1, 2)),
                                     cw.Perm.from_cycles(4, (1, 2, 3))])
     odd = cw.Perm.from_cycles(4, (0, 1, 2, 3))
-    cases = [(k4, a4, (0, 1, 2), odd)]
+    assert odd not in a4 and odd in cw.shunts(aut4, k4, (0, 1, 2))
+    cases = [(k4, a4, (0, 1, 2))]
     graph, wreath = c4_wreath
     _, aut = family["c4k2"]
     for walk in all_consistent_walks_up_to(wreath, graph, 3):
-        outside = [s for s in cw.shunts(aut, graph, walk) if s not in wreath]
-        cases += [(graph, wreath, walk, s) for s in outside[:2]]
+        if any(s not in wreath for s in cw.shunts(aut, graph, walk)):
+            cases.append((graph, wreath, walk))
     assert len(cases) > 1
-    for graph, group, walk, shunt in cases:
-        assert shunt not in group
-        report = cw.check_conditions(group, graph, walk, shunt)
+    for graph, group, walk in cases:
+        report = cw.check_conditions(group, graph, walk)
         expected = closure_oracle_conditions(group, graph, walk)
         assert (report.joined_stabilizer_order, report.condition_b,
-                report.condition_c) == expected, (walk, shunt)
+                report.condition_c) == expected, walk
         assert (report.succ_count, report.prefix_succ_count) == (
             cw.successor_count(group, graph, walk),
             cw.successor_count(group, graph, walk[:-1]))
@@ -230,7 +226,7 @@ def test_check_conditions_under_a_subgroup_with_an_outside_shunt(family, c4_wrea
     for walk in ((0, 1, 2, 3), (0, 1, 2, 3, 0)):
         assert cw.shunts(aut4, k4, walk) == [odd]
         with pytest.raises(NotConsistent) as caught:
-            cw.check_conditions(a4, k4, walk, odd)
+            cw.check_conditions(a4, k4, walk)
         assert str(caught.value) == f"walk {walk} has no shunt in the group"
 
 
@@ -259,16 +255,14 @@ def test_check_conditions_queries_the_group_twice_at_the_first_vertex(family, c4
     for method_name in ("transporter", "pointwise_stabilizer"):
         monkeypatch.setattr(cw.PermutationGroup, method_name, counting(method_name))
     monkeypatch.setattr(cw.walks, "successors", no_successor_query)
-    monkeypatch.setattr(cw.reachability, "successors", no_successor_query)
     cases = [family[name] for name in ("c6", "k4", "q3", "petersen", "c4k2")] + [c4_wreath]
     for graph, group in cases:
         current[0] = None
         walks = list(all_consistent_walks_up_to(group, graph, 3))
-        shunt_lists = [cw.shunts(group, graph, w) for w in walks]
         current[0] = group
-        for walk, shs in zip(walks, shunt_lists):
+        for walk in walks:
             calls.clear()
-            cw.check_conditions(group, graph, walk, shs[0])
+            cw.check_conditions(group, graph, walk)
             assert len(calls) <= 2, (walk, calls)
             assert all(points[0] == walk[0] for _, points in calls), (walk, calls)
 
@@ -280,8 +274,7 @@ def test_conditions_lift_property_r_exhaustively(family):
     for name in ("c6", "k4", "q3"):
         graph, group = family[name]
         for walk in all_consistent_walks_up_to(group, graph, 5):
-            shunt = cw.shunts(group, graph, walk)[0]
-            report = cw.check_conditions(group, graph, walk, shunt)
+            report = cw.check_conditions(group, graph, walk)
             prefix_r = cw.reachability_by_shunt_group(group, graph, walk[:-1]).verdict
             if prefix_r and (report.condition_a or report.condition_b
                              or report.condition_c):
@@ -296,8 +289,7 @@ def test_conditions_lift_property_r_sampled(family):
             walk = oracles.random_consistent_walk(group, graph, rng, max_length=5)
             if len(walk) < 3:
                 continue
-            shunt = cw.shunts(group, graph, walk)[0]
-            report = cw.check_conditions(group, graph, walk, shunt)
+            report = cw.check_conditions(group, graph, walk)
             prefix_r = cw.reachability_by_shunt_group(group, graph, walk[:-1]).verdict
             if prefix_r and (report.condition_a or report.condition_b
                              or report.condition_c):
@@ -356,6 +348,24 @@ def test_certify_failure_reasons(family):
     assert not cert["certified"]
     assert "violates all three conditions" in cert["failure_reason"]
     assert cert["stabilizer_order"] == 1
+
+
+def test_certify_asks_for_the_walk_stabilizer_once(family, monkeypatch):
+    # the fix check reads the walk's shunt coset; only the certificate's
+    # stabilizer order asks for G_(w)
+    k5, aut5 = family["k5"]
+    walk = (0, 1, 2, 3)
+    method = cw.PermutationGroup.pointwise_stabilizer
+    asked = []
+
+    def counted(self, points):
+        if tuple(points) == walk:
+            asked.append(points)
+        return method(self, points)
+
+    monkeypatch.setattr(cw.PermutationGroup, "pointwise_stabilizer", counted)
+    cw.certify_trivial_stabilizer(aut5, k5, walk)
+    assert len(asked) <= 1
 
 
 def test_successor_reachability_classes_rotations_single_class():
