@@ -15,7 +15,6 @@ from .graphs import (
     automorphism_group,
     is_arc_transitive,
     is_n_arc_transitive,
-    is_vertex_transitive,
     lex_blowup,
     local_group,
     named_graph,

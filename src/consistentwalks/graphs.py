@@ -171,18 +171,18 @@ def parse_named_spec(spec: str) -> tuple[int, Iterator[tuple[int, int]]]:
             return 10, ((k, pairs.index(q)) for k, p in enumerate(pairs) for q in pairs
                         if p < q and not set(p) & set(q))
         if kind == "circulant":
-            n = int(parts[1])
-            steps = sorted({int(s) for s in parts[2].split(",")})
+            n, steps = parts[1:]
+            n, steps = int(n), sorted({int(s) for s in steps.split(",")})
             if any(s <= 0 or 2 * s > n for s in steps):
                 raise BadParameters(f"circulant steps must satisfy 0 < s <= n/2, got {steps}")
             # the step n/2 meets each of its edges from both ends
             return n, ((i, (i + s) % n) for s in steps for i in range(n if 2 * s < n else s))
         if kind == "complete_bipartite":
-            a, b = int(parts[1]), int(parts[2])
+            a, b = map(int, parts[1:])
             if a < 1 or b < 1:
                 raise BadParameters("both sides must be nonempty")
             return a + b, ((i, a + j) for i in range(a) for j in range(b))
-    except (IndexError, ValueError):
+    except ValueError:
         raise BadParameters(f"malformed parameters in {spec!r}") from None
     raise UnknownSpec(f"unknown graph spec {spec!r}")
 
@@ -392,10 +392,6 @@ def is_n_arc_transitive(group: PermutationGroup, graph: Graph, n: int) -> bool:
 
 def is_arc_transitive(group: PermutationGroup, graph: Graph) -> bool:
     return is_n_arc_transitive(group, graph, 1)
-
-
-def is_vertex_transitive(group: PermutationGroup, graph: Graph) -> bool:
-    return len(group.orbit(0)) == graph.vertex_count
 
 
 def twin_vertices(graph: Graph) -> list[tuple[int, int]]:

@@ -27,7 +27,6 @@ from .errors import (
     NoWitness,
     NotArcTransitive,
     NotConnected,
-    NotConsistent,
     NotTransitive,
     WrongValence,
     invariant,
@@ -37,10 +36,10 @@ from .perms import Perm, PermutationGroup, tuple_orbit_under
 from .walks import (
     Walk,
     ConsistencyWitness,
+    _consistent_shunts,
     _split_shunts,
     consistent_cycle_orbits,
     is_consistent,
-    shunts,
 )
 from .reachability import certify_trivial_stabilizer
 
@@ -106,17 +105,17 @@ def weakly_p_subregular(group: PermutationGroup) -> WpsWitness | None:
 
 
 def _extend_while_branching(group: PermutationGroup, graph: Graph,
-                            walk: Walk) -> tuple[Walk, list[int]]:
+                            walk: Walk) -> tuple[ConsistencyWitness, list[int]]:
     """Greedily extend the walk while some extension keeps >1 successor.
 
     Lexicographically smallest qualifying endpoint at each step.  Returns
-    the maximal walk and the successor counts of the walk and each chosen
-    extension.  The walk's shunts are queried once; each extension's are
-    the shunts sending the last vertex to its new endpoint.
+    the maximal walk's witness and the successor counts of the walk and
+    each chosen extension.  The walk's shunts are queried once; each
+    extension's are the shunts sending the last vertex to its new endpoint.
+    The parts of a split keep the query's sorted order, so the maximal
+    walk's least shunt is the least first member of its parts.
     """
-    shs = shunts(group, graph, walk)
-    if not shs:
-        raise NotConsistent(f"walk {walk} has no shunt in the group")
+    walk, shs = _consistent_shunts(group, graph, walk)
     by_end = _split_shunts(shs, walk[-1])
     counts = [len(by_end)]
     while True:
@@ -127,7 +126,8 @@ def _extend_while_branching(group: PermutationGroup, graph: Graph,
                 counts.append(len(by_end))
                 break
         else:
-            return walk, counts
+            least = min(part[0] for part in by_end.values())
+            return ConsistencyWitness(walk=walk, shunt=least), counts
 
 
 def find_trivial_walk_wps(group: PermutationGroup,
@@ -151,16 +151,16 @@ def find_trivial_walk_wps(group: PermutationGroup,
         raise NoWitness("the local group is not weakly p-subregular")
     x = local.domain[witness.x]
     y = local.domain[witness.y]
-    walk, counts = _extend_while_branching(group, graph, (x, base, y))
+    found, counts = _extend_while_branching(group, graph, (x, base, y))
     invariant(all(c == witness.prime for c in counts),
               f"successor counts {counts} differ from the witness prime {witness.prime}")
-    cert = certify_trivial_stabilizer(group, graph, walk, seed_length=2)
+    cert = certify_trivial_stabilizer(group, graph, found.walk, seed_length=2)
     cert.update({"method": "wps", "prime": witness.prime,
                  "base_vertex": base, "local_witness": witness.to_json(),
                  "successor_counts": counts})
     invariant(cert["certified"] and cert["stabilizer_order"] == 1,
-              f"wps walk {walk} is not certified trivial")
-    return is_consistent(group, graph, walk), cert
+              f"wps walk {found.walk} is not certified trivial")
+    return found, cert
 
 
 def _arc_local_order(group: PermutationGroup, graph: Graph,
@@ -196,20 +196,20 @@ def find_trivial_walk_4valent(group: PermutationGroup,
         cert.update({"method": "4valent", "branch": "dihedral-local"})
         return witness, cert
     if h_order == 1:
-        walk: Walk = (u, v)
+        witness = is_consistent(group, graph, (u, v))
         branch = "trivial-arc-action"
     else:
         invariant(is_n_arc_transitive(group, graph, 2),
                   "arc-local order 6 without 2-arc transitivity")
         w = next(z for z in graph.adj[v] if z != u)
-        walk, counts = _extend_while_branching(group, graph, (u, v, w))
+        witness, _ = _extend_while_branching(group, graph, (u, v, w))
         branch = "two-arc-transitive"
-    cert = certify_trivial_stabilizer(group, graph, walk, seed_length=1)
+    cert = certify_trivial_stabilizer(group, graph, witness.walk, seed_length=1)
     cert.update({"method": "4valent", "branch": branch,
                  "arc_local_order": h_order})
     invariant(cert["certified"] and cert["stabilizer_order"] == 1,
-              f"4-valent walk {walk} is not certified trivial")
-    return is_consistent(group, graph, walk), cert
+              f"4-valent walk {witness.walk} is not certified trivial")
+    return witness, cert
 
 
 def _shunt_descent(group: PermutationGroup, graph: Graph, depth_cap: int
@@ -275,7 +275,7 @@ def find_trivial_walk_exhaustive(group: PermutationGroup, graph: Graph,
                       f"walk {walk} has distinct shunt images but a nontrivial stabilizer")
             cert = {"method": "exhaustive", "walk": list(walk),
                     "stabilizer_order": 1, "certified": True}
-            return is_consistent(group, graph, walk), cert
+            return ConsistencyWitness(walk=walk, shunt=shs[0]), cert
     raise NoWitness(f"no consistent walk of length <= {depth_cap} has a trivial stabilizer")
 
 

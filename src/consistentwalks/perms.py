@@ -527,10 +527,7 @@ class PermutationGroup:
         if self.order == 1:
             return 0
         nontrivial = self.elements[1:]  # the identity comes first
-        for p in nontrivial:
-            if p.order() == self.order:
-                return 1
-        for size in range(2, MIN_GENERATING_SEARCH_CAP + 1):
+        for size in range(1, MIN_GENERATING_SEARCH_CAP + 1):
             for combo in itertools.combinations(nontrivial, size):
                 # the closure stops as soon as it fills the group
                 if len(_dimino(self.degree, combo, self.order - 1)[0]) == self.order:

@@ -16,7 +16,6 @@ from .errors import BaseNotVertexTransitive, BadParameters, invariant
 from .graphs import (
     Graph,
     blowup_point,
-    is_vertex_transitive,
     lex_blowup,
     twin_vertices,
     verify_automorphisms,
@@ -101,7 +100,7 @@ def blowup_cycle_family(graph: Graph, group: PermutationGroup,
         raise BadParameters("the family needs m >= 2")
     if not graph.connected:
         raise BadParameters("the base graph must be connected")
-    if not is_vertex_transitive(group, graph):
+    if not group.is_transitive():
         raise BaseNotVertexTransitive("the base group must be vertex-transitive")
     table = consistent_cycle_orbits(group, graph)
     blowup = lex_blowup(graph, m)
@@ -174,7 +173,7 @@ def check_blowup_hypotheses(graph: Graph, group: PermutationGroup) -> dict:
     twins = twin_vertices(graph)
     report = {
         "connected": graph.connected,
-        "vertex_transitive": is_vertex_transitive(group, graph),
+        "vertex_transitive": group.is_transitive(),
         "twin_free": not twins,
         "twins": [list(p) for p in twins],
         "spanning_consistent_cycle": bool(spanning),

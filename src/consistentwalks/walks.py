@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 from .errors import InvalidWalk, NotConsistent, invariant
-from .graphs import Graph, is_vertex_transitive
+from .graphs import Graph
 from .perms import Perm, PermutationGroup
 
 Walk = tuple[int, ...]
@@ -79,34 +79,6 @@ def is_consistent(group: PermutationGroup, graph: Graph,
     return ConsistencyWitness(walk=w, shunt=found[0])
 
 
-def successors(group: PermutationGroup, graph: Graph,
-               walk: Sequence[int]) -> list[Walk]:
-    """All walks (v_1..v_n, v_n^g) over shunts g, sorted.
-
-    The shunt images of the walk: a shunt maps (v_0..v_{n-1}) onto
-    (v_1..v_n), so only the image of v_n is new.  Since the shunts are
-    the coset g0 * G_{(v_1..v_n)}, these are also the orbit of one
-    successor under the suffix stabilizer.
-    """
-    w = validate_walk(graph, walk)
-    shs = group.transporter(w[:-1], w[1:])
-    if not shs:
-        raise NotConsistent(f"walk {w} has no shunt in the group")
-    head, last = w[1:], w[-1]
-    return sorted({head + (g[last],) for g in shs})
-
-
-def successor_count(group: PermutationGroup, graph: Graph,
-                    walk: Sequence[int]) -> int:
-    """|Succ(walk)|, which equals |G_prefix| / |G_walk| in every group.
-
-    The successor endpoints are the images of v_n under the coset
-    G_prefix * g0 of shunts, and two shunts give the same image exactly
-    when they lie in one coset of G_walk (orbit–stabilizer).
-    """
-    return len(successors(group, graph, walk))
-
-
 def _split_shunts(shs: Sequence[Perm], last: int) -> dict[int, list[Perm]]:
     """Each image of ``last`` under the shunts ``shs`` -> the shunts sending it there.
 
@@ -118,6 +90,42 @@ def _split_shunts(shs: Sequence[Perm], last: int) -> dict[int, list[Perm]]:
     for g in shs:
         split.setdefault(g[last], []).append(g)
     return split
+
+
+def _consistent_shunts(group: PermutationGroup, graph: Graph,
+                       walk: Sequence[int]) -> tuple[Walk, list[Perm]]:
+    """The validated walk and its sorted shunts, the one coset every walk
+    query reads; refuses a walk with none."""
+    w = validate_walk(graph, walk)
+    shs = group.transporter(w[:-1], w[1:])
+    if not shs:
+        raise NotConsistent(f"walk {w} has no shunt in the group")
+    return w, shs
+
+
+def successors(group: PermutationGroup, graph: Graph,
+               walk: Sequence[int]) -> list[Walk]:
+    """All walks (v_1..v_n, v_n^g) over shunts g, sorted.
+
+    The shunt images of the walk: a shunt maps (v_0..v_{n-1}) onto
+    (v_1..v_n), so only the image of v_n is new.  Since the shunts are
+    the coset g0 * G_{(v_1..v_n)}, these are also the orbit of one
+    successor under the suffix stabilizer.
+    """
+    w, shs = _consistent_shunts(group, graph, walk)
+    return [w[1:] + (x,) for x in sorted(_split_shunts(shs, w[-1]))]
+
+
+def successor_count(group: PermutationGroup, graph: Graph,
+                    walk: Sequence[int]) -> int:
+    """|Succ(walk)|, which equals |G_prefix| / |G_walk| in every group.
+
+    The successor endpoints are the images of v_n under the coset
+    G_prefix * g0 of shunts, and two shunts give the same image exactly
+    when they lie in one coset of G_walk (orbit–stabilizer).
+    """
+    w, shs = _consistent_shunts(group, graph, walk)
+    return len(_split_shunts(shs, w[-1]))
 
 
 def induced_cycle(witness: ConsistencyWitness) -> Walk:
@@ -192,7 +200,7 @@ class CycleOrbitTable:
         return rec
 
 
-def _rooted_cycles(group: PermutationGroup, graph: Graph, root: int,
+def _rooted_cycles(group: PermutationGroup, root: int,
                    starts: Iterable[int]) -> Counter[Walk]:
     """Every G-consistent rooted directed cycle at ``root`` that leaves it
     through a neighbor in ``starts`` -> its shunt count.
@@ -218,7 +226,7 @@ def enumerate_consistent_cycles(group: PermutationGroup, graph: Graph) -> set[Wa
     """Every G-consistent rooted directed cycle: the union over all roots."""
     out: set[Walk] = set()
     for root in range(graph.vertex_count):
-        out.update(_rooted_cycles(group, graph, root, graph.adj[root]))
+        out.update(_rooted_cycles(group, root, graph.adj[root]))
     return out
 
 
@@ -264,7 +272,7 @@ def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbit
                 if v not in reached:
                     reached |= stab.orbit(v)
                     starts.append(v)
-            cycles = _rooted_cycles(group, graph, root, starts)
+            cycles = _rooted_cycles(group, root, starts)
             for members in partition_cycles(stab, cycles):
                 rep = members[0]
                 order = cycles[rep]
@@ -277,7 +285,7 @@ def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbit
                     trivial=len(rep) == 3,
                 ))
     records.sort(key=lambda r: (r.length, r.representative))
-    transitive = is_vertex_transitive(group, graph)
+    transitive = group.is_transitive()
     if transitive:
         invariant(len(records) == graph.valence(),
                   f"expected {graph.valence()} orbits, found {len(records)}")

@@ -91,6 +91,42 @@ def group_answers_rederived():
         PermutationGroup.transporter = transporter
 
 
+@pytest.fixture
+def group_queries(monkeypatch):
+    """``record(group, call)`` -> (``call()``, the transporter and
+    pointwise_stabilizer queries it made on ``group``).
+
+    A query is recorded as (method name, *its point tuples).  Queries
+    nested inside a recorded one, and queries on other groups, do not count.
+    """
+    calls, depth, watched = [], [0], [None]
+
+    def counting(method_name):
+        method = getattr(PermutationGroup, method_name)
+
+        def counted(self, *points):
+            if depth[0] == 0 and self is watched[0]:
+                calls.append((method_name, *map(tuple, points)))
+            depth[0] += 1
+            try:
+                return method(self, *points)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    for method_name in ("transporter", "pointwise_stabilizer"):
+        monkeypatch.setattr(PermutationGroup, method_name, counting(method_name))
+
+    def record(group, call):
+        calls.clear()
+        watched[0] = group
+        try:
+            return call(), list(calls)
+        finally:
+            watched[0] = None
+    return record
+
+
 def build_family_graphs() -> dict[str, cw.Graph]:
     """The eight graphs every cross-module test runs against."""
     graphs = {

@@ -57,6 +57,18 @@ def test_named_spec_with_surrounding_spaces(capsys):
         assert json.loads(out)["payload"] == expected
 
 
+@pytest.mark.parametrize("spec", ["cycle:6:7", "complete_bipartite:3:3:junk",
+                                  "circulant:8:1,3:x", "complete_bipartite:3",
+                                  "circulant:8"])
+def test_malformed_named_spec_is_one_json_line(spec, capsys):
+    # each kind takes exactly its own parameters, no fewer and no more
+    code, out, err = run_cli(["orbits", "--graph", spec], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "BadParameters",
+                               "message": f"malformed parameters in {spec!r}"}
+
+
 def test_trivial_walk_4valent(capsys):
     code, out, _ = run_cli(["trivial-walk", "--graph", "complete:5",
                             "--method", "4valent"], capsys)

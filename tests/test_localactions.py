@@ -257,8 +257,10 @@ def test_shunt_descent_queries_once_per_arc_orbit(name, family, monkeypatch):
 def test_extend_while_branching_matches_successor_queries(name, finder, family):
     graph, group = family[name]
     witness, _ = finder(group, graph)
-    walk, counts = _extend_while_branching(group, graph, witness.walk[:3])
+    extended, counts = _extend_while_branching(group, graph, witness.walk[:3])
+    walk = extended.walk
     assert walk == witness.walk
+    assert extended == cw.is_consistent(group, graph, walk)
     assert counts == [cw.successor_count(group, graph, walk[:k])
                       for k in range(3, len(walk) + 1)]
     # each step takes the least extension that still branches, and the
@@ -268,6 +270,38 @@ def test_extend_while_branching_matches_successor_queries(name, finder, family):
             if ext == walk[:k + 1]:
                 break
             assert cw.successor_count(group, graph, ext) <= 1, ext
+
+
+@pytest.mark.parametrize("name,finder", [
+    ("q3", cw.find_trivial_walk_wps), ("petersen", cw.find_trivial_walk_wps),
+    ("k5", cw.find_trivial_walk_4valent), ("q4", cw.find_trivial_walk_4valent),
+])
+def test_search_returns_the_witness_it_holds(name, finder, family, group_queries):
+    # the extension's split holds the witness, so the returned walk's coset
+    # is asked only by the certificate and, when the search stops at its
+    # starting 2-arc, by the search's one query
+    graph, group = family[name]
+    (witness, cert), calls = group_queries(group, lambda: finder(group, graph))
+    walk = witness.walk
+    coset = ("transporter", walk[:-1], walk[1:])
+    _, cert_calls = group_queries(group, lambda: cw.certify_trivial_stabilizer(
+        group, graph, walk, seed_length=cert["seed"]["length"]))
+    assert cert_calls.count(coset) >= 1
+    assert calls.count(coset) == cert_calls.count(coset) + (len(walk) == 3), calls
+
+
+@pytest.mark.parametrize("name", ["c6", "k4", "q3", "petersen", "k5", "q4"])
+def test_exhaustive_search_asks_only_its_arcs(name, family, group_queries):
+    # one query per searched arc orbit, each arc once, and the returned
+    # walk's stabilizer recomputed once
+    graph, group = family[name]
+    (witness, _), calls = group_queries(
+        group, lambda: cw.find_trivial_walk_exhaustive(group, graph))
+    arcs = [call for call in calls if call[0] == "transporter"]
+    assert arcs and all(len(src) == 1 for _, src, _ in arcs), calls
+    assert len(set(arcs)) == len(arcs), calls
+    assert [call for call in calls if call[0] != "transporter"] == [
+        ("pointwise_stabilizer", witness.walk)]
 
 
 def test_shunt_count_pattern_flags():

@@ -47,3 +47,26 @@ def test_library_modules_use_every_import():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_library_functions_read_every_parameter():
+    # a parameter the body never reads is an input every caller supplies for
+    # nothing; the CLI's _payload_* dispatchers share one (graph, group,
+    # args) signature, which is their interface
+    unread = []
+    for path in sorted((ROOT / "src" / "consistentwalks").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if path.name == "cli.py" and name.startswith("_payload_"):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unread += [f"{path.name}:{node.lineno} {name}({p})" for p in params
+                       if p not in read and p not in ("self", "cls")]
+    assert unread == []

@@ -267,6 +267,25 @@ def test_check_conditions_queries_the_group_twice_at_the_first_vertex(family, c4
             assert all(points[0] == walk[0] for _, points in calls), (walk, calls)
 
 
+def test_walk_queries_ask_the_group_once(family, group_queries):
+    # each answer is read off the walk's shunt coset, asked once; the shunt
+    # group closes that coset and asks for no G_prefix
+    k4, _ = family["k4"]
+    a4 = cw.PermutationGroup.close([cw.Perm.from_cycles(4, (0, 1, 2)),
+                                    cw.Perm.from_cycles(4, (1, 2, 3))])
+    rng = random.Random(21)
+    for graph, group in [family[name] for name in sorted(family)] + [(k4, a4)]:
+        walks = [(0, graph.adj[0][0])] + [
+            oracles.random_consistent_walk(group, graph, rng, max_length=4)
+            for _ in range(2)]
+        for walk in walks:
+            coset = [("transporter", walk[:-1], walk[1:])]
+            for query in (cw.successors, cw.successor_count, cw.reachability_by_chase,
+                          cw.stabilizer_fixes_successors, cw.reachability_by_shunt_group):
+                _, calls = group_queries(group, lambda: query(group, graph, walk))
+                assert calls == coset, (query.__name__, walk, calls)
+
+
 def test_conditions_lift_property_r_exhaustively(family):
     # whenever the prefix reaches every vertex and some condition holds, the
     # walk itself does too; exhaustive over the small graphs'
