@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
-from operator import itemgetter
 
 from .errors import (
     BadParameters,
@@ -29,7 +28,7 @@ from .errors import (
     UnknownSpec,
     invariant,
 )
-from .perms import DEFAULT_GROUP_CAP, Perm, PermutationGroup, _closure
+from .perms import DEFAULT_GROUP_CAP, Perm, PermutationGroup, tuple_orbit_under
 
 AUTOMORPHISM_VERTEX_LIMIT = 64
 
@@ -286,18 +285,18 @@ def _strong_generators(graph: Graph) -> tuple[list[Perm], list[int]]:
     gens: list[Perm] = []
     lengths = [1] * n
     for i in reversed(range(n)):
-        orbit = {i}
+        orbit = {(i,)}
         avail = path[i][i] & ~((1 << i) - 1)
         while avail:
             bit = avail & -avail
             avail ^= bit
             u = bit.bit_length() - 1
-            if u in orbit:
+            if (u,) in orbit:
                 continue
             g = _first_completion(adj, i, u, path[i])
             if g is not None:
                 gens.append(g)
-                orbit = _closure({i}, [i], gens, itemgetter)
+                orbit = tuple_orbit_under(gens, (i,))
         lengths[i] = len(orbit)
     return gens, lengths
 

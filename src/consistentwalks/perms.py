@@ -1,9 +1,10 @@
 """Finite permutation group engine.
 
-Permutations act on the right throughout: ``v ** (g*h) == (v ** g) ** h``
-in exponent notation, i.e. ``(g*h)[v] == h[g[v]]``.  A product is one C
-call, ``operator.itemgetter(*g)(h)``, and the closures below build each
-getter once and apply it to many permutations.  A closed group is
+A permutation is the ``bytes`` of its images, so its degree is at most
+256, and acts on the right: ``(g*h)[v] == h[g[v]]``.  A product is one C
+call, ``g.translate(h + PAD[len(h):])``, in :meth:`Perm.__mul__` or, where
+a loop reuses one right factor, with that factor's table built once; a
+point tuple held as bytes moves the same way.  A closed group is
 materialized: Dimino's closure, which grows the subgroup generated so far a
 whole right coset at a time, backs :meth:`PermutationGroup.close`, the
 greedy generators and :meth:`PermutationGroup.min_generating_size`.  The
@@ -46,8 +47,7 @@ import bisect
 import itertools
 import math
 from array import array
-from collections.abc import Callable, Iterable, Sequence
-from operator import itemgetter
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     BadParameters,
@@ -58,27 +58,33 @@ from .errors import (
 
 DEFAULT_GROUP_CAP = 2_000_000
 MIN_GENERATING_SEARCH_CAP = 4
+DEGREE_LIMIT = 256
+PAD = bytes(range(DEGREE_LIMIT))
 
 
-class Perm(tuple):
-    """A permutation of {0..n-1} stored as its tuple of images.
+class Perm(bytes):
+    """A permutation of {0..n-1} stored as the bytes of its images, n <= 256.
 
     ``p[v]`` is the image of point ``v``; ``p * q`` applies ``p`` first.
     Construction does not validate; use :meth:`from_images` for raw input.
+    Comparison is lexicographic on the images, as for tuples.
     """
 
     __slots__ = ()
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
-        return cls(range(degree))
+        if degree > DEGREE_LIMIT:
+            raise CapExceeded(f"permutation degree {degree} exceeds "
+                              f"the limit of {DEGREE_LIMIT}")
+        return cls(PAD[:degree])
 
     @classmethod
     def from_images(cls, images: Iterable[int]) -> "Perm":
-        p = cls(int(i) for i in images)
-        if sorted(p) != list(range(len(p))):
-            raise InvalidPermutation(f"not a bijection on 0..{len(p) - 1}: {list(p)}")
-        return p
+        p = [int(i) for i in images]
+        if sorted(p) != list(cls.identity(len(p))):
+            raise InvalidPermutation(f"not a bijection on 0..{len(p) - 1}: {p}")
+        return cls(p)
 
     @classmethod
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> "Perm":
@@ -95,16 +101,14 @@ class Perm(tuple):
     def __mul__(self, other):  # type: ignore[override]
         if len(self) != len(other):
             raise DegreeMismatch(f"degrees {len(self)} and {len(other)} differ")
-        return Perm(_tuple_getter(self)(other))
+        return Perm(self.translate(_table(other)))
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self)
-        for v, image in enumerate(self):
-            inv[image] = v
-        return Perm(inv)
+        # the table sending each image p[v] back to v
+        return Perm(bytes.maketrans(self, PAD[:len(self)])[:len(self)])
 
     def is_identity(self) -> bool:
-        return all(i == v for v, i in enumerate(self))
+        return self == PAD[:len(self)]
 
     def order(self) -> int:
         k, q = 1, self
@@ -128,38 +132,32 @@ class Perm(tuple):
 
     def __repr__(self) -> str:
         return f"Perm{tuple(self)!r}"
+    __str__ = __repr__  # bytes' own str prints b'...'
+
+
+def _table(q: bytes) -> bytes:
+    """``q`` padded to a translation table: ``x.translate(_table(q))`` is
+    ``bytes(q[i] for i in x)``.  A loop with one right factor builds it once."""
+    return q + PAD[len(q):]
 
 
 def _as_perms(generators: Iterable[Sequence[int]]) -> list[Perm]:
     return [g if isinstance(g, Perm) else Perm.from_images(g) for g in generators]
 
 
-def _tuple_getter(t: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """``f`` with ``f(x) == tuple(x[i] for i in t)``, one C call for ``len(t) >= 2``.
-
-    ``itemgetter`` returns a bare item for one index, so shorter tuples
-    take a comprehension.  ``p * q == Perm(_tuple_getter(p)(q))``.
+def _closure(start: bytes, gens: Sequence[Perm], limit: float = math.inf) -> set[bytes]:
+    """Breadth-first orbit of the point tuple ``start``, held as bytes, under
+    x -> x^g for g in ``gens``: each image is one ``translate``, with each
+    generator's table built once.  Returns early once the orbit holds more
+    than ``limit`` tuples.
     """
-    if len(t) >= 2:
-        return itemgetter(*t)
-    return lambda x: tuple(x[i] for i in t)
-
-
-def _closure(seen: set, frontier: list, gens: Sequence[Perm],
-             getter: Callable, limit: float = math.inf) -> set:
-    """Breadth-first closure of ``seen`` under ``x -> getter(x)(g)`` for g in ``gens``.
-
-    ``getter`` is ``itemgetter`` for points and ``_tuple_getter`` for point
-    tuples, built once per explored item.  ``frontier`` holds the members of
-    ``seen`` whose images are unexplored.  Grows ``seen`` in place and
-    returns it, early once it holds more than ``limit`` items.
-    """
+    tables = [_table(g) for g in gens]
+    seen, frontier = {start}, [start]
     while frontier:
         new = []
         for x in frontier:
-            image = getter(x)
-            for g in gens:
-                y = image(g)
+            for t in tables:
+                y = x.translate(t)
                 if y not in seen:
                     seen.add(y)
                     if len(seen) > limit:
@@ -176,13 +174,12 @@ def tuple_orbit_under(generators: Sequence[Perm], tup: Sequence[int],
 
     Raises :class:`CapExceeded` once the orbit holds over ``cap`` tuples.
     """
-    start = tuple(tup)
     limit = math.inf if cap is None else cap
-    seen = _closure({start}, [start], generators, _tuple_getter, limit)
+    seen = _closure(bytes(tup), generators, limit)
     if len(seen) > limit:
         raise CapExceeded(f"tuple orbit reached {len(seen)} tuples, "
                           f"over the cap of {cap}")
-    return seen
+    return {tuple(x) for x in seen}
 
 
 def _transversal(degree: int, point: int, gens: Sequence[Perm]) -> dict[int, Perm]:
@@ -197,18 +194,17 @@ def _transversal(degree: int, point: int, gens: Sequence[Perm]) -> dict[int, Per
     while frontier:
         new = []
         for x in frontier:
-            image = _tuple_getter(trans[x])
             for g in gens:
                 y = g[x]
                 if y not in trans:
-                    trans[y] = Perm(image(g))
+                    trans[y] = trans[x] * g
                     new.append(y)
         frontier = new
     return trans
 
 
 def _dimino(degree: int, candidates: Iterable[Perm],
-            limit: float = math.inf) -> tuple[set[Perm], list[Perm]]:
+            limit: float = math.inf) -> tuple[set[bytes], list[Perm]]:
     """Dimino's closure: the group generated by ``candidates``, a right coset at a time.
 
     Walks ``candidates`` in order and skips each one already in the
@@ -216,8 +212,9 @@ def _dimino(degree: int, candidates: Iterable[Perm],
     <H, p>: first the coset H*p, then H*y for each y = x*g not yet seen,
     where x runs over the new coset representatives and g over the kept
     candidates.  A new coset costs |H| products and a representative one
-    product per kept candidate.  Returns the element set and the kept
-    candidates, early once the set holds more than ``limit`` elements.
+    product per kept candidate.  Returns the element set, whose members
+    may be plain ``bytes``, and the kept candidates, early once the set
+    holds more than ``limit`` elements.
     """
     seen = {Perm.identity(degree)}
     kept: list[Perm] = []
@@ -225,10 +222,10 @@ def _dimino(degree: int, candidates: Iterable[Perm],
         if p in seen:
             continue
         kept.append(p)
-        # h * y == Perm(itemgetter(*h)(y)), each h's getter built once; a kept
-        # p is not the identity, so the degree is at least 2
-        subgroup = [itemgetter(*h) for h in seen]
-        seen.update(Perm(h(p)) for h in subgroup)
+        # h * y is h.translate(t) for y's table t, built once per coset
+        subgroup = list(seen)
+        t = _table(p)
+        seen.update(h.translate(t) for h in subgroup)
         reps = [p]
         for x in reps:  # grows while it is walked
             if len(seen) > limit:
@@ -236,7 +233,8 @@ def _dimino(degree: int, candidates: Iterable[Perm],
             for g in kept:
                 y = x * g
                 if y not in seen:
-                    seen.update(Perm(h(y)) for h in subgroup)
+                    t = _table(y)
+                    seen.update(h.translate(t) for h in subgroup)
                     reps.append(y)
     return seen, kept
 
@@ -311,7 +309,7 @@ class PermutationGroup:
         if len(elements) > cap:
             raise CapExceeded(f"group closure reached {len(elements)} elements, "
                               f"over the cap of {cap}")
-        return cls(degree, sorted(elements), generators=kept)
+        return cls(degree, sorted(map(Perm, elements)), generators=kept)
 
     @classmethod
     def from_strong_generators(cls, degree: int,
@@ -358,8 +356,7 @@ class PermutationGroup:
         group = self
         while group._chain is not None:
             _, trans, group = group._chain
-            getters = {b: itemgetter(*u) for b, u in trans.items()}
-            elements = [Perm(getters[b](r)) for r in elements
+            elements = [Perm(trans[b].translate(t)) for r in elements for t in [_table(r)]
                         for b in sorted(trans, key=r.__getitem__)]
         return tuple(elements)
 
@@ -395,15 +392,15 @@ class PermutationGroup:
     def __contains__(self, p) -> bool:
         """A bisection of the elements, or down a chain a sift: p lies in
         the chain group iff u = u_(p[beta]) exists and p * u^-1 lies in G_beta."""
-        if len(p) != self.degree:
+        if sorted(p) != list(self.identity):  # no permutation of the degree
             return False
-        group = self
+        group, p = self, Perm(p)
         while group._chain is not None:
             beta, trans, group = group._chain
             u = trans.get(p[beta])
             if u is None:
                 return False
-            p = Perm(_tuple_getter(p)(u.inverse()))
+            p = p * u.inverse()
         elements = group.elements
         i = bisect.bisect_left(elements, p)
         return i < len(elements) and elements[i] == p
@@ -430,12 +427,13 @@ class PermutationGroup:
 
     def orbit(self, point: int) -> frozenset[int]:
         """Smallest generator-closed set of points containing ``point``."""
-        if not 0 <= point < self.degree:
-            raise BadParameters(f"point {point} outside degree {self.degree}")
-        return frozenset(_closure({point}, [point], self.generators, itemgetter))
+        return frozenset(b for (b,) in self.tuple_orbit((point,)))
 
     def tuple_orbit(self, tup: Sequence[int], cap: int | None = None) -> set[tuple[int, ...]]:
         """Orbit of a point tuple under the coordinatewise action."""
+        for p in tup:
+            if not 0 <= p < self.degree:
+                raise BadParameters(f"point {p} outside degree {self.degree}")
         return tuple_orbit_under(self.generators, tup, cap)
 
     def transporter(self, src: Sequence[int], dst: Sequence[int]) -> list[Perm]:
@@ -473,7 +471,7 @@ class PermutationGroup:
                 found = [g for g in found if g[a] == b]
         if lift is None:
             return found
-        return sorted(Perm(itemgetter(*h)(lift)) for h in found)
+        return sorted(h * lift for h in found)
 
     def _index_row(self, a: int) -> tuple[array, list[int]]:
         """Element positions stably sorted by the image of ``a``, and the

@@ -31,7 +31,7 @@ def lift_base_perm(p: Perm, m: int) -> Perm:
     for v in range(n):
         for i in range(m):
             images[blowup_point(v, i, m)] = blowup_point(p[v], i, m)
-    return Perm(images)
+    return Perm.from_images(images)
 
 
 def fiber_perm(n: int, m: int, v: int, fiber_images: Perm) -> Perm:
@@ -39,14 +39,14 @@ def fiber_perm(n: int, m: int, v: int, fiber_images: Perm) -> Perm:
     images = list(range(n * m))
     for i in range(m):
         images[blowup_point(v, i, m)] = blowup_point(v, fiber_images[i], m)
-    return Perm(images)
+    return Perm.from_images(images)
 
 
 def fiber_swap(n: int, m: int, v: int, i: int, j: int) -> Perm:
     """Transposition of two points in vertex v's fiber."""
     swap = list(range(m))
     swap[i], swap[j] = j, i
-    return fiber_perm(n, m, v, Perm(swap))
+    return fiber_perm(n, m, v, Perm.from_images(swap))
 
 
 def wreath_group_generators(base_graph: Graph, base_group: PermutationGroup,

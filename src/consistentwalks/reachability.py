@@ -205,7 +205,7 @@ def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
                                seed_length: int = 1) -> dict:
     """Certificate that the walk's pointwise stabilizer is trivial.
 
-    Pipeline: reachability is verified directly for the prefix of length
+    Pipeline: reachability is verified for the prefix of length
     ``seed_length``; each longer proper prefix must satisfy one of the three
     lifting conditions; the stabilizer must fix all successors; and the
     stabilizer order is recomputed directly.  On failure the certificate
@@ -220,15 +220,18 @@ def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
     fixes_successors = stabilizer_fixes_successors(group, graph, w)
     r = len(w) - 1
     seed_walk = w[: seed_length + 1]
-    seed_report = reachability_by_shunt_group(group, graph, seed_walk)
+    # an arc's H = <G_u, s> is G: u^H holds N(u) = v^(G_u) and, with each
+    # vertex, its neighbours, so on a connected graph it is every vertex
+    seed_transitive = (seed_length == 1
+                       or reachability_by_shunt_group(group, graph, seed_walk).verdict)
     cert: dict = {
         "walk": list(w),
         "seed": {"length": seed_length, "walk": list(seed_walk),
-                 "shunt_group_transitive": seed_report.verdict},
+                 "shunt_group_transitive": seed_transitive},
         "prefix_conditions": [],
         "stabilizer_order": group.pointwise_stabilizer(w).order,
     }
-    if not seed_report.verdict:
+    if not seed_transitive:
         cert["certified"] = False
         cert["failure_reason"] = f"seed walk {list(seed_walk)} is not reaching every vertex"
         return cert

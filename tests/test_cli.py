@@ -264,6 +264,35 @@ def test_group_file_degree_refuses_graph_before_building(tmp_path, monkeypatch, 
     assert all(n <= 3 for n in built)
 
 
+def test_group_degree_over_256_refused_before_building(tmp_path, monkeypatch, capsys):
+    built = record_graph_sizes(monkeypatch)
+    rotation = [(i + 1) % 300 for i in range(300)]
+    group_file = tmp_path / "rotation300.json"
+    group_file.write_text(json.dumps({"degree": 300, "generators": [rotation]}))
+    embedded = tmp_path / "cycle300.json"
+    embedded.write_text(json.dumps({"vertices": 300, "generators": [rotation],
+                                    "edges": [[i, (i + 1) % 300] for i in range(300)]}))
+    for source in (["--graph", "cycle:300", "--group-file", str(group_file)],
+                   ["--graph", str(embedded)]):
+        code, out, err = run_cli(["orbits", *source], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "CapExceeded", "message":
+                                   "permutation degree 300 exceeds the limit of 256"}
+    assert built == []
+
+
+def test_group_degree_256_answers_orbits(tmp_path, capsys):
+    group_file = tmp_path / "rotation256.json"
+    group_file.write_text(json.dumps([[(i + 1) % 256 for i in range(256)]]))
+    code, out, _ = run_cli(["orbits", "--graph", "cycle:256",
+                            "--group-file", str(group_file)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["input"]["group_order"] == 256
+    assert report["payload"]["orbit_count"] == 2
+
+
 def test_embedded_generator_degree_refuses_graph_before_building(tmp_path, monkeypatch,
                                                                  capsys):
     built = record_graph_sizes(monkeypatch)

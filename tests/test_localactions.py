@@ -127,6 +127,25 @@ def test_find_trivial_walk_4valent(name, branch, family):
     assert len(oracles.oracle_stabilizer(group, witness.walk)) == 1
 
 
+def test_4valent_certificates_close_no_group(family, monkeypatch):
+    # the certificate's seed is an arc, transitive without a closure
+    close = cw.PermutationGroup.close.__func__
+    closed = []
+
+    def counted(cls, *args, **kwargs):
+        closed.append(args)
+        return close(cls, *args, **kwargs)
+
+    monkeypatch.setattr(cw.PermutationGroup, "close", classmethod(counted))
+    for name in ("k5", "q4"):
+        graph, group = family[name]
+        witness, cert = cw.find_trivial_walk_4valent(group, graph)
+        assert cert["certified"]
+        assert cert["seed"] == {"length": 1, "walk": list(witness.walk[:2]),
+                                "shunt_group_transitive": True}
+    assert closed == []
+
+
 def test_find_trivial_walk_4valent_dihedral_branch(c4_wreath):
     blowup, wreath = c4_wreath
     witness, cert = cw.find_trivial_walk_4valent(wreath, blowup)

@@ -141,6 +141,24 @@ def test_transporter_rejects_points_outside_degree():
         aut.pointwise_stabilizer((0, -1))
 
 
+def test_tuple_orbit_rejects_points_outside_degree(family):
+    _, aut = family["petersen"]
+    for tup in ((99,), (-1,), (0, 10)):
+        with pytest.raises(BadParameters, match="outside degree 10"):
+            aut.tuple_orbit(tup)
+
+
+def test_degree_limit_of_256():
+    reversal = Perm.from_images(range(255, -1, -1))
+    shift = Perm((v + 1) % 256 for v in range(256))
+    assert Perm.identity(256).is_identity() and reversal * reversal == Perm.identity(256)
+    assert reversal * shift == Perm(shift[v] for v in reversal)
+    assert shift.inverse() * shift == Perm.identity(256)
+    for make in (Perm.identity, lambda n: Perm.from_images(range(n))):
+        with pytest.raises(CapExceeded, match="degree 257 exceeds the limit of 256"):
+            make(257)
+
+
 def test_transporter_matches_plain_scan(family):
     rng = random.Random(20261018)
     for name in ("petersen", "q4", "c4k2"):
@@ -294,6 +312,15 @@ def test_membership_matches_element_set(ladder):
     assert member_transpositions  # the blow-ups' fiber swaps
 
 
+def test_membership_of_plain_tuples(family):
+    _, aut = family["petersen"]
+    for g in (aut.elements[0], aut.elements[-1]):
+        assert tuple(g) in aut and list(g) in aut
+    assert tuple(range(9, -1, -1)) not in aut and (0, 1) not in aut
+    for images in ((-1, *range(1, 10)), (*range(9), 300), (0,) * 10):
+        assert images not in aut
+
+
 def test_group_without_identity_refused():
     d4 = PermutationGroup.close([ROTATION, REFLECTION])
     for elements in ([g for g in d4.elements if not g.is_identity()], []):
@@ -326,7 +353,7 @@ def test_serialization_round_trip():
 
 
 def test_products_and_orbits_at_small_degrees():
-    # the C kernel switches to a comprehension below two points
+    # degrees 0 and 1 pad almost all of the translation table
     for degree in range(5):
         perms = [Perm(images) for images in permutations(range(degree))]
         for p in perms:

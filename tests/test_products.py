@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 import consistentwalks as cw
-from consistentwalks.errors import BadParameters, BaseNotVertexTransitive
+from consistentwalks.errors import BadParameters, BaseNotVertexTransitive, CapExceeded
 from consistentwalks.graphs import verify_automorphisms
 from consistentwalks.products import fiber_perm, lift_base_perm
 
@@ -170,3 +170,12 @@ def test_hypotheses_imply_blowup_conclusion(family, censuses):
         assert ok
         ids = cw.family_orbit_ids(fam, blow_aut, table)
         assert len(set(ids.values())) == len(ids)
+
+
+def test_family_over_256_blowup_points_refused():
+    base = cw.named_graph("cycle:100")
+    rotations = cw.PermutationGroup.close([cw.Perm((v + 1) % 100 for v in range(100))])
+    with pytest.raises(CapExceeded, match="degree 300 exceeds the limit of 256"):
+        cw.blowup_cycle_family(base, rotations, 3)
+    with pytest.raises(CapExceeded, match="degree 300 exceeds the limit of 256"):
+        cw.wreath_group_generators(base, rotations, 3)

@@ -4,6 +4,8 @@ Each graph circulant:n:S (n <= 12, at most three steps) is taken under
 its rotations Z_n, the dihedral group D_n, and its full automorphism
 group when that has at most 1000 elements.  The exhaustive trivial-walk
 search is checked against the census there and on four named graphs.
+The transporter's answers are checked to be cosets of point stabilizers,
+and the shunts to generate whenever the census holds a trivial record.
 These use the public API and the brute force in ``oracles``, so they
 hold whatever backend the groups use.
 """
@@ -117,6 +119,45 @@ def test_walk_properties_on_circulants(kind, spec, seed):
     prefix_order = group.pointwise_stabilizer(walk[:-1]).order
     walk_order = group.pointwise_stabilizer(walk).order
     assert prefix_order == walk_order * cw.successor_count(group, graph, walk)
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "dihedral", "aut"])
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(spec=connected_circulants(), data=st.data())
+def test_transporter_is_a_stabilizer_coset_on_circulants(kind, spec, data):
+    graph = cw.named_graph(spec)
+    group = acting_group(kind, graph)
+    if group is None:
+        return
+    points = st.integers(0, graph.vertex_count - 1)
+    src = tuple(data.draw(st.lists(points, max_size=3)))
+    g = data.draw(st.sampled_from(group.elements))
+    # the image of src under some element, and any tuple of its length
+    arbitrary = data.draw(st.lists(points, min_size=len(src), max_size=len(src)))
+    stab = group.pointwise_stabilizer(src)
+    for dst in (tuple(g[v] for v in src), tuple(arbitrary)):
+        found = group.transporter(src, dst)
+        assert len(found) in (0, stab.order), (src, dst)
+        if found:
+            assert found == sorted(h * found[0] for h in stab), (src, dst)
+    assert group.transporter(src, tuple(g[v] for v in src))
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "dihedral", "aut"])
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(spec=connected_circulants())
+def test_shunts_generate_when_the_census_has_a_trivial_record(kind, spec):
+    # the paper's theorem: a consistent cycle with a trivial stabilizer makes
+    # one shunt per cycle orbit a generating set
+    graph = cw.named_graph(spec)
+    group = acting_group(kind, graph)
+    if group is None:
+        return
+    table = cw.consistent_cycle_orbits(group, graph)
+    report = cw.verify_generation(group, graph)
+    if any(r.stabilizer_order == 1 for r in table.records):
+        assert report.generates, spec
+        assert report.shunt_group_order == group.order, spec
 
 
 def closed_order(degree, generators):

@@ -20,6 +20,15 @@ def test_arc_has_property_r(family):
         assert cw.reachability_by_chase(group, graph, arc).verdict
 
 
+def test_least_arc_shunt_group_is_the_whole_group(family):
+    # why an arc seed needs no closure: on a connected graph under an
+    # arc-transitive group G, <G_u, s> is G
+    for name, (graph, group) in family.items():
+        arc = (0, graph.adj[0][0])
+        report = cw.reachability_by_shunt_group(group, graph, arc)
+        assert report.witness == {"shunt_group_order": group.order, "transitive": True}, name
+
+
 def test_property_r_under_rotations_only():
     c6 = cw.named_graph("cycle:6")
     rotations = cw.PermutationGroup.close([ROTATION6])
