@@ -138,7 +138,7 @@ def find_trivial_walk_wps(group: PermutationGroup,
     extends (x, v, y) while more than one successor remains, and certifies:
     the starting 2-arc's shunt group is transitive, every successor count
     along the walk equals the witness prime, the stabilizer fixes all
-    successors, and the directly computed stabilizer has order 1.
+    successors, and |shunts| / |successors|, the stabilizer's order, is 1.
     """
     if not graph.connected:
         raise NotConnected("the search needs a connected graph")

@@ -22,7 +22,7 @@ from .errors import (
     invariant,
 )
 from .graphs import Graph, is_arc_transitive
-from .perms import PermutationGroup, tuple_orbit_under
+from .perms import Perm, PermutationGroup, tuple_orbit_under
 from .walks import Walk, _consistent_shunts, _split_shunts, apply_perm, validate_walk
 
 SIM_ORBIT_CAP = 100_000
@@ -138,40 +138,18 @@ class ConditionReport:
                 "joined_stabilizer_order": self.joined_stabilizer_order}
 
 
-def check_conditions(group: PermutationGroup, graph: Graph,
-                     walk: Sequence[int]) -> ConditionReport:
-    """Evaluate the three conditions that lift reachability one step.
-
-    With J the group generated by the stabilizers of the walk's prefix and
-    of the prefix's shunt image: (a) no intermediate divisor between the
-    two successor counts, (b) J transitive on the prefix's successors,
-    (c) J equal to the stabilizer of the shared inner subwalk.  Two group
-    queries, both rooted at w[0], give everything: the prefix's shunt coset,
-    split at its last vertex into the successors, and G_prefix.  The
-    coset's part at w[-1] holds the walk's shunts; its least, g0, conjugates
-    G_prefix to the shifted stabilizer g0^-1 * G_prefix * g0, as every
-    shunt does, since two shunts differ by an element of G_prefix.  J is
-    never built: it contains G_prefix, so |J| = |G_prefix| * |prefix^J|
-    (orbit–stabilizer).
-    Both stabilizers fix the inner subwalk, so J <= G_inner and (c) holds
-    iff |J| == |G_inner|, the prefix's shunt count, as its shunts are a
-    coset of G_(w[:-2]) carrying w[:-2] onto the inner subwalk.
-    """
-    w = validate_walk(graph, walk)
-    if len(w) < 3:
-        raise WalkTooShort(f"conditions need walk length >= 2, got {w}")
+def _conditions(w: Walk, prefix_shunts: list[Perm]) -> ConditionReport:
+    """The three conditions for the walk ``w``, read off the shunts of w[:-1]."""
     prefix = w[:-1]
-    prefix_shunts = group.transporter(prefix[:-1], prefix[1:])
     by_end = _split_shunts(prefix_shunts, prefix[-1])
     if w[-1] not in by_end:
         raise NotConsistent(f"walk {w} has no shunt in the group")
     own = by_end[w[-1]]
     ell, k = len(_split_shunts(own, w[-1])), len(by_end)
     invariant(ell <= k, f"walk {w} has more successors than its prefix")
-    prefix_stab = group.pointwise_stabilizer(prefix)
-    g0, back = own[0], own[0].inverse()
-    joined_gens = prefix_stab.generators + tuple(back * h * g0 for h in prefix_stab.generators)
-    joined_order = prefix_stab.order * len(tuple_orbit_under(joined_gens, prefix))
+    back = own[0].inverse()
+    joined_gens = [g * back for g in own] + [back * g for g in own]
+    joined_order = len(own) * len(tuple_orbit_under(joined_gens, prefix))
     cond_a = no_intermediate_divisor(ell, k)
     prefix_succ = {prefix[1:] + (x,) for x in by_end}
     orbit = tuple_orbit_under(joined_gens, min(prefix_succ))
@@ -185,6 +163,36 @@ def check_conditions(group: PermutationGroup, graph: Graph,
                            joined_stabilizer_order=joined_order)
 
 
+def check_conditions(group: PermutationGroup, graph: Graph,
+                     walk: Sequence[int]) -> ConditionReport:
+    """Evaluate the three conditions that lift reachability one step.
+
+    With J the group generated by the stabilizers of the walk's prefix and
+    of the prefix's shunt image: (a) no intermediate divisor between the
+    two successor counts, (b) J transitive on the prefix's successors,
+    (c) J equal to the stabilizer of the shared inner subwalk.  One group
+    query, rooted at w[0], gives everything: the prefix's shunt coset,
+    split at its last vertex into the successors.  The coset's part at
+    w[-1] holds the walk's shunts, G_prefix * g0 for its least g0, so
+    G_prefix is {g * g0^-1} and the shifted stabilizer g0^-1 * G_prefix * g0
+    is {g0^-1 * g}, over those shunts g.  J is never built: it contains
+    G_prefix, so |J| = |G_prefix| * |prefix^J| (orbit–stabilizer).
+    Both stabilizers fix the inner subwalk, so J <= G_inner and (c) holds
+    iff |J| == |G_inner|, the prefix's shunt count, as its shunts are a
+    coset of G_(w[:-2]) carrying w[:-2] onto the inner subwalk.
+    """
+    w = validate_walk(graph, walk)
+    if len(w) < 3:
+        raise WalkTooShort(f"conditions need walk length >= 2, got {w}")
+    return _conditions(w, group.transporter(w[:-2], w[1:-1]))
+
+
+def _fixes_successors(w: Walk, shs: list[Perm]) -> bool:
+    """`stabilizer_fixes_successors`, read off the walk's shunts."""
+    return all(len(_split_shunts(ext, x)) == 1
+               for x, ext in _split_shunts(shs, w[-1]).items())
+
+
 def stabilizer_fixes_successors(group: PermutationGroup, graph: Graph,
                                 walk: Sequence[int]) -> bool:
     """True iff the walk's stabilizer fixes every successor pointwise.
@@ -195,9 +203,7 @@ def stabilizer_fixes_successors(group: PermutationGroup, graph: Graph,
     G_(w) * g of any one of them, g, so they send x to |x^G_(w)| vertices:
     the walk's shunt coset decides the check, and no stabilizer is built.
     """
-    w, shs = _consistent_shunts(group, graph, walk)
-    return all(len(_split_shunts(ext, x)) == 1
-               for x, ext in _split_shunts(shs, w[-1]).items())
+    return _fixes_successors(*_consistent_shunts(group, graph, walk))
 
 
 def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
@@ -206,52 +212,56 @@ def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
     """Certificate that the walk's pointwise stabilizer is trivial.
 
     Pipeline: reachability is verified for the prefix of length
-    ``seed_length``; each longer proper prefix must satisfy one of the three
-    lifting conditions; the stabilizer must fix all successors; and the
-    stabilizer order is recomputed directly.  On failure the certificate
-    carries the first obstruction instead.
+    ``seed_length`` (the whole walk if shorter), from the orbit of 0 under
+    its shunts; each longer proper prefix must satisfy one of the three
+    lifting conditions; the stabilizer must fix all successors.  On failure
+    the certificate carries the first obstruction instead.  The seed's
+    shunts are the one group query: those of w[:k + 1] are those of w[:k]
+    sending w[k - 1] to w[k], and |G_(w)| is |shunts(w)| / |Succ(w)|.
     """
     w = validate_walk(graph, walk)
     if not graph.connected:
         raise NotConnected("certification needs a connected graph")
     if not is_arc_transitive(group, graph):
         raise NotArcTransitive("certification needs an arc-transitive group")
-    # read off the shunt coset, which also refuses an inconsistent walk
-    fixes_successors = stabilizer_fixes_successors(group, graph, w)
     r = len(w) - 1
     seed_walk = w[: seed_length + 1]
+    # shunts[n] holds the shunts of w[:n + 1]; they start from an arc's for
+    # a seed shorter than one, which is refused after an inconsistent walk
+    first = min(max(seed_length, 1), r)
+    shunts = {first: group.transporter(w[:first], w[1:first + 1])}
+    for n in range(first + 1, r + 1):
+        shunts[n] = _split_shunts(shunts[n - 1], w[n - 1]).get(w[n], [])
+    if not shunts[r]:
+        raise NotConsistent(f"walk {w} has no shunt in the group")
+    validate_walk(graph, seed_walk)
     # an arc's H = <G_u, s> is G: u^H holds N(u) = v^(G_u) and, with each
     # vertex, its neighbours, so on a connected graph it is every vertex
-    seed_transitive = (seed_length == 1
-                       or reachability_by_shunt_group(group, graph, seed_walk).verdict)
+    seed_transitive = seed_length == 1 or len(
+        tuple_orbit_under(shunts[min(seed_length, r)], (0,))) == group.degree
     cert: dict = {
         "walk": list(w),
         "seed": {"length": seed_length, "walk": list(seed_walk),
                  "shunt_group_transitive": seed_transitive},
         "prefix_conditions": [],
-        "stabilizer_order": group.pointwise_stabilizer(w).order,
+        "stabilizer_order": len(shunts[r]) // len(_split_shunts(shunts[r], w[-1])),
     }
     if not seed_transitive:
-        cert["certified"] = False
-        cert["failure_reason"] = f"seed walk {list(seed_walk)} is not reaching every vertex"
-        return cert
+        return {**cert, "certified": False,
+                "failure_reason": f"seed walk {list(seed_walk)} is not reaching every vertex"}
     for n in range(seed_length, r):
-        report = check_conditions(group, graph, w[: n + 2])
+        report = _conditions(w[: n + 2], shunts[n])
         cert["prefix_conditions"].append(
             {"n": n, "a": report.condition_a, "b": report.condition_b,
              "c": report.condition_c})
         if not (report.condition_a or report.condition_b or report.condition_c):
-            cert["certified"] = False
-            cert["failure_reason"] = f"prefix of length {n} violates all three conditions"
-            return cert
-    if not fixes_successors:
-        cert["certified"] = False
-        cert["failure_reason"] = "final fix check"
-        return cert
+            return {**cert, "certified": False,
+                    "failure_reason": f"prefix of length {n} violates all three conditions"}
+    if not _fixes_successors(w, shunts[r]):
+        return {**cert, "certified": False, "failure_reason": "final fix check"}
     invariant(cert["stabilizer_order"] == 1,
               "conditions certified but the directly computed stabilizer is nontrivial")
-    cert["certified"] = True
-    return cert
+    return {**cert, "certified": True}
 
 
 def successor_reachability_classes(group: PermutationGroup, graph: Graph,
@@ -263,7 +273,7 @@ def successor_reachability_classes(group: PermutationGroup, graph: Graph,
     full walk contributes the edge (its prefix -> its tail).  The classes,
     components of the symmetrized relation, are the G-images of the block
     p^H of H = <G_p, s>, as edges leave p*x only for p*s*h*x with h in G_p.
-    The block is a closure over H's generators; H itself is never built.
+    The block is p's orbit under the shunt coset G_p * s; H is never built.
     ``cap`` bounds the prefix orbit, no longer the walk orbit.
     """
     w, shs = _consistent_shunts(group, graph, walk)
@@ -274,8 +284,7 @@ def successor_reachability_classes(group: PermutationGroup, graph: Graph,
         prefix_orbit = group.tuple_orbit(prefix, cap=cap)
     except CapExceeded as exc:
         raise OrbitTooLarge(str(exc)) from exc
-    block = tuple_orbit_under(group.pointwise_stabilizer(prefix).generators + (shs[0],),
-                              prefix)
+    block = tuple_orbit_under(shs, prefix)
     classes: list[frozenset[Walk]] = []
     placed: set[Walk] = set()
     for t in sorted(prefix_orbit):

@@ -297,16 +297,42 @@ def test_extend_while_branching_matches_successor_queries(name, finder, family):
 ])
 def test_search_returns_the_witness_it_holds(name, finder, family, group_queries):
     # the extension's split holds the witness, so the returned walk's coset
-    # is asked only by the certificate and, when the search stops at its
-    # starting 2-arc, by the search's one query
+    # is asked only when the search stops at its starting 2-arc or the
+    # certificate's seed is the whole walk; the certificate asks its seed's
+    # coset alone
     graph, group = family[name]
     (witness, cert), calls = group_queries(group, lambda: finder(group, graph))
-    walk = witness.walk
-    coset = ("transporter", walk[:-1], walk[1:])
+    walk, seed = witness.walk, tuple(cert["seed"]["walk"])
     _, cert_calls = group_queries(group, lambda: cw.certify_trivial_stabilizer(
         group, graph, walk, seed_length=cert["seed"]["length"]))
-    assert cert_calls.count(coset) >= 1
+    assert cert_calls == [("transporter", seed[:-1], seed[1:])]
+    coset = ("transporter", walk[:-1], walk[1:])
     assert calls.count(coset) == cert_calls.count(coset) + (len(walk) == 3), calls
+
+
+@pytest.mark.parametrize("method", ["wps", "4valent", "exhaustive"])
+def test_trivial_walk_methods_ask_no_coset_twice(method, family, group_queries):
+    # the one repeat left is the wps search's starting 2-arc, whose coset
+    # the certificate asks again as its seed's
+    finder = {"wps": cw.find_trivial_walk_wps, "4valent": cw.find_trivial_walk_4valent,
+              "exhaustive": lambda group, graph: cw.find_trivial_walk_exhaustive(
+                  group, graph, depth_cap=4)}[method]
+    searched = []
+    for name, (graph, group) in sorted(family.items()):
+        try:
+            (witness, cert), calls = group_queries(group, lambda: finder(group, graph))
+        except (NoWitness, WrongValence):
+            continue
+        searched.append(name)
+        cosets = [call for call in calls if call[0] == "transporter"]
+        repeats = {call for call in cosets if cosets.count(call) > 1}
+        if "seed" not in cert:
+            assert not repeats, (name, calls)
+            continue
+        seed = tuple(cert["seed"]["walk"])
+        assert repeats <= {("transporter", seed[:-1], seed[1:])}, (name, calls)
+        assert not repeats or seed == witness.walk[:3], (name, calls)
+    assert searched
 
 
 @pytest.mark.parametrize("name", ["c6", "k4", "q3", "petersen", "k5", "q4"])

@@ -5,7 +5,9 @@ its rotations Z_n, the dihedral group D_n, and its full automorphism
 group when that has at most 1000 elements.  The exhaustive trivial-walk
 search is checked against the census there and on four named graphs.
 The transporter's answers are checked to be cosets of point stabilizers,
-and the shunts to generate whenever the census holds a trivial record.
+the shunts to generate whenever the census holds a trivial record, and
+the lifting conditions and the certificate to read the stabilizers that
+the groups' own point stabilizers give.
 These use the public API and the brute force in ``oracles``, so they
 hold whatever backend the groups use.
 """
@@ -119,6 +121,34 @@ def test_walk_properties_on_circulants(kind, spec, seed):
     prefix_order = group.pointwise_stabilizer(walk[:-1]).order
     walk_order = group.pointwise_stabilizer(walk).order
     assert prefix_order == walk_order * cw.successor_count(group, graph, walk)
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "dihedral", "aut"])
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(spec=connected_circulants(), seed=st.integers(0, 2 ** 16),
+       seed_length=st.integers(1, 4))
+def test_conditions_and_certificate_read_stabilizers_on_circulants(kind, spec, seed,
+                                                                   seed_length):
+    # J = <G_prefix, g0^-1 * G_prefix * g0> closed from G_prefix's generators,
+    # against the order the conditions read off the prefix's shunt coset
+    graph = cw.named_graph(spec)
+    group = acting_group(kind, graph)
+    if group is None:
+        return
+    rng = random.Random(seed)
+    walk = oracles.random_consistent_walk(group, graph, rng, max_length=4)
+    while len(walk) < 3:
+        extensions = oracles.consistent_extensions(group, graph, walk)
+        walk = extensions[rng.randrange(len(extensions))]
+    prefix_gens = group.pointwise_stabilizer(walk[:-1]).generators
+    g0 = cw.shunts(group, graph, walk)[0]
+    shifted = [g0.inverse() * h * g0 for h in prefix_gens]
+    report = cw.check_conditions(group, graph, walk)
+    assert report.joined_stabilizer_order == closed_order(
+        graph.vertex_count, [*prefix_gens, *shifted]), (spec, walk)
+    if cw.is_arc_transitive(group, graph):
+        cert = cw.certify_trivial_stabilizer(group, graph, walk, seed_length=seed_length)
+        assert cert["stabilizer_order"] == group.pointwise_stabilizer(walk).order, (spec, walk)
 
 
 @pytest.mark.parametrize("kind", ["cyclic", "dihedral", "aut"])

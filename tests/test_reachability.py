@@ -3,7 +3,7 @@ import random
 import pytest
 
 import consistentwalks as cw
-from consistentwalks.errors import NotConsistent, OrbitTooLarge, WalkTooShort
+from consistentwalks.errors import InvalidWalk, NotConsistent, OrbitTooLarge, WalkTooShort
 from consistentwalks.reachability import no_intermediate_divisor
 
 import oracles
@@ -239,41 +239,20 @@ def test_check_conditions_under_a_subgroup_with_an_outside_shunt(family, c4_wrea
         assert str(caught.value) == f"walk {walk} has no shunt in the group"
 
 
-def test_check_conditions_queries_the_group_twice_at_the_first_vertex(family, c4_wreath,
-                                                                     monkeypatch):
-    # the prefix's shunt coset and G_prefix, both rooted at walk[0]; calls
-    # nested inside those two queries do not count
-    calls, depth, current = [], [0], [None]
-
-    def counting(method_name):
-        method = getattr(cw.PermutationGroup, method_name)
-
-        def counted(self, points, *args):
-            if depth[0] == 0 and self is current[0]:
-                calls.append((method_name, tuple(points)))
-            depth[0] += 1
-            try:
-                return method(self, points, *args)
-            finally:
-                depth[0] -= 1
-        return counted
-
+def test_check_conditions_queries_the_group_once_at_the_first_vertex(family, c4_wreath,
+                                                                    group_queries,
+                                                                    monkeypatch):
+    # the prefix's shunt coset, rooted at walk[0], and no stabilizer; calls
+    # nested inside that query do not count
     def no_successor_query(*args):
         raise AssertionError("check_conditions queried successors")
 
-    for method_name in ("transporter", "pointwise_stabilizer"):
-        monkeypatch.setattr(cw.PermutationGroup, method_name, counting(method_name))
     monkeypatch.setattr(cw.walks, "successors", no_successor_query)
     cases = [family[name] for name in ("c6", "k4", "q3", "petersen", "c4k2")] + [c4_wreath]
     for graph, group in cases:
-        current[0] = None
-        walks = list(all_consistent_walks_up_to(group, graph, 3))
-        current[0] = group
-        for walk in walks:
-            calls.clear()
-            cw.check_conditions(group, graph, walk)
-            assert len(calls) <= 2, (walk, calls)
-            assert all(points[0] == walk[0] for _, points in calls), (walk, calls)
+        for walk in all_consistent_walks_up_to(group, graph, 3):
+            _, calls = group_queries(group, lambda: cw.check_conditions(group, graph, walk))
+            assert calls == [("transporter", walk[:-2], walk[1:-1])], (walk, calls)
 
 
 def test_walk_queries_ask_the_group_once(family, group_queries):
@@ -378,22 +357,49 @@ def test_certify_failure_reasons(family):
     assert cert["stabilizer_order"] == 1
 
 
-def test_certify_asks_for_the_walk_stabilizer_once(family, monkeypatch):
-    # the fix check reads the walk's shunt coset; only the certificate's
-    # stabilizer order asks for G_(w)
-    k5, aut5 = family["k5"]
-    walk = (0, 1, 2, 3)
-    method = cw.PermutationGroup.pointwise_stabilizer
-    asked = []
+def test_certify_asks_the_group_once(family, group_queries):
+    # only the seed's shunt coset; every prefix's conditions, the fix check
+    # and the stabilizer order are read off its splits down the walk
+    rng = random.Random(23)
+    for name, (graph, group) in sorted(family.items()):
+        walks = [(0, graph.adj[0][0])] + [
+            oracles.random_consistent_walk(group, graph, rng, max_length=5)
+            for _ in range(3)]
+        for walk in walks:
+            for seed_length in (1, 2):
+                k = min(seed_length, len(walk) - 1)
+                _, calls = group_queries(group, lambda: cw.certify_trivial_stabilizer(
+                    group, graph, walk, seed_length=seed_length))
+                assert calls == [("transporter", walk[:k], walk[1:k + 1])], (name, walk, calls)
 
-    def counted(self, points):
-        if tuple(points) == walk:
-            asked.append(points)
-        return method(self, points)
 
-    monkeypatch.setattr(cw.PermutationGroup, "pointwise_stabilizer", counted)
-    cw.certify_trivial_stabilizer(aut5, k5, walk)
-    assert len(asked) <= 1
+def test_certify_seed_edge_cases(family, group_queries):
+    k4, aut4 = family["k4"]
+    a4 = cw.PermutationGroup.close([cw.Perm.from_cycles(4, (0, 1, 2)),
+                                    cw.Perm.from_cycles(4, (1, 2, 3))])
+    walk = (0, 1, 2)
+
+    def refusal(group, walk, seed_length):
+        try:
+            cw.certify_trivial_stabilizer(group, k4, walk, seed_length=seed_length)
+        except (InvalidWalk, NotConsistent) as exc:
+            return type(exc), str(exc)
+        raise AssertionError(f"seed length {seed_length} was accepted")
+
+    # a seed shorter than an arc is refused, and asks no coset of the whole
+    # group; an inconsistent walk is refused first
+    for seed_length in (0, -1):
+        refused, calls = group_queries(aut4, lambda: refusal(aut4, walk, seed_length))
+        assert refused == (InvalidWalk,
+                           f"walk needs at least two vertices, got {walk[:seed_length + 1]}")
+        assert ("transporter", (), ()) not in calls, calls
+        assert refusal(a4, (0, 1, 2, 3), seed_length) == (
+            NotConsistent, "walk (0, 1, 2, 3) has no shunt in the group")
+    # a seed longer than the walk is the whole walk
+    assert cw.certify_trivial_stabilizer(aut4, k4, walk, seed_length=5) == {
+        "walk": [0, 1, 2],
+        "seed": {"length": 5, "walk": [0, 1, 2], "shunt_group_transitive": True},
+        "prefix_conditions": [], "stabilizer_order": 1, "certified": True}
 
 
 def test_successor_reachability_classes_rotations_single_class():
