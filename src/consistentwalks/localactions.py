@@ -36,12 +36,11 @@ from .perms import Perm, PermutationGroup, tuple_orbit_under
 from .walks import (
     Walk,
     ConsistencyWitness,
-    _consistent_shunts,
     _split_shunts,
+    apply_perm,
     consistent_cycle_orbits,
-    is_consistent,
 )
-from .reachability import certify_trivial_stabilizer
+from .reachability import _certificate
 
 DEFAULT_WALK_DEPTH = 64
 
@@ -104,18 +103,17 @@ def weakly_p_subregular(group: PermutationGroup) -> WpsWitness | None:
     return None
 
 
-def _extend_while_branching(group: PermutationGroup, graph: Graph,
-                            walk: Walk) -> tuple[ConsistencyWitness, list[int]]:
+def _extend_while_branching(walk: Walk, shs: list[Perm]
+                            ) -> tuple[ConsistencyWitness, list[int]]:
     """Greedily extend the walk while some extension keeps >1 successor.
 
     Lexicographically smallest qualifying endpoint at each step.  Returns
     the maximal walk's witness and the successor counts of the walk and
-    each chosen extension.  The walk's shunts are queried once; each
+    each chosen extension.  ``shs`` are the walk's shunts, sorted; each
     extension's are the shunts sending the last vertex to its new endpoint.
-    The parts of a split keep the query's sorted order, so the maximal
-    walk's least shunt is the least first member of its parts.
+    The parts of a split keep that sorted order, so the maximal walk's
+    least shunt is the least first member of its parts.
     """
-    walk, shs = _consistent_shunts(group, graph, walk)
     by_end = _split_shunts(shs, walk[-1])
     counts = [len(by_end)]
     while True:
@@ -139,6 +137,8 @@ def find_trivial_walk_wps(group: PermutationGroup,
     the starting 2-arc's shunt group is transitive, every successor count
     along the walk equals the witness prime, the stabilizer fixes all
     successors, and |shunts| / |successors|, the stabilizer's order, is 1.
+    Its one coset query is rooted at v: g sends (v, y) onto (x, v) exactly
+    when g^-1 shunts (x, v, y), and the search and certificate read those.
     """
     if not graph.connected:
         raise NotConnected("the search needs a connected graph")
@@ -151,10 +151,11 @@ def find_trivial_walk_wps(group: PermutationGroup,
         raise NoWitness("the local group is not weakly p-subregular")
     x = local.domain[witness.x]
     y = local.domain[witness.y]
-    found, counts = _extend_while_branching(group, graph, (x, base, y))
+    shs = sorted(g.inverse() for g in group.transporter((base, y), (x, base)))
+    found, counts = _extend_while_branching((x, base, y), shs)
     invariant(all(c == witness.prime for c in counts),
               f"successor counts {counts} differ from the witness prime {witness.prime}")
-    cert = certify_trivial_stabilizer(group, graph, found.walk, seed_length=2)
+    cert = _certificate(graph, found.walk, 2, shs)
     cert.update({"method": "wps", "prime": witness.prime,
                  "base_vertex": base, "local_witness": witness.to_json(),
                  "successor_counts": counts})
@@ -163,23 +164,17 @@ def find_trivial_walk_wps(group: PermutationGroup,
     return found, cert
 
 
-def _arc_local_order(group: PermutationGroup, graph: Graph,
-                     u: int, v: int) -> int:
-    """Order of the arc stabilizer's action on the far neighborhood minus u."""
-    stab = group.pointwise_stabilizer((u, v))
-    rest = tuple(w for w in graph.adj[v] if w != u)
-    return len(stab.tuple_orbit(rest))
-
-
 def find_trivial_walk_4valent(group: PermutationGroup,
                               graph: Graph) -> tuple[ConsistencyWitness, dict]:
     """Walk with trivial stabilizer in a connected 4-valent graph.
 
-    Branches on the arc stabilizer's action on the three remaining
-    neighbors: trivial -> the arc itself works; order 2 -> the local group
-    is dihedral of degree 4, delegate to the subregular search; order 3 or
-    6 -> the action is 2-arc-transitive, extend a 2-arc while more than one
-    successor remains.
+    Branches on the order of the arc stabilizer's action on the three
+    remaining neighbors: trivial -> the arc itself works; order 2 -> the
+    local group is dihedral of degree 4, delegate to the subregular search;
+    order 3 or 6 -> the action is 2-arc-transitive, extend a 2-arc while
+    more than one successor remains.  The one query is the arc's shunt
+    coset; its part at the first w in N(v) minus u, the shunts of (u, v, w),
+    is a coset G_(u,v) * g, so that order counts the part's images of them.
     """
     if not graph.connected:
         raise NotConnected("the search needs a connected graph")
@@ -189,22 +184,24 @@ def find_trivial_walk_4valent(group: PermutationGroup,
         raise NotArcTransitive("the search needs an arc-transitive group")
     u = 0
     v = graph.adj[u][0]
-    h_order = _arc_local_order(group, graph, u, v)
+    rest = tuple(z for z in graph.adj[v] if z != u)
+    shs = group.transporter((u,), (v,))
+    part = [g for g in shs if g[v] == rest[0]]
+    h_order = len({apply_perm(g, rest) for g in part})
     invariant(h_order in (1, 2, 3, 6), f"impossible arc-local order {h_order}")
     if h_order == 2:
         witness, cert = find_trivial_walk_wps(group, graph)
         cert.update({"method": "4valent", "branch": "dihedral-local"})
         return witness, cert
     if h_order == 1:
-        witness = is_consistent(group, graph, (u, v))
+        witness = ConsistencyWitness(walk=(u, v), shunt=shs[0])
         branch = "trivial-arc-action"
     else:
         invariant(is_n_arc_transitive(group, graph, 2),
                   "arc-local order 6 without 2-arc transitivity")
-        w = next(z for z in graph.adj[v] if z != u)
-        witness, _ = _extend_while_branching(group, graph, (u, v, w))
+        witness, _ = _extend_while_branching((u, v, rest[0]), part)
         branch = "two-arc-transitive"
-    cert = certify_trivial_stabilizer(group, graph, witness.walk, seed_length=1)
+    cert = _certificate(graph, witness.walk, 1, shs)
     cert.update({"method": "4valent", "branch": branch,
                  "arc_local_order": h_order})
     invariant(cert["certified"] and cert["stabilizer_order"] == 1,

@@ -172,8 +172,13 @@ def tuple_orbit_under(generators: Sequence[Perm], tup: Sequence[int],
     """Orbit of a point tuple under the group ``generators`` generate,
     coordinatewise, without closing that group.
 
-    Raises :class:`CapExceeded` once the orbit holds over ``cap`` tuples.
+    Raises :class:`CapExceeded` once the orbit holds over ``cap`` tuples, and
+    :class:`BadParameters` for a point outside the generators' degree.
     """
+    degree = len(generators[0]) if generators else DEGREE_LIMIT
+    for p in tup:
+        if not 0 <= p < degree:
+            raise BadParameters(f"point {p} outside degree {degree}")
     limit = math.inf if cap is None else cap
     seen = _closure(bytes(tup), generators, limit)
     if len(seen) > limit:

@@ -90,7 +90,9 @@ def reachability_by_chase(group: PermutationGroup, graph: Graph,
     while frontier and len(reached) < total:
         next_frontier = []
         for cur, t in frontier:
-            for child, h in sorted((apply_perm(t, s), h) for s, h in steps.items()):
+            # children differ in their last vertex, and the frontier is sorted
+            for s, h in steps.items():
+                child = apply_perm(t, s)
                 if child not in parent:
                     parent[child] = cur
                     next_frontier.append((child, h * t))
@@ -224,12 +226,18 @@ def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
         raise NotConnected("certification needs a connected graph")
     if not is_arc_transitive(group, graph):
         raise NotArcTransitive("certification needs an arc-transitive group")
+    first = min(max(seed_length, 1), len(w) - 1)
+    return _certificate(graph, w, seed_length, group.transporter(w[:first], w[1:first + 1]))
+
+
+def _certificate(graph: Graph, w: Walk, seed_length: int, seed_shunts: list[Perm]) -> dict:
+    """`certify_trivial_stabilizer` for a checked walk, from its seed's shunts."""
     r = len(w) - 1
     seed_walk = w[: seed_length + 1]
     # shunts[n] holds the shunts of w[:n + 1]; they start from an arc's for
     # a seed shorter than one, which is refused after an inconsistent walk
     first = min(max(seed_length, 1), r)
-    shunts = {first: group.transporter(w[:first], w[1:first + 1])}
+    shunts = {first: seed_shunts}
     for n in range(first + 1, r + 1):
         shunts[n] = _split_shunts(shunts[n - 1], w[n - 1]).get(w[n], [])
     if not shunts[r]:
@@ -238,7 +246,7 @@ def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
     # an arc's H = <G_u, s> is G: u^H holds N(u) = v^(G_u) and, with each
     # vertex, its neighbours, so on a connected graph it is every vertex
     seed_transitive = seed_length == 1 or len(
-        tuple_orbit_under(shunts[min(seed_length, r)], (0,))) == group.degree
+        tuple_orbit_under(shunts[min(seed_length, r)], (0,))) == graph.vertex_count
     cert: dict = {
         "walk": list(w),
         "seed": {"length": seed_length, "walk": list(seed_walk),

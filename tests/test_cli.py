@@ -487,8 +487,6 @@ def blowup_files(tmp_path_factory):
     return files
 
 
-# `trivial-walk --method wps` is left out: its walk starts at a neighbor
-# of 0, so its certificate's queries are not rooted at Aut's base point
 COLD_QUERIES = {
     "orbits": ["orbits", "--graph", "Q3[2K1]"],
     "generators": ["generators", "--graph", "Q3[2K1]"],
@@ -498,6 +496,8 @@ COLD_QUERIES = {
     "trivial-walk-auto-q4": ["trivial-walk", "--graph", "hypercube:4", "--method", "auto"],
     "trivial-walk-4valent-k5": ["trivial-walk", "--graph", "complete:5",
                                 "--method", "4valent"],
+    "trivial-walk-wps-petersen": ["trivial-walk", "--graph", "petersen", "--method", "wps"],
+    "trivial-walk-wps-q3": ["trivial-walk", "--graph", "hypercube:3", "--method", "wps"],
     "property-r": ["property-r", "--graph", "Q3[2K1]", "--walk", "0,2,6", "--target", "15"],
     "blowup-demo": ["blowup-demo", "--graph", "hypercube:3", "--m", "2"],
 }

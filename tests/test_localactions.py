@@ -9,7 +9,6 @@ from consistentwalks.errors import (
     WrongValence,
 )
 from consistentwalks.localactions import (
-    _arc_local_order,
     _extend_while_branching,
     _shunt_descent,
     factor_3s_2t,
@@ -154,6 +153,20 @@ def test_find_trivial_walk_4valent_dihedral_branch(c4_wreath):
     assert witness.walk == wps_witness.walk
 
 
+def test_find_trivial_walk_4valent_trivial_arc_branch(group_queries):
+    # x -> x + 1 and x -> 2x mod 5 generate AGL(1, 5), regular on the 20
+    # arcs of K5, so the arc itself is the witness, with its one shunt
+    k5 = cw.named_graph("complete:5")
+    affine = cw.PermutationGroup.close([cw.Perm((1, 2, 3, 4, 0)), cw.Perm((0, 2, 4, 1, 3))])
+    assert affine.order == 20
+    (witness, cert), calls = group_queries(
+        affine, lambda: cw.find_trivial_walk_4valent(affine, k5))
+    assert (cert["branch"], cert["arc_local_order"]) == ("trivial-arc-action", 1)
+    assert cert["certified"] and cert["stabilizer_order"] == 1
+    assert witness == cw.is_consistent(affine, k5, (0, 1))
+    assert calls == [("transporter", (0,), (1,))]
+
+
 def test_find_trivial_walk_4valent_errors(family):
     q3, aut3 = family["q3"]
     with pytest.raises(WrongValence):
@@ -276,7 +289,8 @@ def test_shunt_descent_queries_once_per_arc_orbit(name, family, monkeypatch):
 def test_extend_while_branching_matches_successor_queries(name, finder, family):
     graph, group = family[name]
     witness, _ = finder(group, graph)
-    extended, counts = _extend_while_branching(group, graph, witness.walk[:3])
+    start = witness.walk[:3]
+    extended, counts = _extend_while_branching(start, cw.shunts(group, graph, start))
     walk = extended.walk
     assert walk == witness.walk
     assert extended == cw.is_consistent(group, graph, walk)
@@ -296,43 +310,56 @@ def test_extend_while_branching_matches_successor_queries(name, finder, family):
     ("k5", cw.find_trivial_walk_4valent), ("q4", cw.find_trivial_walk_4valent),
 ])
 def test_search_returns_the_witness_it_holds(name, finder, family, group_queries):
-    # the extension's split holds the witness, so the returned walk's coset
-    # is asked only when the search stops at its starting 2-arc or the
-    # certificate's seed is the whole walk; the certificate asks its seed's
-    # coset alone
+    # the extension's split holds the witness and the certificate reads the
+    # search's coset, so the returned walk's coset is asked only when the
+    # walk is the arc the search asked, and no query repeats; the public
+    # certificate asks its seed's coset alone
     graph, group = family[name]
     (witness, cert), calls = group_queries(group, lambda: finder(group, graph))
     walk, seed = witness.walk, tuple(cert["seed"]["walk"])
     _, cert_calls = group_queries(group, lambda: cw.certify_trivial_stabilizer(
         group, graph, walk, seed_length=cert["seed"]["length"]))
     assert cert_calls == [("transporter", seed[:-1], seed[1:])]
-    coset = ("transporter", walk[:-1], walk[1:])
-    assert calls.count(coset) == cert_calls.count(coset) + (len(walk) == 3), calls
+    assert len(set(calls)) == len(calls), calls
+    assert calls.count(("transporter", walk[:-1], walk[1:])) == (len(walk) == 2), calls
 
 
 @pytest.mark.parametrize("method", ["wps", "4valent", "exhaustive"])
 def test_trivial_walk_methods_ask_no_coset_twice(method, family, group_queries):
-    # the one repeat left is the wps search's starting 2-arc, whose coset
-    # the certificate asks again as its seed's
     finder = {"wps": cw.find_trivial_walk_wps, "4valent": cw.find_trivial_walk_4valent,
               "exhaustive": lambda group, graph: cw.find_trivial_walk_exhaustive(
                   group, graph, depth_cap=4)}[method]
     searched = []
     for name, (graph, group) in sorted(family.items()):
         try:
-            (witness, cert), calls = group_queries(group, lambda: finder(group, graph))
+            _, calls = group_queries(group, lambda: finder(group, graph))
         except (NoWitness, WrongValence):
             continue
         searched.append(name)
-        cosets = [call for call in calls if call[0] == "transporter"]
-        repeats = {call for call in cosets if cosets.count(call) > 1}
-        if "seed" not in cert:
-            assert not repeats, (name, calls)
-            continue
-        seed = tuple(cert["seed"]["walk"])
-        assert repeats <= {("transporter", seed[:-1], seed[1:])}, (name, calls)
-        assert not repeats or seed == witness.walk[:3], (name, calls)
+        assert len(set(calls)) == len(calls), (name, calls)
     assert searched
+
+
+def test_structural_searches_ask_one_coset_at_the_base_point(family, group_queries):
+    # 4valent asks its arc's coset alone; wps reads G_0 for the local
+    # action, then asks one coset rooted at 0, whose inverses are its shunts
+    searched = []
+    for name, (graph, group) in sorted(family.items()):
+        for method, finder in (("4valent", cw.find_trivial_walk_4valent),
+                               ("wps", cw.find_trivial_walk_wps)):
+            try:
+                _, calls = group_queries(group, lambda: finder(group, graph))
+            except (NoWitness, WrongValence):
+                continue
+            searched.append((name, method))
+            if method == "4valent":
+                assert calls == [("transporter", (0,), (graph.adj[0][0],))], (name, calls)
+                continue
+            cosets = [call for call in calls if call[0] == "transporter"]
+            assert len(cosets) == 1 and cosets[0][1][0] == 0, (name, calls)
+            assert [call for call in calls if call not in cosets] == [
+                ("pointwise_stabilizer", (0,))], (name, calls)
+    assert {method for _, method in searched} == {"4valent", "wps"}
 
 
 @pytest.mark.parametrize("name", ["c6", "k4", "q3", "petersen", "k5", "q4"])
@@ -389,7 +416,12 @@ def test_stabilizer_order_factoring():
 
 
 def test_arc_local_order_against_sweep_oracle(family):
+    checked = []
     for name, (graph, aut) in family.items():
-        u, v = 0, graph.adj[0][0]
-        assert (_arc_local_order(aut, graph, u, v)
-                == oracles.oracle_arc_local_order(aut, graph, u, v)), name
+        if FAMILY_VALENCE[name] != 4:
+            continue
+        _, cert = cw.find_trivial_walk_4valent(aut, graph)
+        assert (cert["arc_local_order"]
+                == oracles.oracle_arc_local_order(aut, graph, 0, graph.adj[0][0])), name
+        checked.append(name)
+    assert checked == ["k5", "q4", "c4k2"]

@@ -12,7 +12,7 @@ from consistentwalks.errors import (
     InvalidPermutation,
 )
 from consistentwalks import graphs as graphs_module
-from consistentwalks.perms import Perm, PermutationGroup
+from consistentwalks.perms import Perm, PermutationGroup, tuple_orbit_under
 
 import oracles
 
@@ -146,6 +146,19 @@ def test_tuple_orbit_rejects_points_outside_degree(family):
     for tup in ((99,), (-1,), (0, 10)):
         with pytest.raises(BadParameters, match="outside degree 10"):
             aut.tuple_orbit(tup)
+
+
+def test_tuple_orbit_under_rejects_points_outside_degree():
+    # the generators' degree bounds the points, not the padded table's 256:
+    # a rotation of cycle:100 would fix 150
+    rotations = [Perm((v + 1) % 100 for v in range(100))]
+    with pytest.raises(BadParameters, match="point 150 outside degree 100"):
+        tuple_orbit_under(rotations, (150,))
+    with pytest.raises(BadParameters, match="point -1 outside degree 100"):
+        tuple_orbit_under(rotations, (-1,))
+    with pytest.raises(BadParameters, match="point -1 outside degree 256"):
+        tuple_orbit_under([], (-1,))
+    assert tuple_orbit_under([], (255,)) == {(255,)}
 
 
 def test_degree_limit_of_256():
