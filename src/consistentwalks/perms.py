@@ -20,7 +20,14 @@ filtered subgroup) a greedy set computed on first read;
 :func:`tuple_orbit_under` runs the same closure over any generators, so an
 orbit under a generated group needs no closure of that group, and
 :func:`generated_order` gives the order of a generated group from an orbit
-and its point stabilizer.  No other module reads how a group is stored.
+and its point stabilizer.  :func:`point_stabilizer` gives, for any
+generators and a point, the transversal of the point's orbit and
+generators of its stabilizer: the Schreier generators, kept short by Sims'
+filter, so a chain of point stabilizers is walked down by generators alone,
+as the cycle census does, and no group is closed.
+:meth:`PermutationGroup.least_image` finds a tuple's lexicographically least
+image under the group with it, greedily, point by point.  No other module
+reads how a group is stored.
 Everything here is immutable and safe to share.
 
 ``PermutationGroup.transporter``, behind every stabilizer and shunt query,
@@ -206,6 +213,38 @@ def _transversal(degree: int, point: int, gens: Sequence[Perm]) -> dict[int, Per
                     new.append(y)
         frontier = new
     return trans
+
+
+def point_stabilizer(degree: int, generators: Sequence[Perm],
+                     point: int) -> tuple[dict[int, Perm], list[Perm]]:
+    """The transversal of ``point``'s orbit under H = <generators>, as
+    :func:`_transversal` gives it, and generators of the stabilizer H_point.
+
+    The Schreier generators u_b * s * u_(s[b])^-1, for b in the orbit and s
+    a generator, generate H_point (Schreier's lemma).  Sims' filter keeps at
+    most one of them per (first moved point i, image of i): a generator
+    whose pair is taken is multiplied by the inverse of the kept one, which
+    fixes i and every point below it, and sifted on, so the kept ones still
+    generate H_point and number at most degree * (degree - 1) / 2.  A first
+    moved point is read off one integer XOR of the bytes with the identity's.
+    """
+    trans = _transversal(degree, point, generators)
+    back = {b: _table(u.inverse()) for b, u in trans.items()}
+    tables = [(s, _table(s)) for s in generators]
+    identity = int.from_bytes(PAD[:degree], "big")
+    kept: dict[tuple[int, int], tuple[Perm, bytes]] = {}
+    for b, u in trans.items():
+        for s, t in tables:
+            h = u.translate(t).translate(back[s[b]])
+            while moved := int.from_bytes(h, "big") ^ identity:
+                i = degree - 1 - (moved.bit_length() - 1) // 8
+                slot = kept.get((i, h[i]))
+                if slot is None:
+                    h = Perm(h)
+                    kept[i, h[i]] = (h, _table(h.inverse()))
+                    break
+                h = h.translate(slot[1])
+    return trans, [h for h, _ in kept.values()]
 
 
 def _dimino(degree: int, candidates: Iterable[Perm],
@@ -508,6 +547,37 @@ class PermutationGroup:
         if not pts:
             return group
         return PermutationGroup(group.degree, group.transporter(pts, pts))
+
+    def least_image(self, tup: Sequence[int]) -> tuple[int, ...]:
+        """The lexicographically least image of a point tuple under the group.
+
+        Greedy, point by point: with H the stabilizer of the points handled
+        so far and a the element reaching their least images, the next
+        least image is the least a-image of the next point's orbit under H,
+        reached through its transversal (:func:`point_stabilizer`), and H
+        shrinks to that point's stabilizer.  A chain handles a first point in
+        its base point beta's orbit, whose least member is beta, by moving
+        the tuple to start at beta and continuing in G_beta.  The loop stops
+        once H is trivial, and the last point needs its orbit alone.
+        """
+        pts = list(tup)
+        for p in pts:
+            if not 0 <= p < self.degree:
+                raise BadParameters(f"point {p} outside degree {self.degree}")
+        gens, start, a = self.generators, 0, self.identity
+        if pts and self._chain is not None and pts[0] in self._chain[1]:
+            _, trans, stabilizer = self._chain
+            back = trans[pts[0]].inverse()
+            pts, gens, start = [back[p] for p in pts], stabilizer.generators, 1
+        for k in range(start, len(pts)):
+            if not gens:
+                break
+            if k == len(pts) - 1:
+                trans = _transversal(self.degree, pts[k], gens)
+            else:
+                trans, gens = point_stabilizer(self.degree, gens, pts[k])
+            a = trans[min(trans, key=a.__getitem__)] * a
+        return tuple(a[p] for p in pts)
 
     def is_transitive(self) -> bool:
         """True iff one orbit covers every point."""

@@ -135,15 +135,18 @@ def family_orbit_ids(family: BlowupCycleFamily,
                      table: CycleOrbitTable) -> dict[tuple[int, int], int]:
     """Index of each family cycle's orbit in the blow-up's census table.
 
-    A cycle lies in a record's orbit when some element maps the record's
-    representative onto it; a rooted cycle is its vertices up to the
-    closing one, so the transporter of those decides it.  ``table`` is the
-    census of ``blowup_group`` on the family's blow-up.
+    A record's representative is the least member of its orbit, so a cycle
+    lies in the orbit whose representative is the cycle's least image under
+    the group.  ``table`` is the census of ``blowup_group`` on the family's
+    blow-up.
     """
-    return {key: next(k for k, r in enumerate(table.records)
-                      if r.length == len(cycle) - 1
-                      and blowup_group.transporter(r.representative[:-1], cycle[:-1]))
-            for key, cycle in family.cycles.items()}
+    index = {r.representative: k for k, r in enumerate(table.records)}
+    ids = {}
+    for key, cycle in family.cycles.items():
+        least = blowup_group.least_image(cycle)
+        invariant(least in index, f"family cycle {cycle} lies in no census orbit")
+        ids[key] = index[least]
+    return ids
 
 
 def verify_no_trivial_stabilizer(table: CycleOrbitTable) -> tuple[bool, Walk | None]:

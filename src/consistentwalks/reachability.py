@@ -220,29 +220,31 @@ def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
     the certificate carries the first obstruction instead.  The seed's
     shunts are the one group query: those of w[:k + 1] are those of w[:k]
     sending w[k - 1] to w[k], and |G_(w)| is |shunts(w)| / |Succ(w)|.
+    A ``seed_length`` below 1 is refused before any group query.
     """
+    if seed_length < 1:
+        raise BadParameters(f"seed length {seed_length} is below 1")
     w = validate_walk(graph, walk)
     if not graph.connected:
         raise NotConnected("certification needs a connected graph")
     if not is_arc_transitive(group, graph):
         raise NotArcTransitive("certification needs an arc-transitive group")
-    first = min(max(seed_length, 1), len(w) - 1)
+    first = min(seed_length, len(w) - 1)
     return _certificate(graph, w, seed_length, group.transporter(w[:first], w[1:first + 1]))
 
 
 def _certificate(graph: Graph, w: Walk, seed_length: int, seed_shunts: list[Perm]) -> dict:
-    """`certify_trivial_stabilizer` for a checked walk, from its seed's shunts."""
+    """`certify_trivial_stabilizer` for a checked walk and a seed of at
+    least one arc, from its seed's shunts."""
     r = len(w) - 1
     seed_walk = w[: seed_length + 1]
-    # shunts[n] holds the shunts of w[:n + 1]; they start from an arc's for
-    # a seed shorter than one, which is refused after an inconsistent walk
-    first = min(max(seed_length, 1), r)
+    # shunts[n] holds the shunts of w[:n + 1]
+    first = min(seed_length, r)
     shunts = {first: seed_shunts}
     for n in range(first + 1, r + 1):
         shunts[n] = _split_shunts(shunts[n - 1], w[n - 1]).get(w[n], [])
     if not shunts[r]:
         raise NotConsistent(f"walk {w} has no shunt in the group")
-    validate_walk(graph, seed_walk)
     # an arc's H = <G_u, s> is G: u^H holds N(u) = v^(G_u) and, with each
     # vertex, its neighbours, so on a connected graph it is every vertex
     seed_transitive = seed_length == 1 or len(

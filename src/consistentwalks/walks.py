@@ -8,11 +8,17 @@ closing vertex, e.g. the trivial cycle on an edge is (u, v, u).
 The census lists the G-orbits of consistent cycles from rooted cycles
 alone: each orbit meets the cycles rooted at the least vertex r of one
 vertex orbit in a single G_r-orbit (Miklavič, Potočnik and Wilson, 2007).
-Of those it lists only the cycles leaving r through the least neighbor of
-each G_r-orbit on N(r): G_r permutes the second vertices of a G_r-orbit
-of cycles, so each such orbit has members through that neighbor, and its
-least member is one of them.  Only this module lists and names these
-orbits.
+It finds them by a depth-first search over the G_r-classes of consistent
+walks rooted at r, one walk per class, each its class's least member.  A
+walk carries one shunt and generators of its pointwise stabilizer, each
+read off its parent's by :func:`perms.point_stabilizer`; its steps are its
+shunt applied to its last vertex's orbit under the stabilizer of the
+rest, and it keeps the least step of each orbit of its own stabilizer.
+So the census asks the group no transporter query and expands no element.
+The rooted enumeration of every cycle through its shunts
+(:func:`enumerate_consistent_cycles`) and its orbit partition
+(:func:`partition_cycles`) remain as full-group references.  Only this
+module lists and names these orbits.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import InvalidWalk, NotConsistent, invariant
 from .graphs import Graph
-from .perms import Perm, PermutationGroup
+from .perms import Perm, PermutationGroup, point_stabilizer
 
 Walk = tuple[int, ...]
 
@@ -208,9 +214,7 @@ def _rooted_cycles(group: PermutationGroup, root: int,
     A consistent cycle rooted at u with shunt g is the g-cycle through u,
     and g maps u to a neighbor v; conversely every g in the transporter
     of u onto a neighbor v shunts its own cycle through u.  Every shunt of
-    a cycle (u, v, ...) sends u to v, so the count is complete.  The
-    census passes the least neighbor of each G_u-orbit on N(u), which
-    meets every G_u-orbit of cycles in its least member.
+    a cycle (u, v, ...) sends u to v, so the count is complete.
     """
     out: Counter[Walk] = Counter()
     for v in starts:
@@ -246,15 +250,20 @@ def partition_cycles(group: PermutationGroup,
 def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbitTable:
     """The census of G-orbits of G-consistent cycles.
 
-    The cycles rooted at the least vertex r of each vertex orbit are split
-    under G_r; an orbit's least member is rooted at r and represents it,
-    and its size is |G| / |G_(rep)|.  Only the cycles through the least
-    neighbor of each G_r-orbit on N(r) are listed: the least member of a
-    G_r-orbit of cycles passes through the least neighbor its second
-    vertices reach, which is such a neighbor, and G_r carries each of its
-    members onto one that does.  The shunts of a cycle are a coset of the
-    stabilizer of its vertices, and all send r to its second vertex, so
-    |G_(rep)| is the count `_rooted_cycles` gives.
+    Each G-orbit of consistent cycles meets the cycles rooted at the least
+    vertex r of one vertex orbit in one G_r-orbit, whose least member
+    represents it.  A depth-first search lists one walk per G_r-class of
+    consistent walks rooted at r, each its class's least member.  A walk w
+    with shunt g, whose last vertex x has the transversal of its orbit
+    under G_(w[:-1]), steps to g applied to that orbit: the shunts of w are
+    G_(w[:-1]) * g, and u_b * g shunts the step to g[b].  Two steps lie in
+    one G_r-class iff one G_(w)-element maps one to the other, so the
+    search keeps the least step of each G_(w)-orbit and, by induction, the
+    least member of each class.  A step back to r closes a cycle: its
+    shunts, and the elements fixing it, are cosets of G_(w), so both counts
+    are |G_(w)| and its orbit has |G| / |G_(w)| members.  The search starts
+    from the walk (r,) with the identity for shunt, whose steps are the
+    neighbors of r in its orbit, and asks no element of G.
     For a vertex-transitive group on a connected d-valent graph the table
     has exactly d records; otherwise the count check is skipped and the
     table is still returned.
@@ -262,28 +271,36 @@ def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbit
     records: list[OrbitRecord] = []
     placed: set[int] = set()
     for root in range(graph.vertex_count):
-        if root not in placed:
-            placed |= group.orbit(root)
-            stab = group.pointwise_stabilizer((root,))
-            # the least neighbor of each G_r-orbit on N(r), adj being sorted
-            starts: list[int] = []
+        if root in placed:
+            continue
+        trans, gens = point_stabilizer(group.degree, group.generators, root)
+        placed.update(trans)
+        # (w, a shunt of w, x's transversal under G_(w[:-1]), G_(w)'s
+        # generators, |G_(w)|) for each walk w = (.., x) left to extend
+        stack = [((root,), group.identity, trans, gens, group.order // len(trans))]
+        while stack:
+            w, g, trans, gens, order = stack.pop()
+            steps = {g[b]: b for b in trans}
             reached: set[int] = set()
-            for v in graph.adj[root]:
-                if v not in reached:
-                    reached |= stab.orbit(v)
-                    starts.append(v)
-            cycles = _rooted_cycles(group, root, starts)
-            for members in partition_cycles(stab, cycles):
-                rep = members[0]
-                order = cycles[rep]
-                records.append(OrbitRecord(
-                    representative=rep,
-                    length=len(rep) - 1,
-                    orbit_size=group.order // order,
-                    shunt_count=order,
-                    stabilizer_order=order,
-                    trivial=len(rep) == 3,
-                ))
+            for y in sorted(steps):
+                if y in reached or not graph.has_edge(w[-1], y):
+                    continue  # (r,) steps to r's orbit; a longer walk's are adjacent
+                if y == root:
+                    records.append(OrbitRecord(
+                        representative=w + (root,),
+                        length=len(w),
+                        orbit_size=group.order // order,
+                        shunt_count=order,
+                        stabilizer_order=order,
+                        trivial=len(w) == 2,
+                    ))
+                    continue
+                invariant(y not in w, f"consistent walk {w + (y,)} repeats a vertex "
+                                      f"other than its root")
+                step_trans, step_gens = point_stabilizer(group.degree, gens, y)
+                reached.update(step_trans)
+                stack.append((w + (y,), trans[steps[y]] * g, step_trans, step_gens,
+                              order // len(step_trans)))
     records.sort(key=lambda r: (r.length, r.representative))
     transitive = group.is_transitive()
     if transitive:

@@ -1,9 +1,14 @@
 import functools
+import importlib
+import pkgutil
 import signal
 
 import pytest
+from sympy.combinatorics import Permutation
+from sympy.combinatorics import PermutationGroup as SympyGroup
 
 import consistentwalks as cw
+from consistentwalks import perms
 from consistentwalks.perms import PermutationGroup
 
 
@@ -89,6 +94,59 @@ def group_answers_rederived():
         PermutationGroup.__init__ = init
         PermutationGroup._expand = expand
         PermutationGroup.transporter = transporter
+
+
+@pytest.fixture(scope="session", autouse=True)
+def stabilizer_answers_rederived():
+    """Re-derive every answer of ``perms.point_stabilizer`` the suite builds.
+
+    For generators of H and a point b, the transversal must map b onto each
+    of its keys, and its keys must be closed under the generators, so they
+    are b's orbit.  Each stabilizer generator must fix b and lie in H, and
+    the generators must generate a group of order |H| / |orbit|, so they
+    generate all of H_b.  Orders and membership come from sympy's
+    Schreier–Sims, which shares no code with the library; the library's own
+    ``generated_order`` closes H_0 and cannot afford the 3,359,232-element
+    stabilizer of the finish-line census.  The function is rebound in every
+    library module that imported it by name.
+    """
+    original = perms.point_stabilizer
+    groups: dict[tuple, SympyGroup] = {}
+
+    def sympy_group(degree, generators):
+        key = (degree, *generators)
+        if key not in groups:
+            groups[key] = SympyGroup([Permutation(list(g), size=degree) for g in generators]
+                                     or [Permutation(list(range(degree)))])
+        return groups[key]
+
+    @functools.wraps(original)
+    def checked(degree, generators, point):
+        trans, stabilizer = original(degree, generators, point)
+        assert all(u[point] == b for b, u in trans.items()), (
+            f"transversal of {point} maps it elsewhere")
+        assert all(s[b] in trans for b in trans for s in generators), (
+            f"transversal keys of {point} are not closed under the generators")
+        assert all(h[point] == point for h in stabilizer), (
+            f"a stabilizer generator moves {point}")
+        whole = sympy_group(degree, generators)
+        assert all(whole.contains(Permutation(list(h), size=degree)) for h in stabilizer), (
+            f"a stabilizer generator of {point} lies outside the group")
+        assert sympy_group(degree, stabilizer).order() * len(trans) == whole.order(), (
+            f"the stabilizer generators of {point} generate too small a group")
+        return trans, stabilizer
+
+    modules = [importlib.import_module(f"consistentwalks.{m.name}")
+               for m in pkgutil.iter_modules(cw.__path__) if not m.name.startswith("_")]
+    rebound = [(module, name) for module in modules
+               for name, value in vars(module).items() if value is original]
+    for module, name in rebound:
+        setattr(module, name, checked)
+    try:
+        yield
+    finally:
+        for module, name in rebound:
+            setattr(module, name, original)
 
 
 @pytest.fixture

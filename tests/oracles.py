@@ -86,6 +86,11 @@ def oracle_transporter(group: cw.PermutationGroup, src, dst) -> list[cw.Perm]:
     return [g for g in group.elements if all(g[a] == b for a, b in zip(src, dst))]
 
 
+def oracle_least_image(group: cw.PermutationGroup, tup) -> tuple[int, ...]:
+    """The least image of a point tuple: the minimum over every element."""
+    return min(tuple(g[p] for p in tup) for g in group.elements)
+
+
 def oracle_local_lift(group: cw.PermutationGroup, graph: cw.Graph,
                       v: int) -> dict[cw.Perm, cw.Perm]:
     """The local group at ``v`` with its lift, by sweeping the stabilizer:
@@ -393,3 +398,17 @@ def blowup_shunt_by_images(base_shunt: cw.Perm, root: int, m: int, j: int) -> cw
             image_fiber = (a + 1) % j if advance and a < j else a
             images[v * m + a] = base_shunt[v] * m + image_fiber
     return cw.Perm(images)
+
+
+def family_orbit_ids_by_transporter(family: cw.BlowupCycleFamily,
+                                    blowup_group: cw.PermutationGroup,
+                                    table: cw.CycleOrbitTable) -> dict[tuple[int, int], int]:
+    """Index of each family cycle's orbit in the census, by one transporter
+    query per record: a cycle lies in a record's orbit when some element
+    maps the record's representative onto it, and a rooted cycle is its
+    vertices up to the closing one.  The library's reading before it took
+    each cycle's least image."""
+    return {key: next(k for k, r in enumerate(table.records)
+                      if r.length == len(cycle) - 1
+                      and blowup_group.transporter(r.representative[:-1], cycle[:-1]))
+            for key, cycle in family.cycles.items()}

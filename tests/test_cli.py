@@ -474,6 +474,27 @@ def test_blowup_demo_small(capsys):
     assert len(payload["family"]["cycles"]) == 4
 
 
+# the finish line: the blow-up of the 3-cube by 3-point fibers, whose
+# automorphism group has 6^8 * 48 = 80,621,568 elements
+FINISH_LINE_CENSUS = [(2, 373248), (4, 93312), (4, 20736), (6, 93312), (6, 2304),
+                      (8, 1296), (12, 1296), (12, 36), (18, 36)]
+FINISH_LINE_IDS = {(0, 1): 0, (0, 2): 1, (0, 3): 3, (1, 1): 2, (1, 2): 5,
+                   (1, 3): 6, (2, 1): 4, (2, 2): 7, (2, 3): 8}
+
+
+def test_finish_line_q3_blowup_by_three(capsys):
+    code, out, err = run_cli(["blowup-demo", "--graph", "hypercube:3", "--m", "3",
+                              "--cap-group", "100000000"], capsys)
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert payload["no_trivial_stabilizer"] is True
+    assert payload["family_orbits_distinct"] is True
+    assert [(r["length"], r["stabilizer_order"])
+            for r in payload["census"]] == FINISH_LINE_CENSUS
+    assert {(e["orbit"], e["fibers"]): e["id"]
+            for e in payload["family_orbit_ids"]} == FINISH_LINE_IDS
+
+
 @pytest.fixture(scope="module")
 def blowup_files(tmp_path_factory):
     """"C4[2K1]" and "Q3[2K1]" -> an edge-list file of that blow-up."""

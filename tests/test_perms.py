@@ -12,7 +12,7 @@ from consistentwalks.errors import (
     InvalidPermutation,
 )
 from consistentwalks import graphs as graphs_module
-from consistentwalks.perms import Perm, PermutationGroup, tuple_orbit_under
+from consistentwalks.perms import Perm, PermutationGroup, point_stabilizer, tuple_orbit_under
 
 import oracles
 
@@ -473,6 +473,41 @@ def test_base_point_route_matches_plain_scan(routed_groups):
         for points in ((beta, -1), (beta, n)):
             with pytest.raises(BadParameters):
                 group.pointwise_stabilizer(points)
+
+
+def test_point_stabilizer_matches_oracle(routed_groups):
+    for name, group in routed_groups.items():
+        n, beta = group.degree, base_point(group)
+        for point in sorted({0, beta, n - 1}):
+            trans, gens = point_stabilizer(n, group.generators, point)
+            assert set(trans) == group.orbit(point), (name, point)
+            assert all(u[point] == b and u in group for b, u in trans.items()), (name, point)
+            assert trans[point].is_identity(), (name, point)
+            # Sims' filter: one generator per (first moved point, image)
+            firsts = [next(v for v, x in enumerate(h) if v != x) for h in gens]
+            assert len({(v, h[v]) for v, h in zip(firsts, gens)}) == len(gens), (name, point)
+            assert set(PermutationGroup.close(gens, degree=n).elements) == set(
+                oracles.oracle_stabilizer(group, (point,))), (name, point)
+
+
+def test_least_image_matches_minimum_over_elements(routed_groups, censuses):
+    rng = random.Random(20261020)
+    for name, group in routed_groups.items():
+        n = group.degree
+        tuples = [(), *((v,) for v in range(n))]
+        tuples += [tuple(rng.randrange(n) for _ in range(rng.randint(2, 5)))
+                   for _ in range(20)]
+        for tup in tuples:
+            assert group.least_image(tup) == oracles.oracle_least_image(group, tup), (
+                name, tup)
+        for bad in ((-1,), (0, n)):
+            with pytest.raises(BadParameters):
+                group.least_image(bad)
+    # a census record's representative is the least member of its orbit
+    for name, table in censuses.items():
+        for record in table.records:
+            rep = record.representative
+            assert routed_groups[name].least_image(rep) == rep, name
 
 
 def test_base_point_stabilizer_keeps_strong_generators(family):

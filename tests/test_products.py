@@ -61,6 +61,19 @@ def test_family_distinct_orbits(q3_family, family, censuses):
     moved = replace(q3_family, cycles={key: tuple(x[v] for v in cycle)
                                        for key, cycle in q3_family.cycles.items()})
     assert cw.family_orbit_ids(moved, blow_group, table) == expected
+    assert oracles.family_orbit_ids_by_transporter(moved, blow_group, table) == expected
+
+
+@pytest.mark.parametrize("spec", ["cycle:4", "cycle:6", "complete:4", "hypercube:3"])
+def test_family_orbit_ids_match_transporter_oracle(spec):
+    base = cw.named_graph(spec)
+    fam = cw.blowup_cycle_family(base, cw.automorphism_group(base), 2)
+    aut = cw.automorphism_group(fam.blowup)
+    # the chain, and the same group materialized
+    for group in (aut, cw.PermutationGroup.close(aut.generators, degree=aut.degree)):
+        table = cw.consistent_cycle_orbits(group, fam.blowup)
+        assert cw.family_orbit_ids(fam, group, table) == (
+            oracles.family_orbit_ids_by_transporter(fam, group, table)), spec
 
 
 def test_fiber_swap_fixes_family_cycle(q3_family):

@@ -175,6 +175,18 @@ def test_transporter_is_a_stabilizer_coset_on_circulants(kind, spec, data):
 
 @pytest.mark.parametrize("kind", ["cyclic", "dihedral", "aut"])
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(spec=connected_circulants(), data=st.data())
+def test_least_image_is_the_minimum_over_elements_on_circulants(kind, spec, data):
+    graph = cw.named_graph(spec)
+    group = acting_group(kind, graph)
+    if group is None:
+        return
+    tup = data.draw(st.lists(st.integers(0, graph.vertex_count - 1), max_size=5))
+    assert group.least_image(tup) == oracles.oracle_least_image(group, tup), (spec, tup)
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "dihedral", "aut"])
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
 @given(spec=connected_circulants())
 def test_shunts_generate_when_the_census_has_a_trivial_record(kind, spec):
     # the paper's theorem: a consistent cycle with a trivial stabilizer makes

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import consistentwalks as cw
-from consistentwalks.errors import InvalidWalk, NotConsistent, OrbitTooLarge, WalkTooShort
+from consistentwalks.errors import BadParameters, NotConsistent, OrbitTooLarge, WalkTooShort
 from consistentwalks.reachability import no_intermediate_divisor
 
 import oracles
@@ -379,22 +379,20 @@ def test_certify_seed_edge_cases(family, group_queries):
                                     cw.Perm.from_cycles(4, (1, 2, 3))])
     walk = (0, 1, 2)
 
-    def refusal(group, walk, seed_length):
+    def refusal(group, w, seed_length):
         try:
-            cw.certify_trivial_stabilizer(group, k4, walk, seed_length=seed_length)
-        except (InvalidWalk, NotConsistent) as exc:
-            return type(exc), str(exc)
+            cw.certify_trivial_stabilizer(group, k4, w, seed_length=seed_length)
+        except BadParameters as exc:
+            return str(exc)
         raise AssertionError(f"seed length {seed_length} was accepted")
 
-    # a seed shorter than an arc is refused, and asks no coset of the whole
-    # group; an inconsistent walk is refused first
-    for seed_length in (0, -1):
-        refused, calls = group_queries(aut4, lambda: refusal(aut4, walk, seed_length))
-        assert refused == (InvalidWalk,
-                           f"walk needs at least two vertices, got {walk[:seed_length + 1]}")
-        assert ("transporter", (), ()) not in calls, calls
-        assert refusal(a4, (0, 1, 2, 3), seed_length) == (
-            NotConsistent, "walk (0, 1, 2, 3) has no shunt in the group")
+    # a seed shorter than an arc is refused before any group query, also
+    # on a walk whose seed would slice from the end or that no group element shunts
+    for seed_length in (0, -1, -2, -5):
+        for group, w in ((aut4, walk), (aut4, (0, 1, 2, 3, 0)), (a4, (0, 1, 2, 3))):
+            refused, calls = group_queries(group, lambda: refusal(group, w, seed_length))
+            assert refused == f"seed length {seed_length} is below 1"
+            assert calls == []
     # a seed longer than the walk is the whole walk
     assert cw.certify_trivial_stabilizer(aut4, k4, walk, seed_length=5) == {
         "walk": [0, 1, 2],

@@ -8,6 +8,7 @@ import pytest
 
 import consistentwalks as cw
 from consistentwalks.errors import InvalidWalk, NotConsistent
+from consistentwalks.perms import DEFAULT_GROUP_CAP
 from consistentwalks.walks import enumerate_consistent_cycles
 
 import oracles
@@ -262,33 +263,39 @@ def test_census_from_least_neighbors_against_oracle(name, family, censuses):
         for orbit in oracle_orbits]
 
 
-def census_neighbor_queries(monkeypatch, group, graph):
-    """The one-point transporter queries from a vertex onto a neighbor
-    that one census makes, in order."""
-    queries = []
-    transporter = cw.PermutationGroup.transporter
-
-    def counted(self, src, dst):
-        if len(src) == 1 and graph.has_edge(src[0], dst[0]):
-            queries.append((src[0], dst[0]))
-        return transporter(self, src, dst)
+def census_without_group_queries(monkeypatch, group, graph):
+    """The census of ``group``, made while any transporter or pointwise
+    stabilizer query, and any expansion of a chain's elements, fails."""
+    def refused(self, *args):
+        raise AssertionError("the census queried the group's elements")
 
     with monkeypatch.context() as patched:
-        patched.setattr(cw.PermutationGroup, "transporter", counted)
-        cw.consistent_cycle_orbits(group, graph)
-    return queries
+        for method in ("transporter", "pointwise_stabilizer", "_expand"):
+            patched.setattr(cw.PermutationGroup, method, refused)
+        return cw.consistent_cycle_orbits(group, graph)
 
 
-def test_census_queries_one_neighbor_per_stabilizer_orbit(family, monkeypatch):
-    for name, (graph, group) in family.items():
-        assert census_neighbor_queries(monkeypatch, group, graph) == [
-            (0, graph.adj[0][0])], name
-    c6 = cw.named_graph("cycle:6")
-    rotations = cw.PermutationGroup.close([ROTATION6])
-    assert census_neighbor_queries(monkeypatch, rotations, c6) == [(0, 1), (0, 5)]
-    spec, gens = SEVERAL_NEIGHBOR_ORBITS["d12"]
-    graph, group = cw.named_graph(spec), cw.PermutationGroup.close(gens)
-    assert census_neighbor_queries(monkeypatch, group, graph) == [(0, 1), (0, 5)]
+def test_census_asks_no_transporter_and_expands_no_aut(monkeypatch):
+    # fresh chains: the session's groups may have been expanded by other tests
+    q3 = cw.named_graph("hypercube:3")
+    for m, cap, lengths in [(2, DEFAULT_GROUP_CAP, [2, 4, 4, 6, 8, 12]),
+                            (3, 10**8, [2, 4, 4, 6, 6, 8, 12, 12, 18])]:
+        blowup = cw.lex_blowup(q3, m)
+        aut = cw.automorphism_group(blowup, cap=cap)
+        table = census_without_group_queries(monkeypatch, aut, blowup)
+        assert table.lengths() == lengths
+    # several G_r-orbits on N(r): still the oracle's census
+    for graph, group in [
+            (cw.named_graph("cycle:6"), cw.PermutationGroup.close([ROTATION6])),
+            (cw.named_graph(SEVERAL_NEIGHBOR_ORBITS["d12"][0]),
+             cw.PermutationGroup.close(SEVERAL_NEIGHBOR_ORBITS["d12"][1]))]:
+        assert max(neighbor_orbit_count(group, graph, r)
+                   for r in range(graph.vertex_count)) > 1
+        table = census_without_group_queries(monkeypatch, group, graph)
+        assert [(r.representative, r.orbit_size, r.stabilizer_order)
+                for r in table.records] == [
+            (orbit[0], len(orbit), len(oracles.oracle_stabilizer(group, orbit[0][:-1])))
+            for orbit in oracles.oracle_cycle_orbits(group, graph)]
 
 
 def test_random_consistent_walk_refuses_a_group_without_consistent_arcs(family):
