@@ -1,7 +1,8 @@
 """Command-line front end emitting deterministic JSON reports.
 
 Subcommands: orbits | trivial-walk | wps-check | blowup-demo | generators |
-property-r.  Exit codes: 0 success, 1 domain error, 2 cap exceeded.
+property-r.  Exit codes: 0 success, 1 domain error, 2 cap exceeded or
+out of memory.
 All searches break ties lexicographically, so payloads are byte-stable
 across runs for a fixed input and version.
 """
@@ -314,6 +315,11 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # an input too large for this process is refused like one over a cap
+        print(json.dumps({"error": "MemoryError",
+                          "message": str(exc) or "out of memory"}), file=sys.stderr)
         return 2
     except ConsistentWalksError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -5,9 +5,10 @@ backtracking along the base 0..n-1, run level by level from the deepest
 point: at each level it looks for one automorphism per point that the
 stabilizer found so far does not yet reach, so it returns a strong
 generating set and |Aut| as a product of orbit lengths, not one leaf per
-automorphism.  Once the order has been checked against the cap, the group
-is kept as the stabilizer chain of those generators, and no element is
-built until one is read.  Graphs are limited to 64 vertices, so
+automorphism.  An image that fails for a vertex fails for its twins too,
+which are then skipped.  Once the order has been checked against the cap,
+the group is kept as the stabilizer chain of those generators, and no
+element is built until one is read.  Graphs are limited to 64 vertices, so
 neighborhoods fit in machine-int bitmasks.
 """
 
@@ -222,7 +223,7 @@ def _refine(adj: Sequence[int], v: int, u: int, cand: list[int],
     return nxt
 
 
-def _first_completion(adj: Sequence[int], level: int, u: int,
+def _first_completion(adj: Sequence[int], twins: Sequence[int], level: int, u: int,
                       cand: list[int]) -> Perm | None:
     """The least automorphism fixing 0..level-1 and sending level to u, or None.
 
@@ -230,6 +231,11 @@ def _first_completion(adj: Sequence[int], level: int, u: int,
     search with one stack frame (candidate masks, used mask, untried
     images) per assigned vertex after ``level``.  Each leaf is an
     automorphism by construction, so the first one is returned unchecked.
+    ``twins[w]`` is the mask of the vertices whose neighborhood is w's.
+    Once the image w of v has been tried without a completion, w's twins
+    are dropped from v's untried images: the transposition of w and an
+    unused twin w' is an automorphism fixing every image assigned so far,
+    so it would map a completion sending v to w' onto one sending v to w.
     """
     n = len(cand)
     used = (1 << level) - 1 | 1 << u
@@ -244,8 +250,8 @@ def _first_completion(adj: Sequence[int], level: int, u: int,
     while v < n:
         if avail:
             bit = avail & -avail
-            avail ^= bit
             w = bit.bit_length() - 1
+            avail &= ~twins[w]
             nxt = _refine(adj, v, w, cand, used | bit)
             if nxt is not None:
                 images[v] = w
@@ -276,8 +282,11 @@ def _strong_generators(graph: Graph) -> tuple[list[Perm], list[int]]:
     n = graph.vertex_count
     adj, degs = graph.masks, graph.degrees
     by_degree: dict[int, int] = {}
+    by_row: dict[int, int] = {}
     for v in range(n):
         by_degree[degs[v]] = by_degree.get(degs[v], 0) | 1 << v
+        by_row[adj[v]] = by_row.get(adj[v], 0) | 1 << v
+    twins = [by_row[row] for row in adj]
     # path[i]: the candidate masks of the identity path with 0..i-1 fixed
     path = [[by_degree[d] for d in degs]]
     for i in range(n - 1):
@@ -293,7 +302,7 @@ def _strong_generators(graph: Graph) -> tuple[list[Perm], list[int]]:
             u = bit.bit_length() - 1
             if (u,) in orbit:
                 continue
-            g = _first_completion(adj, i, u, path[i])
+            g = _first_completion(adj, twins, i, u, path[i])
             if g is not None:
                 gens.append(g)
                 orbit = tuple_orbit_under(gens, (i,))

@@ -7,18 +7,19 @@ leads to a consistent walk with trivial stabilizer, as does valence 4; both
 searches below return the walk plus a machine-checkable certificate.  An
 exhaustive depth-first search covers the other graphs.
 
-Every search extends walks one vertex at a time and carries the shunts
-along: the shunts of an extension are the walk's shunts that send its last
-vertex to the new endpoint.  So only the walks a search starts from query
-the group, and successor counts and stabilizer orders come from the split
-of the shunts.  The exhaustive search starts from one arc per arc orbit:
-a trivial stabilizer and consistency are invariant under the group, so
-the other arcs' subtrees are images of the ones searched.
+The two structural searches extend walks one vertex at a time and carry
+the shunts along: the shunts of an extension are the walk's shunts that
+send its last vertex to the new endpoint.  So only the walk a search
+starts from queries the group, and successor counts and stabilizer orders
+come from the split of the shunts.  The exhaustive search reads the
+census's search over walk classes instead (:func:`walks._walk_classes`):
+it visits one walk per G_r-class, with a shunt and the stabilizer's order
+carried down by generators, and asks the group nothing until it certifies
+the walk it returns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -37,6 +38,7 @@ from .walks import (
     Walk,
     ConsistencyWitness,
     _split_shunts,
+    _walk_classes,
     apply_perm,
     consistent_cycle_orbits,
 )
@@ -209,70 +211,38 @@ def find_trivial_walk_4valent(group: PermutationGroup,
     return witness, cert
 
 
-def _shunt_descent(group: PermutationGroup, graph: Graph, depth_cap: int
-                   ) -> Iterator[tuple[Walk, list[Perm], dict[int, list[Perm]]]]:
-    """The consistent walks of length <= ``depth_cap`` from the least arc
-    of each arc orbit, with their shunts, depth first.
-
-    Arcs come in lexicographic order, each followed by its extensions,
-    least endpoint first.  An arc in the G-orbit of an earlier arc is
-    skipped: an automorphism sending it to that arc maps its consistent
-    walks onto consistent walks of the same length there and conjugates
-    their stabilizers, so a G-invariant property such as a trivial
-    stabilizer holds below the skipped arc only if it holds below the
-    searched one.  That needs G to act by automorphisms of the graph.  An
-    arc's orbit is computed once its subtree is exhausted, so a consumer
-    that stops in the first subtree pays for none.
-
-    Yields (walk, shunts, shunts split by the image of the last vertex).
-    Only the searched arcs query the group, each when its turn comes: the
-    shunts of walk + (x,) are the walk's shunts that send its last vertex
-    to x.
-    """
-    covered: set[tuple[int, ...]] = set()  # arcs in the orbit of a searched arc
-    for arc in sorted((u, w) for u in range(graph.vertex_count) for w in graph.adj[u]):
-        if arc in covered:
-            continue
-        shs = group.transporter(arc[:1], arc[1:])
-        stack = [(arc, shs)] if shs else []
-        while stack:
-            walk, shs = stack.pop()
-            by_end = _split_shunts(shs, walk[-1])
-            yield walk, shs, by_end
-            if len(walk) - 1 < depth_cap:
-                stack.extend((walk + (x,), by_end[x]) for x in sorted(by_end, reverse=True))
-        covered |= group.tuple_orbit(arc)
-
-
 def find_trivial_walk_exhaustive(group: PermutationGroup, graph: Graph,
                                  depth_cap: int = DEFAULT_WALK_DEPTH
                                  ) -> tuple[ConsistencyWitness, dict]:
-    """Depth-first extension until a trivial-stabilizer walk appears.
+    """The least consistent walk of at most ``depth_cap`` arcs with a
+    trivial stabilizer, searched over walk classes.
 
-    Fallback for graphs the structural searches do not cover.  For a walk
-    w = (v_0..v_n) the search uses three facts: the shunts of w + (x,) are
-    the shunts of w that send v_n to x; the successor endpoints of w are
-    the images of v_n under its shunts; and |G_(w)| = |shunts| / |Succ|,
-    since the shunts are the coset G_(v_0..v_{n-1}) * g0 (orbit–stabilizer).
-    So G_(w) is trivial exactly when no two shunts send v_n to the same
-    vertex, and the group is queried at most once per arc orbit.  Only the
-    least arc a of each arc orbit is searched, which returns the same first
-    witness: a witness below a later arc b of a's orbit has an image below
-    a, which is searched first.  So ``group`` must act by automorphisms of
-    ``graph``.  The stabilizer order of the returned walk is recomputed
-    once; there is no other certificate.
+    Fallback for graphs the structural searches do not cover.  It reads
+    the census's search (:func:`walks._walk_classes`), which lists the
+    G_r-classes of consistent walks rooted at the least vertex r of each
+    vertex orbit, each by its least member, in lexicographic order, with
+    |G_(w)| for each.  A trivial stabilizer is invariant under the group,
+    and each class's least member comes first, so the first walk of more
+    than one vertex with |G_(w)| = 1 is the least such walk from any arc
+    the search could start at.  So ``group`` must act by automorphisms of
+    ``graph``.  For that walk w with shunt g, G_(w[:-1]) acts regularly on
+    the orbit of w[-1], since the point's stabilizer is G_(w) = 1, so its
+    transversal is G_(w[:-1]) itself and the least of u * g over the
+    transversal is the least of the shunts G_(w[:-1]) * g.  The search asks
+    the group no query; the stabilizer order of the returned walk is
+    recomputed once, and there is no other certificate.
     """
     if depth_cap < 1:
         raise BadParameters(f"depth cap must be at least 1, got {depth_cap}")
     if not graph.connected:
         raise NotConnected("the search needs a connected graph")
-    for walk, shs, by_end in _shunt_descent(group, graph, depth_cap):
-        if len(by_end) == len(shs):
+    for walk, g, trans, _, order, _ in _walk_classes(group, graph, depth_cap):
+        if order == 1 and len(walk) > 1:
             invariant(group.pointwise_stabilizer(walk).order == 1,
-                      f"walk {walk} has distinct shunt images but a nontrivial stabilizer")
+                      f"walk {walk} has a regular last orbit but a nontrivial stabilizer")
             cert = {"method": "exhaustive", "walk": list(walk),
                     "stabilizer_order": 1, "certified": True}
-            return ConsistencyWitness(walk=walk, shunt=shs[0]), cert
+            return ConsistencyWitness(walk=walk, shunt=min(u * g for u in trans.values())), cert
     raise NoWitness(f"no consistent walk of length <= {depth_cap} has a trivial stabilizer")
 
 

@@ -5,27 +5,28 @@ G-consistent when some g in G maps (v_0..v_{n-1}) onto (v_1..v_n)
 pointwise; every such g is a shunt.  Rooted directed cycles carry their
 closing vertex, e.g. the trivial cycle on an edge is (u, v, u).
 
-The census lists the G-orbits of consistent cycles from rooted cycles
-alone: each orbit meets the cycles rooted at the least vertex r of one
-vertex orbit in a single G_r-orbit (Miklavič, Potočnik and Wilson, 2007).
-It finds them by a depth-first search over the G_r-classes of consistent
-walks rooted at r, one walk per class, each its class's least member.  A
-walk carries one shunt and generators of its pointwise stabilizer, each
-read off its parent's by :func:`perms.point_stabilizer`; its steps are its
-shunt applied to its last vertex's orbit under the stabilizer of the
-rest, and it keeps the least step of each orbit of its own stabilizer.
-So the census asks the group no transporter query and expands no element.
-The rooted enumeration of every cycle through its shunts
-(:func:`enumerate_consistent_cycles`) and its orbit partition
+One depth-first search, :func:`_walk_classes`, lists the G_r-classes of
+consistent walks rooted at the least vertex r of each vertex orbit, one
+walk per class, each its class's least member.  A walk carries one shunt
+and generators of its pointwise stabilizer, each read off its parent's by
+:func:`perms.point_stabilizer`; its steps are its shunt applied to its last
+vertex's orbit under the stabilizer of the rest, and it keeps the least
+step of each orbit of its own stabilizer.  So the search asks the group no
+transporter query and expands no element.  It serves two consumers: the
+census, which reads the walks that close back to their root (each orbit
+of consistent cycles meets the cycles rooted at r in a single G_r-orbit;
+Miklavič, Potočnik and Wilson, 2007), and the exhaustive trivial-walk
+search in :mod:`localactions`, which stops at the first walk with a
+trivial stabilizer.  The rooted enumeration of every cycle through its
+shunts (:func:`enumerate_consistent_cycles`) and its orbit partition
 (:func:`partition_cycles`) remain as full-group references.  Only this
 module lists and names these orbits.
 """
-
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import InvalidWalk, NotConsistent, invariant
 from .graphs import Graph
@@ -247,60 +248,75 @@ def partition_cycles(group: PermutationGroup,
     return sorted(orbits, key=lambda orbit: (len(orbit[0]), orbit[0]))
 
 
-def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbitTable:
-    """The census of G-orbits of G-consistent cycles.
+def _walk_classes(group: PermutationGroup, graph: Graph, depth_cap: int | None = None
+                  ) -> Iterator[tuple[Walk, Perm, dict[int, Perm], list[Perm], int, bool]]:
+    """The least member of each G_r-class of consistent walks rooted at the
+    least vertex r of each vertex orbit, depth first, in lexicographic order.
 
-    Each G-orbit of consistent cycles meets the cycles rooted at the least
-    vertex r of one vertex orbit in one G_r-orbit, whose least member
-    represents it.  A depth-first search lists one walk per G_r-class of
-    consistent walks rooted at r, each its class's least member.  A walk w
-    with shunt g, whose last vertex x has the transversal of its orbit
-    under G_(w[:-1]), steps to g applied to that orbit: the shunts of w are
-    G_(w[:-1]) * g, and u_b * g shunts the step to g[b].  Two steps lie in
-    one G_r-class iff one G_(w)-element maps one to the other, so the
-    search keeps the least step of each G_(w)-orbit and, by induction, the
-    least member of each class.  A step back to r closes a cycle: its
-    shunts, and the elements fixing it, are cosets of G_(w), so both counts
-    are |G_(w)| and its orbit has |G| / |G_(w)| members.  The search starts
-    from the walk (r,) with the identity for shunt, whose steps are the
-    neighbors of r in its orbit, and asks no element of G.
-    For a vertex-transitive group on a connected d-valent graph the table
-    has exactly d records; otherwise the count check is skipped and the
-    table is still returned.
+    Yields (w, a shunt g of w, the transversal of w[-1]'s orbit under
+    G_(w[:-1]), generators of G_(w), |G_(w)|, whether w closes back to r).
+    The shunts of w are G_(w[:-1]) * g, and u_b * g shunts the step to
+    g[b], so the steps of w are g applied to that orbit.  Two steps lie in
+    one G_r-class iff one G_(w)-element maps one to the other, so the search
+    keeps the least step of each G_(w)-orbit and, by induction, the least
+    member of each class; a prefix of a least member is least in its class
+    too, so pushing the children in reverse visits them in lexicographic
+    order.  A step back to r closes a cycle, which is never extended: r is
+    in w, so the closed walk's stabilizer is G_(w), and so is that of every
+    extension of it.  The search starts from (r,) with the identity for
+    shunt, whose steps are the neighbors of r in its orbit, and walks of
+    more than ``depth_cap`` arcs are not extended.  It asks no element of G.
     """
-    records: list[OrbitRecord] = []
     placed: set[int] = set()
     for root in range(graph.vertex_count):
         if root in placed:
             continue
         trans, gens = point_stabilizer(group.degree, group.generators, root)
         placed.update(trans)
-        # (w, a shunt of w, x's transversal under G_(w[:-1]), G_(w)'s
-        # generators, |G_(w)|) for each walk w = (.., x) left to extend
-        stack = [((root,), group.identity, trans, gens, group.order // len(trans))]
+        stack = [((root,), group.identity, trans, gens, group.order // len(trans), False)]
         while stack:
-            w, g, trans, gens, order = stack.pop()
+            node = stack.pop()
+            yield node
+            w, g, trans, gens, order, closes = node
+            if closes or (depth_cap is not None and len(w) > depth_cap):
+                continue
             steps = {g[b]: b for b in trans}
             reached: set[int] = set()
+            children = []
             for y in sorted(steps):
                 if y in reached or not graph.has_edge(w[-1], y):
                     continue  # (r,) steps to r's orbit; a longer walk's are adjacent
+                shunt = trans[steps[y]] * g
                 if y == root:
-                    records.append(OrbitRecord(
-                        representative=w + (root,),
-                        length=len(w),
-                        orbit_size=group.order // order,
-                        shunt_count=order,
-                        stabilizer_order=order,
-                        trivial=len(w) == 2,
-                    ))
+                    children.append((w + (root,), shunt, {root: group.identity},
+                                     gens, order, True))
                     continue
                 invariant(y not in w, f"consistent walk {w + (y,)} repeats a vertex "
                                       f"other than its root")
                 step_trans, step_gens = point_stabilizer(group.degree, gens, y)
                 reached.update(step_trans)
-                stack.append((w + (y,), trans[steps[y]] * g, step_trans, step_gens,
-                              order // len(step_trans)))
+                children.append((w + (y,), shunt, step_trans, step_gens,
+                                 order // len(step_trans), False))
+            stack.extend(reversed(children))
+
+
+def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbitTable:
+    """The census of G-orbits of G-consistent cycles.
+
+    Each G-orbit of consistent cycles meets the cycles rooted at the least
+    vertex r of one vertex orbit in one G_r-orbit, whose least member
+    represents it: a closing walk of :func:`_walk_classes`.  Its shunts,
+    and the elements fixing it, are cosets of G_(w) for w the walk before
+    the closing step, so both counts are |G_(w)| and its orbit has
+    |G| / |G_(w)| members.
+    For a vertex-transitive group on a connected d-valent graph the table
+    has exactly d records; otherwise the count check is skipped and the
+    table is still returned.
+    """
+    records = [OrbitRecord(representative=w, length=len(w) - 1,
+                           orbit_size=group.order // order, shunt_count=order,
+                           stabilizer_order=order, trivial=len(w) == 3)
+               for w, _, _, _, order, closes in _walk_classes(group, graph) if closes]
     records.sort(key=lambda r: (r.length, r.representative))
     transitive = group.is_transitive()
     if transitive:

@@ -159,6 +159,73 @@ def exhaustive_trivial_walk(group: cw.PermutationGroup, graph: cw.Graph,
     return None
 
 
+def shunt_descent(group: cw.PermutationGroup, graph: cw.Graph, depth_cap: int):
+    """The consistent walks of length <= ``depth_cap`` from the least arc
+    of each arc orbit, with their shunts, depth first.
+
+    The library's trivial-walk search before it read the census's walk
+    classes.  Arcs come in lexicographic order, each followed by its
+    extensions, least endpoint first; an arc in the G-orbit of an earlier
+    arc is skipped, and an arc's orbit is computed once its subtree is
+    exhausted.  Yields (walk, shunts, shunts split by the image of the
+    last vertex): the shunts of walk + (x,) are the walk's shunts that
+    send its last vertex to x, so only the searched arcs query the group.
+    """
+    covered: set[tuple[int, ...]] = set()  # arcs in the orbit of a searched arc
+    for arc in sorted((u, w) for u in range(graph.vertex_count) for w in graph.adj[u]):
+        if arc in covered:
+            continue
+        shs = group.transporter(arc[:1], arc[1:])
+        stack = [(arc, shs)] if shs else []
+        while stack:
+            walk, shs = stack.pop()
+            by_end: dict[int, list[cw.Perm]] = {}
+            for g in shs:
+                by_end.setdefault(g[walk[-1]], []).append(g)
+            yield walk, shs, by_end
+            if len(walk) - 1 < depth_cap:
+                stack.extend((walk + (x,), by_end[x]) for x in sorted(by_end, reverse=True))
+        covered |= group.tuple_orbit(arc)
+
+
+def arc_orbit_trivial_walk(group: cw.PermutationGroup, graph: cw.Graph,
+                           depth_cap: int = 64):
+    """The trivial-walk search over arc orbits: (walk, least shunt), or None.
+
+    Its first walk whose shunts all send the last vertex to distinct
+    images, which is when |G_(w)| = |shunts| / |Succ| is 1.
+    """
+    for walk, shs, by_end in shunt_descent(group, graph, depth_cap):
+        if len(by_end) == len(shs):
+            return walk, shs[0]
+    return None
+
+
+def least_walk_class_members(group: cw.PermutationGroup, graph: cw.Graph,
+                             depth_cap: int) -> list[tuple[int, ...]]:
+    """The least member of each G_r-class of consistent walks of at most
+    ``depth_cap`` arcs rooted at the least vertex r of each vertex orbit,
+    (r,) included and walks back to r not extended: roots in order, each
+    root's walks in lexicographic order.  Shunts are filtered from the
+    element list, and a walk is least when no element of G_r maps it lower.
+    """
+    out, placed = [], set()
+    for r in range(graph.vertex_count):
+        if r in placed:
+            continue
+        placed |= {g[r] for g in group.elements}
+        stab = oracle_stabilizer(group, (r,))
+        walks, frontier = [], [((r,), list(group.elements))]
+        while frontier:
+            walks += [w for w, _ in frontier]
+            frontier = [(w + (x,), ext) for w, shs in frontier
+                        if len(w) <= depth_cap and (len(w) == 1 or w[-1] != r)
+                        for x in graph.adj[w[-1]]
+                        for ext in [[g for g in shs if g[w[-1]] == x]] if ext]
+        out += sorted(w for w in walks if w == min(tuple(h[v] for v in w) for h in stab))
+    return out
+
+
 def chase_by_successor_queries(group: cw.PermutationGroup, graph: cw.Graph,
                                walk, target=None) -> dict:
     """The reachability chase with one successor query per reached walk:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import consistentwalks as cw
@@ -10,10 +12,10 @@ from consistentwalks.errors import (
 )
 from consistentwalks.localactions import (
     _extend_while_branching,
-    _shunt_descent,
     factor_3s_2t,
     shunt_count_pattern,
 )
+from consistentwalks.walks import _walk_classes
 
 from conftest import FAMILY_VALENCE
 import oracles
@@ -216,11 +218,47 @@ def test_exhaustive_search_matches_per_node_oracle(name, family):
                 == oracles.exhaustive_trivial_walk(group, graph, cap)), (name, cap)
 
 
+# 18 graphs, each searched at depth caps 4 and 64 by both searches
+ARC_ORBIT_CASES = ["cycle:6", "petersen", "hypercube:3", "hypercube:4", "hypercube:5",
+                   "complete:5", "complete:6", "circulant:8:1,2", "circulant:8:1,3",
+                   "circulant:10:1,3", "circulant:12:1,5", "complete_bipartite:3:3",
+                   "complete_bipartite:4:4", "cycle:4[2K1]", "hypercube:3[2K1]",
+                   "petersen[2K1]", "cycle:6[2K1]", "complete:4[2K1]"]
+
+
+@pytest.mark.parametrize("name", ARC_ORBIT_CASES)
+def test_exhaustive_search_matches_arc_orbit_search(name):
+    base, _, blowup = name.partition("[")
+    graph = cw.named_graph(base)
+    if blowup:
+        graph = cw.lex_blowup(graph, 2)
+    group = cw.automorphism_group(graph)
+    for cap in (4, 64):
+        assert (exhaustive_answer(group, graph, cap)
+                == oracles.arc_orbit_trivial_walk(group, graph, cap)), (name, cap)
+
+
+@pytest.mark.parametrize("name", ["cycle:6", "hypercube:3", "complete:5",
+                                  "complete_bipartite:3:3", "circulant:8:1,2"])
+def test_exhaustive_search_matches_arc_orbit_search_on_subgroups(name):
+    # subgroups of Aut from seeded random elements, where the shunt the
+    # walk-class search carries is often not the walk's least one
+    graph = cw.named_graph(name)
+    aut = cw.automorphism_group(graph)
+    rng = random.Random(name)
+    for _ in range(3):
+        group = cw.PermutationGroup.close(rng.sample(aut.elements, 3), degree=aut.degree)
+        for cap in (4, 64):
+            assert (exhaustive_answer(group, graph, cap)
+                    == oracles.arc_orbit_trivial_walk(group, graph, cap)), (name, cap)
+
+
 @pytest.mark.parametrize("name", list(FAMILY_VALENCE))
 def test_shunt_descent_carries_each_walks_shunts(name, family):
+    # the arc-orbit reference search above carries the right shunt lists
     graph, group = family[name]
     stabilizers = {}  # walk -> its stabilizer by brute force, narrowed from its prefix's
-    for walk, shs, by_end in _shunt_descent(group, graph, 3):
+    for walk, shs, by_end in oracles.shunt_descent(group, graph, 3):
         assert shs == cw.shunts(group, graph, walk)
         assert [walk[1:] + (x,) for x in sorted(by_end)] == cw.successors(group, graph, walk)
         prefix = walk[:-1]
@@ -254,32 +292,55 @@ def rotations_of_c6():
 @pytest.mark.parametrize("name", [*FAMILY_VALENCE, "c6-rotations"])
 def test_shunt_descent_visits_walks_from_orbit_least_arcs(name, family):
     graph, group = rotations_of_c6() if name == "c6-rotations" else family[name]
-    visited = [walk for walk, _, _ in _shunt_descent(group, graph, 3)]
+    visited = [walk for walk, _, _ in oracles.shunt_descent(group, graph, 3)]
     assert visited == orbit_least_consistent_walks(group, graph, 3)
 
 
+def walk_class_case(name, family, c4_wreath):
+    if name == "c6-rotations":
+        return rotations_of_c6()
+    return c4_wreath if name == "c4-wreath" else family[name]
+
+
+@pytest.mark.parametrize("name", [*FAMILY_VALENCE, "c6-rotations", "c4-wreath"])
+def test_walk_classes_visit_least_members_in_preorder(name, family, c4_wreath):
+    graph, group = walk_class_case(name, family, c4_wreath)
+    visited = [node[0] for node in _walk_classes(group, graph, 3)]
+    assert visited == oracles.least_walk_class_members(group, graph, 3)
+
+
+@pytest.mark.parametrize("name", [*FAMILY_VALENCE, "c6-rotations", "c4-wreath"])
+def test_walk_classes_carry_each_walks_stabilizer_and_shunts(name, family, c4_wreath):
+    graph, group = walk_class_case(name, family, c4_wreath)
+    for walk, g, trans, gens, order, closes in _walk_classes(group, graph, 3):
+        stabilizer = oracles.oracle_stabilizer(group, walk)
+        assert order == len(stabilizer), walk
+        assert cw.PermutationGroup.close(gens, degree=group.degree).elements == tuple(
+            stabilizer), walk
+        assert closes == (len(walk) > 1 and walk[-1] == walk[0]), walk
+        # trans: the orbit of the last vertex under the prefix's stabilizer,
+        # and the shunts are that stabilizer times g
+        prefix_stabilizer = oracles.oracle_stabilizer(group, walk[:-1])
+        assert set(trans) == {h[walk[-1]] for h in prefix_stabilizer}, walk
+        assert all(u in prefix_stabilizer and u[walk[-1]] == b for b, u in trans.items())
+        shunts = oracles.oracle_shunts(group, walk)
+        assert sorted(h * g for h in prefix_stabilizer) == shunts, walk
+        if order == 1:  # the prefix's stabilizer is regular on the last orbit
+            assert min(u * g for u in trans.values()) == shunts[0], walk
+
+
 @pytest.mark.parametrize("name", [*FAMILY_VALENCE, "c6-rotations"])
-def test_shunt_descent_queries_once_per_arc_orbit(name, family, monkeypatch):
+def test_walk_classes_ask_the_group_nothing(name, family, monkeypatch):
+    # only the group's order, identity and generators are read
     graph, group = rotations_of_c6() if name == "c6-rotations" else family[name]
-    calls = {"transporter": 0, "tuple_orbit": 0}
+    nodes = list(_walk_classes(group, graph, 3))
 
-    def counting(method_name):
-        method = getattr(cw.PermutationGroup, method_name)
-
-        def counted(self, *args):
-            calls[method_name] += 1
-            return method(self, *args)
-        return counted
-    for method_name in calls:
-        monkeypatch.setattr(cw.PermutationGroup, method_name, counting(method_name))
-    descent = _shunt_descent(group, graph, 3)
-    next(descent)
-    # the first arc's orbit waits until its subtree is exhausted
-    assert calls == {"transporter": 1, "tuple_orbit": 0}
-    for _ in descent:
-        pass
-    arc_orbits = 2 if name == "c6-rotations" else 1  # C6's two directions
-    assert calls == {"transporter": arc_orbits, "tuple_orbit": arc_orbits}
+    def refused(self, *args):
+        raise AssertionError("the walk-class search queried the group")
+    for method_name in ("transporter", "tuple_orbit", "pointwise_stabilizer", "orbit",
+                        "least_image", "_expand"):
+        monkeypatch.setattr(cw.PermutationGroup, method_name, refused)
+    assert list(_walk_classes(group, graph, 3)) == nodes
 
 
 @pytest.mark.parametrize("name,finder", [
@@ -364,16 +425,12 @@ def test_structural_searches_ask_one_coset_at_the_base_point(family, group_queri
 
 @pytest.mark.parametrize("name", ["c6", "k4", "q3", "petersen", "k5", "q4"])
 def test_exhaustive_search_asks_only_its_arcs(name, family, group_queries):
-    # one query per searched arc orbit, each arc once, and the returned
-    # walk's stabilizer recomputed once
+    # the walk-class search asks no query of its own; the returned walk's
+    # stabilizer is recomputed once, as the certificate
     graph, group = family[name]
     (witness, _), calls = group_queries(
         group, lambda: cw.find_trivial_walk_exhaustive(group, graph))
-    arcs = [call for call in calls if call[0] == "transporter"]
-    assert arcs and all(len(src) == 1 for _, src, _ in arcs), calls
-    assert len(set(arcs)) == len(arcs), calls
-    assert [call for call in calls if call[0] != "transporter"] == [
-        ("pointwise_stabilizer", witness.walk)]
+    assert calls == [("pointwise_stabilizer", witness.walk)]
 
 
 def test_shunt_count_pattern_flags():
