@@ -13,6 +13,16 @@ least member is the least image of each member, found greedily: the least
 image of the first t+1 vertices, continued inside their stabilizer.
 Members of two orbits that share a prefix p therefore both begin with the
 least image of p, and the representatives' overlaps are the orbit maxima.
+
+Every group answer here is read off what the census built: each record
+carries its shunt coset, one shunt and generators of the stabilizer of
+the cycle's support, so a least shunt is the least element of that coset
+(:func:`perms.least_in_coset`), a walk stabilizer is closed from its
+generators, and the order of a generated group is a product of basic
+orbit lengths (:func:`perms.generated_order`).  Nothing here asks the
+group for a transporter or a pointwise stabilizer, and only the exact
+minimal-generator search of a group of at most ``EXACT_DELTA_ORDER_LIMIT``
+elements reads its elements.
 """
 
 from __future__ import annotations
@@ -20,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .errors import NotConnected, NotConsistent, NotVertexTransitive, invariant
+from .errors import NotConnected, NotVertexTransitive, invariant
 from .graphs import Graph
 from .perms import Perm, PermutationGroup, generated_order
-from .walks import Walk, consistent_cycle_orbits, shunts
+from .walks import CycleOrbitTable, Walk, consistent_cycle_orbits
 
 EXACT_DELTA_ORDER_LIMIT = 200
 
@@ -42,23 +52,14 @@ def overlap(a: Sequence[int], b: Sequence[int]) -> int:
 
 def orbit_overlap(group: PermutationGroup, rep_a: Sequence[int],
                   rep_b: Sequence[int]) -> int:
-    """Max overlap between the two orbits.
+    """Max overlap between the two orbits: the overlap of the walks' least images.
 
-    Overlap is invariant under moving both walks by the same element, so
-    fixing one representative and sweeping the other's orbit suffices.
+    Members of the two orbits agree through index t iff the walks' first
+    t+1 vertices lie in one orbit of tuples, that is, have one least
+    image, and the least image of a prefix is the prefix of the least
+    image (:meth:`PermutationGroup.least_image`).
     """
-    a = tuple(rep_a)
-    best = -1
-    for g in group.transporter(rep_b[:1], a[:1]):
-        t = 0
-        for v, x in zip(rep_b[1:], a[1:]):
-            if g[v] != x:
-                break
-            t += 1
-        best = max(best, t)
-        if best == len(a) - 1:
-            break
-    return best
+    return overlap(group.least_image(rep_a), group.least_image(rep_b))
 
 
 @dataclass(frozen=True)
@@ -102,16 +103,10 @@ def overlap_maximal_representatives(group: PermutationGroup, graph: Graph
     return reps, _overlap_matrix(reps)
 
 
-def shunt_generating_set(group: PermutationGroup, graph: Graph,
-                         representatives: Sequence[Walk]) -> list[Perm]:
-    """One shunt per representative, lexicographically smallest by images."""
-    out = []
-    for rep in representatives:
-        found = shunts(group, graph, rep)
-        if not found:
-            raise NotConsistent(f"representative {rep} has no shunt")
-        out.append(found[0])
-    return out
+def shunt_generating_set(table: CycleOrbitTable) -> list[Perm]:
+    """The least shunt of each census record, in census order, read off
+    the record's shunt coset."""
+    return [record.least_shunt() for record in table.records]
 
 
 @dataclass(frozen=True)
@@ -150,9 +145,13 @@ def verify_generation(group: PermutationGroup, graph: Graph) -> GenerationReport
     The chosen walk is the representative with the smallest stabilizer
     (trivial first, then lexicographic); the shunts with its stabilizer
     must generate the whole group, and the shunts alone must generate
-    whenever that stabilizer is trivial.  No join is closed: the order of
-    H = <shunts>, and of <shunts, G_(w)>, is |0^H| * |H_0|, with H_0 closed
-    from its Schreier generators inside G_0 (:func:`perms.generated_order`).
+    whenever that stabilizer is trivial.  The census holds all of it: the
+    least shunts and the chosen walk's stabilizer generators come off the
+    records' shunt cosets, that stabilizer's order is the record's, and the
+    orders of H = <shunts> and of <shunts, G_(w)> are products of basic
+    orbit lengths (:func:`perms.generated_order`), so no join is closed.
+    Only the chosen walk's stabilizer is closed, from its generators, for
+    its minimal generating set.
     """
     if not graph.connected:
         raise NotConnected("generation needs a connected graph")
@@ -160,18 +159,19 @@ def verify_generation(group: PermutationGroup, graph: Graph) -> GenerationReport
     if not table.vertex_transitive:
         raise NotVertexTransitive("generation needs a vertex-transitive group")
     reps = [r.representative for r in table.records]
-    shunt_set = shunt_generating_set(group, graph, reps)
+    shunt_set = shunt_generating_set(table)
     shunt_group_order = generated_order(group.degree, shunt_set)
     generates = shunt_group_order == group.order
     chosen = min(table.records, key=lambda r: (r.stabilizer_order, r.representative))
-    chosen_stab = group.pointwise_stabilizer(chosen.representative[:-1])
+    _, stab_gens = chosen.shunt_coset
     # <shunts, G_(w)> contains <shunts>, so it is G whenever the shunts generate
     with_stab_generates = generates or generated_order(
-        group.degree, shunt_set + list(chosen_stab.generators)) == group.order
+        group.degree, shunt_set + list(stab_gens)) == group.order
     invariant(with_stab_generates,
               "shunts plus the walk stabilizer failed to generate the group")
-    if chosen_stab.order == 1:
+    if chosen.stabilizer_order == 1:
         invariant(generates, "a trivial-stabilizer cycle forces the shunts to generate")
+    chosen_stab = PermutationGroup.close(stab_gens, degree=group.degree)
     chosen_walk_min_generators = chosen_stab.min_generating_size()
     invariant(chosen_walk_min_generators is not None,
               "no generating set of the walk stabilizer within the search cap")
@@ -181,7 +181,7 @@ def verify_generation(group: PermutationGroup, graph: Graph) -> GenerationReport
         shunts=tuple(shunt_set), shunt_group_order=shunt_group_order,
         group_order=group.order, valence=graph.valence(),
         chosen_walk=chosen.representative,
-        chosen_walk_stabilizer_order=chosen_stab.order, generates=generates,
+        chosen_walk_stabilizer_order=chosen.stabilizer_order, generates=generates,
         with_stabilizer_generates=with_stab_generates,
         min_generators_bound=graph.valence() + chosen_walk_min_generators,
         min_generators_exact=min_generators_exact,

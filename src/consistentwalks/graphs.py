@@ -29,7 +29,7 @@ from .errors import (
     UnknownSpec,
     invariant,
 )
-from .perms import DEFAULT_GROUP_CAP, Perm, PermutationGroup, tuple_orbit_under
+from .perms import DEFAULT_GROUP_CAP, Perm, PermutationGroup
 
 AUTOMORPHISM_VERTEX_LIMIT = 64
 
@@ -272,9 +272,12 @@ def _strong_generators(graph: Graph) -> tuple[list[Perm], list[int]]:
     Level i runs from n-1 down to 0.  Every generator found at level i or
     deeper fixes 0..i-1.  For each candidate u of i, in increasing order,
     that is not yet in the orbit of i under those generators, the first
-    automorphism fixing 0..i-1 and sending i to u (if any) joins them.
-    When level i ends they generate the pointwise stabilizer of 0..i-1,
-    and ``lengths[i]`` is the length of its orbit of i, so |Aut| is the
+    automorphism fixing 0..i-1 and sending i to u (if any) joins them,
+    and the orbit grows by the new points it reaches.  When u has none, no
+    twin u' of u has one either: the transposition of u and u' fixes
+    0..i-1, so u's twin class leaves the level's candidates.  When level i
+    ends they generate the pointwise stabilizer of 0..i-1, and
+    ``lengths[i]`` is the length of its orbit of i, so |Aut| is the
     product of the lengths (Sims 1970; Butler 1991).  Each completion
     search is a subtree of the full backtrack tree, and no subtree is
     searched twice.
@@ -294,18 +297,26 @@ def _strong_generators(graph: Graph) -> tuple[list[Perm], list[int]]:
     gens: list[Perm] = []
     lengths = [1] * n
     for i in reversed(range(n)):
-        orbit = {(i,)}
+        orbit = {i}
         avail = path[i][i] & ~((1 << i) - 1)
         while avail:
             bit = avail & -avail
             avail ^= bit
             u = bit.bit_length() - 1
-            if (u,) in orbit:
+            if u in orbit:
                 continue
             g = _first_completion(adj, twins, i, u, path[i])
-            if g is not None:
-                gens.append(g)
-                orbit = tuple_orbit_under(gens, (i,))
+            if g is None:
+                avail &= ~twins[u]
+                continue
+            gens.append(g)
+            # the orbit was closed under the others: old points see g alone
+            frontier = [g[x] for x in orbit]
+            while frontier:
+                x = frontier.pop()
+                if x not in orbit:
+                    orbit.add(x)
+                    frontier.extend(h[x] for h in gens)
         lengths[i] = len(orbit)
     return gens, lengths
 

@@ -18,16 +18,20 @@ breadth-first closure over the group's one generator tuple: those its
 closure kept, the automorphism search's strong generators, or (for a
 filtered subgroup) a greedy set computed on first read;
 :func:`tuple_orbit_under` runs the same closure over any generators, so an
-orbit under a generated group needs no closure of that group, and
-:func:`generated_order` gives the order of a generated group from an orbit
-and its point stabilizer.  :func:`point_stabilizer` gives, for any
-generators and a point, the transversal of the point's orbit and
-generators of its stabilizer: the Schreier generators, kept short by Sims'
-filter, so a chain of point stabilizers is walked down by generators alone,
-as the cycle census does, and no group is closed.
-:meth:`PermutationGroup.least_image` finds a tuple's lexicographically least
-image under the group with it, greedily, point by point.  No other module
-reads how a group is stored.
+orbit under a generated group needs no closure of that group.
+
+:func:`point_stabilizer` gives, for any generators and a point, the
+transversal of the point's orbit and generators of its stabilizer: the
+Schreier generators, kept short by Sims' filter, so a chain of point
+stabilizers is walked down by generators alone and no group is closed.
+:meth:`PermutationGroup.orbit_stabilizer` gives the same pair for a
+group's own point, straight off the chain at its base point.  Walked down
+the least moved points of any generators (Schreier–Sims), the same step
+gives :func:`generated_order`, a product of basic orbit lengths, and
+:func:`least_in_coset`, the least element of a coset <generators> * g,
+greedily point by point; :meth:`PermutationGroup.least_image` finds a
+tuple's least image under the group the same way.  No other module reads
+how a group is stored.
 Everything here is immutable and safe to share.
 
 ``PermutationGroup.transporter``, behind every stabilizer and shunt query,
@@ -54,7 +58,7 @@ import bisect
 import itertools
 import math
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import (
     BadParameters,
@@ -283,19 +287,47 @@ def _dimino(degree: int, candidates: Iterable[Perm],
     return seen, kept
 
 
-def generated_order(degree: int, generators: Sequence[Perm]) -> int:
-    """|H| for H = <generators>, as |0^H| * |H_0| (orbit–stabilizer).
+def _basic_transversals(degree: int,
+                        generators: Sequence[Perm]) -> Iterator[dict[int, Perm]]:
+    """Schreier–Sims down H = <generators>, by generators alone: at the least
+    point i that the generators move, the transversal of i's orbit, as
+    :func:`point_stabilizer` gives it, and then on in H_i, until no
+    generator is left.
 
-    H_0 is closed by Dimino's closure from the Schreier generators
-    u_x * s * u_(s[x])^-1, for x in the orbit and s a generator, where u is
-    the orbit's transversal (Schreier's lemma), so H itself is never built.
-    The closure is as large as H_0: a caller bounds it by knowing H to lie
-    in a group whose point stabilizer G_0 it can afford.
+    Every generator of H fixes the points below i, so those of H_i fix
+    every point up to i and the points rise strictly: they are a base of
+    H, and the transversals are its basic transversals.
     """
-    trans = _transversal(degree, 0, generators)
-    inverses = {b: u.inverse() for b, u in trans.items()}
-    schreier = (trans[x] * s * inverses[s[x]] for x in trans for s in generators)
-    return len(trans) * len(_dimino(degree, schreier)[0])
+    identity = int.from_bytes(PAD[:degree], "big")
+    gens = [h for h in generators if not h.is_identity()]
+    while gens:
+        moved = 0
+        for h in gens:
+            moved |= int.from_bytes(h, "big") ^ identity
+        i = degree - 1 - (moved.bit_length() - 1) // 8  # first differing byte
+        trans, gens = point_stabilizer(degree, gens, i)
+        yield trans
+
+
+def generated_order(degree: int, generators: Sequence[Perm]) -> int:
+    """|H| for H = <generators>: the product of its basic orbit lengths
+    (:func:`_basic_transversals`), so no group is closed."""
+    return math.prod(len(trans) for trans in _basic_transversals(degree, generators))
+
+
+def least_in_coset(generators: Sequence[Perm], g: Perm) -> Perm:
+    """The lexicographically least element of the coset <generators> * g.
+
+    Greedy over the base of H = <generators>: H fixes every point below
+    its least moved point i, so all of H * g agrees with g there, and the
+    least image of i is the least g-image of i's orbit, reached by u_b * g
+    for the transversal element u_b sending i to that b.  The elements of
+    the coset with that image at i are H_i * u_b * g, so the search goes
+    on in H_i and stops once no generator is left.
+    """
+    for trans in _basic_transversals(len(g), generators):
+        g = trans[min(trans, key=g.__getitem__)] * g
+    return g
 
 
 class PermutationGroup:
@@ -548,6 +580,19 @@ class PermutationGroup:
             return group
         return PermutationGroup(group.degree, group.transporter(pts, pts))
 
+    def orbit_stabilizer(self, point: int) -> tuple[dict[int, Perm], list[Perm]]:
+        """The transversal of ``point``'s orbit and generators of its
+        stabilizer, as :func:`point_stabilizer` gives them.
+
+        A chain at its base point beta has both built: a copy of its own
+        transversal and G_beta's strong generators, so no Schreier generator
+        is sifted.
+        """
+        if self._chain is not None and self._chain[0] == point:
+            _, trans, stabilizer = self._chain
+            return dict(trans), list(stabilizer.generators)
+        return point_stabilizer(self.degree, self.generators, point)
+
     def least_image(self, tup: Sequence[int]) -> tuple[int, ...]:
         """The lexicographically least image of a point tuple under the group.
 
@@ -595,12 +640,16 @@ class PermutationGroup:
     def min_generating_size(self) -> int | None:
         """Exact size of a smallest generating set, or None if the cap was hit.
 
-        Searches subsets of the full element set of size 1..MIN_GENERATING_SEARCH_CAP.
+        Size 1 is decided by element orders, as the group is cyclic iff some
+        element has order |G|; larger sizes search subsets of the full element
+        set, up to MIN_GENERATING_SEARCH_CAP.
         """
         if self.order == 1:
             return 0
         nontrivial = self.elements[1:]  # the identity comes first
-        for size in range(1, MIN_GENERATING_SEARCH_CAP + 1):
+        if any(p.order() == self.order for p in nontrivial):
+            return 1
+        for size in range(2, MIN_GENERATING_SEARCH_CAP + 1):
             for combo in itertools.combinations(nontrivial, size):
                 # the closure stops as soon as it fills the group
                 if len(_dimino(self.degree, combo, self.order - 1)[0]) == self.order:

@@ -21,7 +21,7 @@ from .graphs import (
     verify_automorphisms,
 )
 from .perms import Perm, PermutationGroup
-from .walks import Walk, CycleOrbitTable, consistent_cycle_orbits, shunts
+from .walks import Walk, CycleOrbitTable, consistent_cycle_orbits
 
 
 def lift_base_perm(p: Perm, m: int) -> Perm:
@@ -93,8 +93,9 @@ def blowup_cycle_family(graph: Graph, group: PermutationGroup,
 
     The cycle for fiber count j walks the base cycle through fibers
     0..j-1 in order; its shunt is the lifted base shunt times the rotation
-    of fibers 0..j-1 at the root vertex.  Every shunt is verified to be a
-    blow-up automorphism that shunts its cycle.
+    of fibers 0..j-1 at the root vertex.  The base shunt is the
+    representative's least one, read off its census record.  Every shunt is
+    verified to be a blow-up automorphism that shunts its cycle.
     """
     if m < 2:
         raise BadParameters("the family needs m >= 2")
@@ -110,7 +111,7 @@ def blowup_cycle_family(graph: Graph, group: PermutationGroup,
     for i, record in enumerate(table.records):
         rep = record.representative
         support = rep[:-1]
-        lifted_shunt = lift_base_perm(shunts(group, graph, rep)[0], m)
+        lifted_shunt = lift_base_perm(record.least_shunt(), m)
         root = rep[0]
         for j in range(1, m + 1):
             cycle = tuple(blowup_point(v, fiber, m)

@@ -7,17 +7,24 @@ closing vertex, e.g. the trivial cycle on an edge is (u, v, u).
 
 One depth-first search, :func:`_walk_classes`, lists the G_r-classes of
 consistent walks rooted at the least vertex r of each vertex orbit, one
-walk per class, each its class's least member.  A walk carries one shunt
-and generators of its pointwise stabilizer, each read off its parent's by
-:func:`perms.point_stabilizer`; its steps are its shunt applied to its last
-vertex's orbit under the stabilizer of the rest, and it keeps the least
-step of each orbit of its own stabilizer.  So the search asks the group no
-transporter query and expands no element.  It serves two consumers: the
-census, which reads the walks that close back to their root (each orbit
-of consistent cycles meets the cycles rooted at r in a single G_r-orbit;
-Miklavič, Potočnik and Wilson, 2007), and the exhaustive trivial-walk
-search in :mod:`localactions`, which stops at the first walk with a
-trivial stabilizer.  The rooted enumeration of every cycle through its
+walk per class, each its class's least member.  It starts from r's orbit
+and G_r as the group holds them (a chain based at r, as on a
+vertex-transitive graph, hands over its own transversal and strong
+generators), and a walk carries one shunt and generators of its pointwise
+stabilizer, each read off its parent's by :func:`perms.point_stabilizer`;
+its steps are its shunt applied to its last vertex's orbit under the
+stabilizer of the rest, and it keeps the least step of each orbit of its
+own stabilizer.  So the search asks the group no transporter query and
+expands no element.  It serves two consumers: the census, which reads the
+walks that close back to their root (each orbit of consistent cycles
+meets the cycles rooted at r in a single G_r-orbit; Miklavič, Potočnik and
+Wilson, 2007), and the exhaustive trivial-walk search in
+:mod:`localactions`, which stops at the first walk with a trivial
+stabilizer.  Each census record keeps its cycle's shunt coset, one shunt
+and generators of the stabilizer of the cycle's support, so the least
+shunt, that stabilizer and the orders the generating sets need are read
+off the census (:meth:`OrbitRecord.least_shunt`) without asking the group
+again.  The rooted enumeration of every cycle through its
 shunts (:func:`enumerate_consistent_cycles`) and its orbit partition
 (:func:`partition_cycles`) remain as full-group references.  Only this
 module lists and names these orbits.
@@ -25,12 +32,12 @@ module lists and names these orbits.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import InvalidWalk, NotConsistent, invariant
 from .graphs import Graph
-from .perms import Perm, PermutationGroup, point_stabilizer
+from .perms import Perm, PermutationGroup, least_in_coset, point_stabilizer
 
 Walk = tuple[int, ...]
 
@@ -166,12 +173,26 @@ def induced_cycle(witness: ConsistencyWitness) -> Walk:
 
 @dataclass(frozen=True)
 class OrbitRecord:
+    """One G-orbit of consistent cycles, represented by its least member c.
+
+    ``shunt_coset`` holds the coset of c's shunts as the census found it:
+    one shunt g and generators of G_(w), w = c[:-1], whose shunts are
+    G_(w) * g.  It is not part of the JSON payload or of equality.
+    """
+
     representative: Walk
     length: int
     orbit_size: int
     shunt_count: int
     stabilizer_order: int
     trivial: bool
+    shunt_coset: tuple[Perm, tuple[Perm, ...]] = field(compare=False, repr=False)
+
+    def least_shunt(self) -> Perm:
+        """The representative's lexicographically least shunt, read off
+        its shunt coset (:func:`perms.least_in_coset`)."""
+        shunt, stabilizer = self.shunt_coset
+        return least_in_coset(stabilizer, shunt)
 
     def to_json(self) -> dict:
         return {
@@ -265,13 +286,15 @@ def _walk_classes(group: PermutationGroup, graph: Graph, depth_cap: int | None =
     in w, so the closed walk's stabilizer is G_(w), and so is that of every
     extension of it.  The search starts from (r,) with the identity for
     shunt, whose steps are the neighbors of r in its orbit, and walks of
-    more than ``depth_cap`` arcs are not extended.  It asks no element of G.
+    more than ``depth_cap`` arcs are not extended.  r's orbit and G_r come
+    from :meth:`PermutationGroup.orbit_stabilizer`, so a chain based at r
+    hands over its own.  It asks no element of G.
     """
     placed: set[int] = set()
     for root in range(graph.vertex_count):
         if root in placed:
             continue
-        trans, gens = point_stabilizer(group.degree, group.generators, root)
+        trans, gens = group.orbit_stabilizer(root)
         placed.update(trans)
         stack = [((root,), group.identity, trans, gens, group.order // len(trans), False)]
         while stack:
@@ -315,8 +338,9 @@ def consistent_cycle_orbits(group: PermutationGroup, graph: Graph) -> CycleOrbit
     """
     records = [OrbitRecord(representative=w, length=len(w) - 1,
                            orbit_size=group.order // order, shunt_count=order,
-                           stabilizer_order=order, trivial=len(w) == 3)
-               for w, _, _, _, order, closes in _walk_classes(group, graph) if closes]
+                           stabilizer_order=order, trivial=len(w) == 3,
+                           shunt_coset=(g, tuple(gens)))
+               for w, g, _, gens, order, closes in _walk_classes(group, graph) if closes]
     records.sort(key=lambda r: (r.length, r.representative))
     transitive = group.is_transitive()
     if transitive:

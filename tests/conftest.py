@@ -105,10 +105,14 @@ def stabilizer_answers_rederived():
     are b's orbit.  Each stabilizer generator must fix b and lie in H, and
     the generators must generate a group of order |H| / |orbit|, so they
     generate all of H_b.  Orders and membership come from sympy's
-    Schreier–Sims, which shares no code with the library; the library's own
-    ``generated_order`` closes H_0 and cannot afford the 3,359,232-element
-    stabilizer of the finish-line census.  The function is rebound in every
-    library module that imported it by name.
+    Schreier–Sims, which shares no code with the library: the library's own
+    ``generated_order`` is a product of basic orbit lengths down
+    ``point_stabilizer`` itself, so it cannot check it.  The function is
+    rebound in every library module that imported it by name, ``perms``
+    included, so ``generated_order`` and ``least_in_coset`` are checked at
+    every level they descend.  ``PermutationGroup.orbit_stabilizer`` reads a
+    chain's base point without this function and has its own test in
+    ``tests/test_perms.py``.
     """
     original = perms.point_stabilizer
     groups: dict[tuple, SympyGroup] = {}

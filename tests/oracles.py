@@ -479,3 +479,26 @@ def family_orbit_ids_by_transporter(family: cw.BlowupCycleFamily,
                       if r.length == len(cycle) - 1
                       and blowup_group.transporter(r.representative[:-1], cycle[:-1]))
             for key, cycle in family.cycles.items()}
+
+
+def shunt_generating_set_by_transporter(group: cw.PermutationGroup, graph: cw.Graph,
+                                        representatives) -> list[cw.Perm]:
+    """One shunt per representative, the least of its sorted shunt coset
+    from a transporter query.  The library's route before it read each
+    least shunt off the census record's coset."""
+    out = []
+    for rep in representatives:
+        found = cw.shunts(group, graph, rep)
+        assert found, f"representative {rep} has no shunt"
+        out.append(found[0])
+    return out
+
+
+def orbit_overlap_by_sweep(group: cw.PermutationGroup, rep_a, rep_b) -> int:
+    """Max overlap between the two walks' orbits, by sweeping the elements
+    that move rep_b's root onto rep_a's.  The library's reading before it
+    compared least images."""
+    best = -1
+    for g in group.transporter(rep_b[:1], rep_a[:1]):
+        best = max(best, cw.overlap(rep_a, tuple(g[v] for v in rep_b)))
+    return best

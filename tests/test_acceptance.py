@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 
 import consistentwalks as cw
-from consistentwalks.generation import orbit_overlap
 from conftest import FAMILY_VALENCE
 
 import oracles
@@ -148,7 +147,7 @@ def test_criterion_9_overlap_maximal_representatives(family, censuses):
                 for j in range(d):
                     if i == j:
                         continue
-                    sweep = orbit_overlap(group, reps[i], reps[j])
+                    sweep = oracles.orbit_overlap_by_sweep(group, reps[i], reps[j])
                     assert matrix.walk_overlaps[i][j] == sweep, (name, i, j)
 
 

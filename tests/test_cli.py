@@ -1,10 +1,13 @@
+import hashlib
 import json
 import time
 
 import pytest
 
 from consistentwalks import cli
+from consistentwalks import perms as perms_module
 from consistentwalks.cli import main
+from consistentwalks.generation import EXACT_DELTA_ORDER_LIMIT
 from consistentwalks.graphs import Graph, lex_blowup, named_graph
 from consistentwalks.perms import PermutationGroup
 
@@ -507,6 +510,27 @@ def test_finish_line_q3_blowup_by_three(capsys):
             for e in payload["family_orbit_ids"]} == FINISH_LINE_IDS
 
 
+# sha256 of the sorted-key payload, recorded before the generating set was
+# read off the census, when this query took about 10 s and 700 MiB
+Q3_BY_THREE_GENERATORS_SHA256 = "2180af30e3479272c33b71e822affcb8f0406fa52f1202ba3d671ab2af0ad311"
+
+
+def test_generators_on_q3_blowup_by_three(tmp_path, capsys):
+    graph = lex_blowup(named_graph("hypercube:3"), 3)
+    path = tmp_path / "blowup.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in graph.edges()))
+    started = time.perf_counter()
+    code, out, err = run_cli(["generators", "--graph", str(path),
+                              "--cap-group", "100000000"], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert payload["group_order"] == payload["shunt_group_order"] == 80_621_568
+    assert payload["chosen_walk_stabilizer_order"] == 36
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == Q3_BY_THREE_GENERATORS_SHA256
+
+
 @pytest.mark.parametrize("base,cap", [("hypercube:3", "100000000"),
                                       ("petersen", "10000000000")])
 def test_exhaustive_search_ends_on_blowups_by_three(base, cap, tmp_path, capsys):
@@ -543,6 +567,7 @@ def blowup_files(tmp_path_factory):
 COLD_QUERIES = {
     "orbits": ["orbits", "--graph", "Q3[2K1]"],
     "generators": ["generators", "--graph", "Q3[2K1]"],
+    "generators-q3k3": ["generators", "--graph", "Q3[3K1]", "--cap-group", "100000000"],
     "trivial-walk": ["trivial-walk", "--graph", "Q3[2K1]", "--method", "exhaustive",
                      "--depth-cap", "4"],
     "trivial-walk-q3k3": ["trivial-walk", "--graph", "Q3[3K1]", "--method", "exhaustive",
@@ -559,7 +584,7 @@ COLD_QUERIES = {
 
 # groups too large to expand or close, |Aut(Q3[3K1])| = 80,621,568: their
 # payloads are not compared with the expanded and closed groups' payloads
-BEYOND_EXPANSION = {"trivial-walk-q3k3"}
+BEYOND_EXPANSION = {"trivial-walk-q3k3", "generators-q3k3"}
 
 
 def payload_with_groups(argv, monkeypatch, capsys, prepare):
@@ -608,3 +633,53 @@ def test_cold_queries_never_expand_aut(name, blowup_files, monkeypatch, capsys):
         argv, monkeypatch, capsys,
         lambda group: PermutationGroup.close(group.generators, degree=group.degree))
     assert closed == cold
+
+
+READ_OFF_QUERIES = [
+    *(["generators", "--graph", graph]
+      for graph in ("cycle:6", "petersen", "hypercube:4", "C4[2K1]", "Q3[2K1]")),
+    *(["blowup-demo", "--graph", base, "--m", "2"] for base in ("cycle:4", "hypercube:3")),
+]
+
+
+@pytest.mark.parametrize("argv", READ_OFF_QUERIES, ids=" ".join)
+def test_generators_and_blowup_demo_read_the_census(argv, blowup_files, monkeypatch, capsys):
+    # the least shunts, the chosen walk's stabilizer and the generated
+    # orders come off the census records: no transporter on any group, no
+    # level of an automorphism group's chain expanded, and no closure
+    # larger than the chosen walk's stabilizer, except that the exact
+    # minimal-generator search reads the elements of a small Aut
+    argv = [blowup_files.get(a, a) for a in argv]
+    expand, dimino = PermutationGroup._expand, perms_module._dimino
+    expanded, closure_sizes = [], []
+
+    def counting_expand(self):
+        expanded.append(self)
+        return expand(self)
+
+    def counting_dimino(*args):
+        seen, kept = dimino(*args)
+        closure_sizes.append(len(seen))
+        return seen, kept
+
+    def refused(self, *args):
+        raise AssertionError(f"transporter{args} asked")
+
+    monkeypatch.setattr(PermutationGroup, "_expand", counting_expand)
+    monkeypatch.setattr(PermutationGroup, "transporter", refused)
+    monkeypatch.setattr(perms_module, "_dimino", counting_dimino)
+    payload, built = payload_with_groups(argv, monkeypatch, capsys, lambda group: group)
+    levels = []
+    for group in built:
+        while group is not None:
+            levels.append(group)
+            group = group._chain[2] if group._chain is not None else None
+    exact = [aut for aut in built if argv[0] == "generators"
+             and aut.order <= EXACT_DELTA_ORDER_LIMIT]
+    assert not [g for g in expanded
+                if any(g is level for level in levels) and not any(g is a for a in exact)]
+    if argv[0] == "blowup-demo":
+        assert closure_sizes == []
+    else:
+        largest = max([payload["chosen_walk_stabilizer_order"], *(a.order for a in exact)])
+        assert max(closure_sizes) <= largest

@@ -12,7 +12,14 @@ from consistentwalks.errors import (
     InvalidPermutation,
 )
 from consistentwalks import graphs as graphs_module
-from consistentwalks.perms import Perm, PermutationGroup, point_stabilizer, tuple_orbit_under
+from consistentwalks import perms as perms_module
+from consistentwalks.perms import (
+    Perm,
+    PermutationGroup,
+    least_in_coset,
+    point_stabilizer,
+    tuple_orbit_under,
+)
 
 import oracles
 
@@ -248,6 +255,15 @@ def test_min_generating_size_small_cases():
     assert PermutationGroup.close([], degree=3).min_generating_size() == 0
     rot6 = PermutationGroup.close([Perm((1, 2, 3, 4, 5, 0))])
     assert rot6.min_generating_size() == 1
+
+
+def test_min_generating_size_decides_cyclic_groups_by_element_orders():
+    # Z2 x Z3 is cyclic though neither generator alone generates it;
+    # Z2 x Z2 is not, and needs both
+    z6 = PermutationGroup.close([Perm((1, 0, 2, 3, 4)), Perm((0, 1, 3, 4, 2))])
+    assert z6.order == 6 and z6.min_generating_size() == 1
+    klein = PermutationGroup.close([Perm((1, 0, 2, 3)), Perm((0, 1, 3, 2))])
+    assert klein.order == 4 and klein.min_generating_size() == 2
 
 
 def test_min_generating_size_petersen(family):
@@ -515,3 +531,57 @@ def test_base_point_stabilizer_keeps_strong_generators(family):
         stab = aut.pointwise_stabilizer((0,))
         assert stab.generators == tuple(g for g in aut.generators if g[0] == 0), name
         assert aut.pointwise_stabilizer((0,)) is stab, name
+
+
+@pytest.mark.parametrize("name", ["c6", "petersen", "q4", "c4k2", "q3k2", "q5"])
+def test_orbit_stabilizer_agrees_with_point_stabilizer(name, ladder):
+    # the read-off at a chain's base point bypasses point_stabilizer, and
+    # with it the suite's rederivation hook, so it is checked here: on the
+    # chain and on the same group closed, at every point
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+
+    def sympy_order(degree, gens):
+        return combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g), size=degree) for g in gens]
+            or [combinatorics.Permutation(list(range(degree)))]).order()
+
+    _, aut = ladder[name]
+    groups = [aut]
+    if aut.order <= 20_000:
+        groups.append(PermutationGroup.close(aut.generators, degree=aut.degree))
+    for group in groups:
+        n = group.degree
+        for point in range(n):
+            trans, gens = group.orbit_stabilizer(point)
+            ref_trans, ref_gens = point_stabilizer(n, group.generators, point)
+            assert set(trans) == set(ref_trans) == group.orbit(point), (name, point)
+            assert all(u[point] == b and u in group for b, u in trans.items()), (name, point)
+            assert all(h[point] == point and h in group for h in gens), (name, point)
+            assert (sympy_order(n, gens) * len(trans) == sympy_order(n, ref_gens) * len(ref_trans)
+                    == group.order), (name, point)
+
+
+def test_orbit_stabilizer_reads_a_chain_at_its_base_point(ladder, monkeypatch):
+    def refused(*args):
+        raise AssertionError("point_stabilizer called at the chain's base point")
+
+    for name, (_, aut) in ladder.items():
+        stabilizer = aut.pointwise_stabilizer((0,))
+        with monkeypatch.context() as patched:
+            patched.setattr(perms_module, "point_stabilizer", refused)
+            trans, gens = aut.orbit_stabilizer(0)
+        assert gens == list(stabilizer.generators), name
+        assert len(trans) * stabilizer.order == aut.order, name
+        trans[0] = None  # a copy: the chain's own transversal is untouched
+        assert aut.orbit_stabilizer(0)[0][0] == aut.identity, name
+
+
+def test_least_in_coset_is_the_minimum_of_the_coset(family, c4_wreath):
+    rng = random.Random(27)
+    for name, aut in [*((name, aut) for name, (_, aut) in family.items()),
+                      ("c4-wreath", c4_wreath[1])]:
+        for size in (0, 1, 2, 3):
+            gens = rng.sample(aut.elements, size)
+            g = rng.choice(aut.elements)
+            coset = [h * g for h in PermutationGroup.close(gens, degree=aut.degree)]
+            assert least_in_coset(gens, g) == min(coset), (name, size)

@@ -215,26 +215,37 @@ def test_generated_order_matches_closure_on_circulants(kind, spec):
     group = acting_group(kind, graph)
     if group is None:
         return
-    reps = [r.representative for r in cw.consistent_cycle_orbits(group, graph).records]
-    shunt_set = cw.shunt_generating_set(group, graph, reps)
+    shunt_set = cw.shunt_generating_set(cw.consistent_cycle_orbits(group, graph))
     n = graph.vertex_count
     for gens in (shunt_set, *([s] for s in shunt_set)):
         assert generated_order(n, gens) == closed_order(n, gens), (spec, gens)
 
 
+@pytest.mark.parametrize("kind", ["cyclic", "dihedral", "aut"])
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(spec=connected_circulants())
+def test_least_shunts_match_the_transporter_route_on_circulants(kind, spec):
+    graph = cw.named_graph(spec)
+    group = acting_group(kind, graph)
+    if group is None:
+        return
+    table = cw.consistent_cycle_orbits(group, graph)
+    reps = [r.representative for r in table.records]
+    assert (cw.shunt_generating_set(table)
+            == oracles.shunt_generating_set_by_transporter(group, graph, reps)), spec
+
+
 def test_generated_order_of_sets_that_do_not_generate(family, c4_wreath):
     for name, (graph, aut) in family.items():
-        reps = [r.representative for r in cw.consistent_cycle_orbits(aut, graph).records]
         n = graph.vertex_count
-        for s in cw.shunt_generating_set(aut, graph, reps):
+        for s in cw.shunt_generating_set(cw.consistent_cycle_orbits(aut, graph)):
             assert generated_order(n, [s]) == closed_order(n, [s]) < aut.order, name
         # generators that all fix 0: the orbit is {0} and H_0 is H
         stab = aut.pointwise_stabilizer((0,))
         assert generated_order(n, stab.generators) == stab.order, name
     # the shunts under the fiber-wreath subgroup of Aut(C4[2K1])
     blowup, wreath = c4_wreath
-    reps = [r.representative for r in cw.consistent_cycle_orbits(wreath, blowup).records]
-    shunt_set = cw.shunt_generating_set(wreath, blowup, reps)
+    shunt_set = cw.shunt_generating_set(cw.consistent_cycle_orbits(wreath, blowup))
     order = generated_order(blowup.vertex_count, shunt_set)
     assert order == closed_order(blowup.vertex_count, shunt_set) <= wreath.order
     assert wreath.order < family["c4k2"][1].order

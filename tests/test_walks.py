@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -365,3 +366,6 @@ def test_census_serialization(censuses):
     assert all(set(row) == {"representative", "length", "orbit_size",
                             "shunt_count", "stabilizer_order", "trivial"}
                for row in data)
+    # the shunt coset a record carries is neither serialized nor compared
+    record = censuses["c6"].records[1]
+    assert dataclasses.replace(record, shunt_coset=(record.least_shunt(), ())) == record
