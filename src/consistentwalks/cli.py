@@ -64,12 +64,16 @@ def _read_text(path: Path, what: str) -> str:
 
 
 def _read_json(name: str, text: str):
-    """The decoded JSON ``text`` of the file ``name``; invalid JSON is a ParseError."""
+    """The decoded JSON ``text`` of the file ``name``; invalid JSON, an
+    integer too long for Python to convert or nesting too deep for its
+    decoder is a ParseError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{name}: invalid JSON at line {exc.lineno} "
                          f"column {exc.colno}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{name}: unreadable JSON: {str(exc).split(';')[0]}") from exc
 
 
 def _int_list(values) -> bool:

@@ -32,6 +32,8 @@ from .errors import (
 from .perms import DEFAULT_GROUP_CAP, Perm, PermutationGroup
 
 AUTOMORPHISM_VERTEX_LIMIT = 64
+# a hypercube:a spec above this has over 2**32 vertices, no graph ever built
+HYPERCUBE_DIMENSION_LIMIT = 32
 
 
 class Graph:
@@ -162,6 +164,9 @@ def parse_named_spec(spec: str) -> tuple[int, Iterator[tuple[int, int]]]:
             (a,) = map(int, parts[1:])
             if a < 1:
                 raise BadParameters("hypercube dimension must be >= 1")
+            if a > HYPERCUBE_DIMENSION_LIMIT:  # refused before 2**a is built
+                raise CapExceeded(f"hypercube dimension {a} exceeds the limit "
+                                  f"of {HYPERCUBE_DIMENSION_LIMIT}")
             return 1 << a, ((v, v | 1 << b) for v in range(1 << a) for b in range(a)
                             if not v >> b & 1)
         if kind == "petersen":
@@ -337,8 +342,9 @@ def automorphism_group(graph: Graph, cap: int = DEFAULT_GROUP_CAP) -> Permutatio
     keeps the search's strong generators as its generators and as a
     stabilizer chain (:meth:`PermutationGroup.from_strong_generators`):
     queries rooted at its first base point, 0 on a vertex-transitive
-    graph, are answered inside that point's stabilizer, and the elements
-    are expanded from the basic transversals only when read.
+    graph, are answered inside that point's stabilizer, queries rooted
+    elsewhere inside a stabilizer built from the generators and kept, and
+    no element is expanded until one is read.
     Candidate masks are machine-int bitmasks, so graphs over
     ``AUTOMORPHISM_VERTEX_LIMIT`` vertices are refused.
     """

@@ -4,47 +4,37 @@ A permutation is the ``bytes`` of its images, so its degree is at most
 256, and acts on the right: ``(g*h)[v] == h[g[v]]``.  A product is one C
 call, ``g.translate(h + PAD[len(h):])``, in :meth:`Perm.__mul__` or, where
 a loop reuses one right factor, with that factor's table built once; a
-point tuple held as bytes moves the same way.  A closed group is
-materialized: Dimino's closure, which grows the subgroup generated so far a
-whole right coset at a time, backs :meth:`PermutationGroup.close`, the
-greedy generators and :meth:`PermutationGroup.min_generating_size`.  The
-automorphism group is a stabilizer chain instead
-(:meth:`PermutationGroup.from_strong_generators`): its first base point
-beta, the Schreier-tree transversal of beta's orbit, and G_beta, itself a
-chain.  Its order is a product of orbit lengths, membership is a sift, and
-its elements are expanded from the transversals, already in lexicographic
-order, only when something reads them.  Point and tuple orbits use a
-breadth-first closure over the group's one generator tuple: those its
-closure kept, the automorphism search's strong generators, or (for a
-filtered subgroup) a greedy set computed on first read;
-:func:`tuple_orbit_under` runs the same closure over any generators, so an
-orbit under a generated group needs no closure of that group.
+point tuple held as bytes moves the same way.  Point and tuple orbits are
+a breadth-first closure over a group's one generator tuple
+(:func:`tuple_orbit_under` runs it over any generators, so an orbit under
+a generated group needs no closure of that group).
 
-:func:`point_stabilizer` gives, for any generators and a point, the
-transversal of the point's orbit and generators of its stabilizer: the
-Schreier generators, kept short by Sims' filter, so a chain of point
-stabilizers is walked down by generators alone and no group is closed.
-:meth:`PermutationGroup.orbit_stabilizer` gives the same pair for a
-group's own point, straight off the chain at its base point.  Walked down
-the least moved points of any generators (Schreier–Sims), the same step
-gives :func:`generated_order`, a product of basic orbit lengths, and
-:func:`least_in_coset`, the least element of a coset <generators> * g,
-greedily point by point; :meth:`PermutationGroup.least_image` finds a
-tuple's least image under the group the same way.  No other module reads
-how a group is stored.
-Everything here is immutable and safe to share.
+Every stabilizer query walks one descent (Sims 1970; Seress, *Permutation
+Group Algorithms*, 2003, ch. 4-5).  :func:`point_stabilizer` gives, for
+any generators and a point, the Schreier-tree transversal of the point's
+orbit and generators of its stabilizer, the Schreier generators kept
+short by Sims' filter.  A group keeps each point stabilizer it builds
+this way, as a group of its own, and answers ``transporter``,
+``pointwise_stabilizer`` and ``orbit_stabilizer`` by walking the points
+down those kept stabilizers.  Such a group is a stabilizer chain down its
+least moved points, built only when its order, its membership or its
+elements are read: its first base point beta is the least point its
+generators move, and the chain goes on in the kept G_beta.  The
+automorphism group (:meth:`PermutationGroup.from_strong_generators`)
+comes with that chain already built from the search's strong generators.
+A chain's order is a product of orbit lengths, membership is a sift, and
+its elements are expanded from the transversals, already in
+lexicographic order.  :func:`generated_order` and :func:`least_in_coset`
+read the same chain of the group their generators generate, and
+:meth:`PermutationGroup.least_image` walks point stabilizers the same way.
 
-``PermutationGroup.transporter``, behind every stabilizer and shunt query,
-answers a query whose first source point is a chain's base point beta
-inside G_beta, through the transversal element sending beta to the first
-target point, and reads no element of the whole group.  Any other query
-uses a per-source-point bucket index: for a point ``a`` it holds the
-element positions grouped by the image of ``a``, so a query starts from
-the |G|/|orbit| elements sending ``src[0]`` to ``dst[0]`` instead of all
-of G.  A point's row is built on its first query, at 2 bytes per element
-(4 above 65,536 elements); a group that is never queried this way builds
-none and, as a chain, expands no element.  Rows and expanded elements are
-caches of immutable data: two racing builds store equal values.
+A group built from an element list (:meth:`PermutationGroup.close`,
+Dimino's closure, which grows the subgroup generated so far a whole right
+coset at a time) is materialized instead; its point stabilizers come from
+its generators all the same.  No other module reads how a group is
+stored.  Everything here is immutable and safe to share: kept
+stabilizers and expanded elements are caches of immutable data, and two
+racing builds store equal values.
 
 Each answer is computed once.  A ``PermutationGroup`` trusts its element
 list to be a group in lexicographic order, and a transporter answer is not
@@ -57,8 +47,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     BadParameters,
@@ -178,6 +167,12 @@ def _closure(start: bytes, gens: Sequence[Perm], limit: float = math.inf) -> set
     return seen
 
 
+def _check_points(degree: int, points: Iterable[int]) -> None:
+    for p in points:
+        if not 0 <= p < degree:
+            raise BadParameters(f"point {p} outside degree {degree}")
+
+
 def tuple_orbit_under(generators: Sequence[Perm], tup: Sequence[int],
                       cap: int | None = None) -> set[tuple[int, ...]]:
     """Orbit of a point tuple under the group ``generators`` generate,
@@ -186,10 +181,7 @@ def tuple_orbit_under(generators: Sequence[Perm], tup: Sequence[int],
     Raises :class:`CapExceeded` once the orbit holds over ``cap`` tuples, and
     :class:`BadParameters` for a point outside the generators' degree.
     """
-    degree = len(generators[0]) if generators else DEGREE_LIMIT
-    for p in tup:
-        if not 0 <= p < degree:
-            raise BadParameters(f"point {p} outside degree {degree}")
+    _check_points(len(generators[0]) if generators else DEGREE_LIMIT, tup)
     limit = math.inf if cap is None else cap
     seen = _closure(bytes(tup), generators, limit)
     if len(seen) > limit:
@@ -287,45 +279,35 @@ def _dimino(degree: int, candidates: Iterable[Perm],
     return seen, kept
 
 
-def _basic_transversals(degree: int,
-                        generators: Sequence[Perm]) -> Iterator[dict[int, Perm]]:
-    """Schreier–Sims down H = <generators>, by generators alone: at the least
-    point i that the generators move, the transversal of i's orbit, as
-    :func:`point_stabilizer` gives it, and then on in H_i, until no
-    generator is left.
-
-    Every generator of H fixes the points below i, so those of H_i fix
-    every point up to i and the points rise strictly: they are a base of
-    H, and the transversals are its basic transversals.
-    """
+def _least_moved(degree: int, generators: Sequence[Perm]) -> int:
+    """The least point some generator moves, ``degree`` if none: the first
+    differing byte of one integer OR of each generator XOR the identity."""
     identity = int.from_bytes(PAD[:degree], "big")
-    gens = [h for h in generators if not h.is_identity()]
-    while gens:
-        moved = 0
-        for h in gens:
-            moved |= int.from_bytes(h, "big") ^ identity
-        i = degree - 1 - (moved.bit_length() - 1) // 8  # first differing byte
-        trans, gens = point_stabilizer(degree, gens, i)
-        yield trans
+    moved = 0
+    for h in generators:
+        moved |= int.from_bytes(h, "big") ^ identity
+    return degree - 1 - (moved.bit_length() - 1) // 8
 
 
 def generated_order(degree: int, generators: Sequence[Perm]) -> int:
     """|H| for H = <generators>: the product of its basic orbit lengths
-    (:func:`_basic_transversals`), so no group is closed."""
-    return math.prod(len(trans) for trans in _basic_transversals(degree, generators))
+    down its chain of point stabilizers, so no group is closed."""
+    return PermutationGroup._generated(degree, generators).order
 
 
 def least_in_coset(generators: Sequence[Perm], g: Perm) -> Perm:
     """The lexicographically least element of the coset <generators> * g.
 
-    Greedy over the base of H = <generators>: H fixes every point below
-    its least moved point i, so all of H * g agrees with g there, and the
-    least image of i is the least g-image of i's orbit, reached by u_b * g
-    for the transversal element u_b sending i to that b.  The elements of
-    the coset with that image at i are H_i * u_b * g, so the search goes
-    on in H_i and stops once no generator is left.
+    Greedy down the chain of H = <generators>: H fixes every point below
+    its base point i, so all of H * g agrees with g there, and the least
+    image of i is the least g-image of i's orbit, reached by u_b * g for
+    the transversal element u_b sending i to that b.  The elements of the
+    coset with that image at i are H_i * u_b * g, so the search goes on in
+    H_i and stops once that is trivial.
     """
-    for trans in _basic_transversals(len(g), generators):
+    group = PermutationGroup._generated(len(g), generators)
+    while group._base < group.degree:
+        trans, group = group._stabilizer(group._base)
         g = trans[min(trans, key=g.__getitem__)] * g
     return g
 
@@ -337,27 +319,27 @@ class PermutationGroup:
     order downstream is deterministic and the identity comes first.  A
     group built by the constructor holds them from the start: it checks
     only that the identity comes first, in O(1), not order, closure or
-    inverses, and every caller passes a sorted group by construction, a
-    Dimino closure sorted once (:meth:`close`) or the sorted transporter
-    answer of a group fixing given points (:meth:`pointwise_stabilizer`).
-    Membership is then a bisection.
+    inverses, and its one library caller, :meth:`close`, passes a Dimino
+    closure sorted once.  Membership is then a bisection.
 
-    A chain (:meth:`from_strong_generators`) holds a base point beta, the
-    transversal of beta's orbit and G_beta, and expands its elements on
-    first read.  Its order, its membership test and every query whose
-    first source point is beta go down the chain instead.
+    Any other group is given by generators, and its chain is its descent
+    at its base point, the least point they move: the transversal of that
+    point's orbit and the kept stabilizer, itself such a group.  Its order,
+    membership test and elements read that chain; the elements are
+    expanded on first read.  Every group keeps the point stabilizers its
+    queries build (:meth:`_stabilizer`).
     """
 
-    __slots__ = ("degree", "_elements", "_generators", "_index", "_chain")
+    __slots__ = ("degree", "_elements", "_generators", "_base", "_stabilizers")
 
     def __init__(self, degree: int, elements: Iterable[Perm], generators=None):
         self.degree = degree
         self._elements: tuple[Perm, ...] | None = tuple(elements)
         self._generators = tuple(generators) if generators is not None else None
-        # source point -> (element positions grouped by image, bucket offsets)
-        self._index: dict[int, tuple[array, list[int]]] = {}
-        # (beta, beta's orbit point b -> u with u[beta] == b, G_beta), or None
-        self._chain: tuple[int, dict[int, Perm], PermutationGroup] | None = None
+        # the chain's base point, degree for a trivial chain; None when materialized
+        self._base: int | None = None
+        # point a -> (a's orbit point b -> u with u[a] == b, the stabilizer G_a)
+        self._stabilizers: dict[int, tuple[dict[int, Perm], PermutationGroup]] = {}
         if not self._elements or self._elements[0] != Perm.identity(degree):
             raise BadParameters("identity missing from element set")
 
@@ -388,6 +370,16 @@ class PermutationGroup:
         return cls(degree, sorted(map(Perm, elements)), generators=kept)
 
     @classmethod
+    def _generated(cls, degree: int, generators: Sequence[Perm]) -> "PermutationGroup":
+        """The group ``generators`` generate, as a chain down its least moved
+        points: nothing is built until a query reads it."""
+        group = cls.__new__(cls)
+        group.degree, group._generators, group._stabilizers = degree, tuple(generators), {}
+        group._base = _least_moved(degree, group._generators)
+        group._elements = (Perm.identity(degree),) if group._base == degree else None
+        return group
+
+    @classmethod
     def from_strong_generators(cls, degree: int,
                                generators: Sequence[Perm]) -> "PermutationGroup":
         """The group of strong generators for the base 0..degree-1, as a
@@ -395,46 +387,53 @@ class PermutationGroup:
 
         The generators moving no point below i generate G_i, the stabilizer
         of 0..i-1 (Sims 1970).  So every generator fixes each point below
-        beta, the least point any of them moves, and those moving no point
-        up to beta generate G_beta, built the same way.  Nothing is
-        expanded: the group keeps beta, the Schreier-tree transversal of
-        beta's orbit and G_beta, and ``order`` is the orbit length times
-        |G_beta|.
+        beta, the least point any of them moves, and those fixing beta
+        generate G_beta, built the same way.  Nothing is expanded: the
+        group keeps the Schreier-tree transversal of beta's orbit and
+        G_beta as its stabilizer at beta, and ``order`` is the orbit length
+        times |G_beta|.
         """
-        generators = tuple(generators)
-        firsts = [next((v for v, x in enumerate(g) if v != x), degree)
-                  for g in generators]
-        group = cls.__new__(cls)
-        group.degree, group._generators, group._index = degree, generators, {}
-        group._elements, group._chain = None, None
-        beta = min(firsts, default=degree)
-        if beta == degree:
-            group._elements = (Perm.identity(degree),)
-        else:
-            rest = [g for g, first in zip(generators, firsts) if first > beta]
-            group._chain = (beta, _transversal(degree, beta, generators),
-                            cls.from_strong_generators(degree, rest))
+        group = cls._generated(degree, generators)
+        beta = group._base
+        if beta < degree:
+            rest = [g for g in group._generators if g[beta] == beta]
+            group._stabilizers[beta] = (_transversal(degree, beta, group._generators),
+                                        cls.from_strong_generators(degree, rest))
         return group
+
+    def _stabilizer(self, point: int) -> tuple[dict[int, Perm], "PermutationGroup"]:
+        """The descent's one step: the transversal of ``point``'s orbit and
+        the stabilizer G_point, as :func:`point_stabilizer` gives them from
+        the generators, kept on the group from the first query on.
+
+        At a chain's base point this is the chain's own level.  A point
+        every generator fixes has the group itself as its stabilizer.
+        """
+        level = self._stabilizers.get(point)
+        if level is None:
+            gens = self.generators
+            if all(g[point] == point for g in gens):
+                return {point: self.identity}, self
+            trans, stabilizer = point_stabilizer(self.degree, gens, point)
+            level = self._stabilizers[point] = (
+                trans, PermutationGroup._generated(self.degree, stabilizer))
+        return level
 
     def _expand(self) -> tuple[Perm, ...]:
         """A chain's elements in lexicographic order, from its transversals.
 
         Every element of a chain group is h*u for one h in G_beta and one u
-        in the transversal, so with base points beta_1 < beta_2 < ... every
-        element g is u_k * ... * u_1, read off level by level, and
-        the prefix r = u_(i-1) * ... * u_1 already fixes g at every point
-        below beta_i while g[beta_i] = r[b] for the u_i sending beta_i to b.
-        Expanding each prefix r in the order of r[b] therefore lists the
-        elements in lexicographic order, one product per element of each
-        level.
+        in the transversal, so every element is u_k * ... * u_1, one
+        transversal element per level: one product per element of each
+        level, and one sort of the bytes at the end.
         """
-        elements = [Perm.identity(self.degree)]
+        elements = [PAD[:self.degree]]
         group = self
-        while group._chain is not None:
-            _, trans, group = group._chain
-            elements = [Perm(trans[b].translate(t)) for r in elements for t in [_table(r)]
-                        for b in sorted(trans, key=r.__getitem__)]
-        return tuple(elements)
+        while group._base < group.degree:
+            trans, group = group._stabilizer(group._base)
+            elements = [u.translate(t) for r in elements for t in [_table(r)]
+                        for u in trans.values()]
+        return tuple(sorted(map(Perm, elements)))
 
     def to_json(self) -> dict:
         return {"degree": self.degree,
@@ -450,9 +449,9 @@ class PermutationGroup:
 
     @property
     def order(self) -> int:
-        if self._chain is None:
-            return len(self.elements)
-        _, trans, stabilizer = self._chain
+        if self._elements is not None:
+            return len(self._elements)
+        trans, stabilizer = self._stabilizer(self._base)
         return len(trans) * stabilizer.order
 
     @property
@@ -471,8 +470,9 @@ class PermutationGroup:
         if sorted(p) != list(self.identity):  # no permutation of the degree
             return False
         group, p = self, Perm(p)
-        while group._chain is not None:
-            beta, trans, group = group._chain
+        while group._elements is None:
+            beta = group._base
+            trans, group = group._stabilizer(beta)
             u = trans.get(p[beta])
             if u is None:
                 return False
@@ -507,91 +507,53 @@ class PermutationGroup:
 
     def tuple_orbit(self, tup: Sequence[int], cap: int | None = None) -> set[tuple[int, ...]]:
         """Orbit of a point tuple under the coordinatewise action."""
-        for p in tup:
-            if not 0 <= p < self.degree:
-                raise BadParameters(f"point {p} outside degree {self.degree}")
+        _check_points(self.degree, tup)
         return tuple_orbit_under(self.generators, tup, cap)
 
     def transporter(self, src: Sequence[int], dst: Sequence[int]) -> list[Perm]:
         """All elements mapping ``src`` onto ``dst`` pointwise, sorted.
 
-        A coset of the pointwise stabilizer of ``src``, or empty; the empty
-        tuples give every element.  When ``src`` starts at a chain's base
-        point, the answer comes from G_beta and reads no element of the
-        chain group; otherwise from the bucket index.
+        A coset G_(src) * a of the pointwise stabilizer of ``src``, or
+        empty; the empty tuples give every element.  Down the descent, with
+        H the stabilizer of the points handled so far and every answer in
+        H * a, the next point s goes to d iff an element of H sends s to
+        a^-1[d]: the transversal element u doing so lifts a to u * a, and H
+        shrinks to H_s.  Only the final stabilizer's elements are read.
         """
         if len(src) != len(dst):
             raise BadParameters(f"point tuples {tuple(src)} and {tuple(dst)} differ in length")
-        for p in itertools.chain(src, dst):
-            if not 0 <= p < self.degree:
-                raise BadParameters(f"point {p} outside degree {self.degree}")
-        # down the chain while src starts at its base point: g = h * u for
-        # the u sending beta to dst[0] and h in G_beta sending the rest of
-        # src to u^-1 of the rest of dst
-        group, lift = self, None
-        while src and group._chain is not None and src[0] == group._chain[0]:
-            _, trans, group = group._chain
-            u = trans.get(dst[0])
+        _check_points(self.degree, itertools.chain(src, dst))
+        group, lift = self, self.identity
+        for a, b in zip(src, dst):
+            trans, group = group._stabilizer(a)
+            u = trans.get(lift.inverse()[b])
             if u is None:
                 return []
-            back = u.inverse()
-            src, dst = src[1:], [back[b] for b in dst[1:]]
-            lift = u if lift is None else u * lift
-        if not src:
-            found = list(group.elements)
-        else:
-            order, offsets = group._index_row(src[0])
-            elements = group.elements
-            found = [elements[i] for i in order[offsets[dst[0]]:offsets[dst[0] + 1]]]
-            for a, b in itertools.islice(zip(src, dst), 1, None):
-                found = [g for g in found if g[a] == b]
-        if lift is None:
-            return found
-        return sorted(h * lift for h in found)
-
-    def _index_row(self, a: int) -> tuple[array, list[int]]:
-        """Element positions stably sorted by the image of ``a``, and the
-        offsets where each image's bucket starts (``degree + 1`` of them).
-
-        Buckets keep the lexicographic order of ``elements``.
-        """
-        row = self._index.get(a)
-        if row is None:
-            buckets: list[list[int]] = [[] for _ in range(self.degree)]
-            for i, g in enumerate(self.elements):
-                buckets[g[a]].append(i)
-            typecode = "H" if len(self.elements) <= 1 << 16 else "I"
-            row = (array(typecode, itertools.chain.from_iterable(buckets)),
-                   list(itertools.accumulate(map(len, buckets), initial=0)))
-            self._index[a] = row
-        return row
+            lift = u * lift
+        if lift.is_identity():
+            return list(group.elements)
+        # h * lift for every h, one translate each with lift's table
+        return sorted(map(Perm, map(bytes.translate, group.elements,
+                                    itertools.repeat(_table(lift)))))
 
     def pointwise_stabilizer(self, points: Sequence[int]) -> "PermutationGroup":
-        """Subgroup fixing every listed point; the empty tuple gives the group itself.
-
-        Points that start at a chain's base point beta are G_beta's own
-        stabilizer of the rest, so (beta,) alone gives G_beta with its
-        strong generators.
-        """
-        group, pts = self, tuple(points)
-        while pts and group._chain is not None and pts[0] == group._chain[0]:
-            group, pts = group._chain[2], pts[1:]
-        if not pts:
-            return group
-        return PermutationGroup(group.degree, group.transporter(pts, pts))
+        """Subgroup fixing every listed point, where the descent through
+        them ends; the empty tuple gives the group itself, and a chain's
+        base point beta gives the chain's own G_beta."""
+        _check_points(self.degree, points)
+        group = self
+        for p in points:
+            group = group._stabilizer(p)[1]
+        return group
 
     def orbit_stabilizer(self, point: int) -> tuple[dict[int, Perm], list[Perm]]:
-        """The transversal of ``point``'s orbit and generators of its
-        stabilizer, as :func:`point_stabilizer` gives them.
-
-        A chain at its base point beta has both built: a copy of its own
-        transversal and G_beta's strong generators, so no Schreier generator
-        is sifted.
-        """
-        if self._chain is not None and self._chain[0] == point:
-            _, trans, stabilizer = self._chain
-            return dict(trans), list(stabilizer.generators)
-        return point_stabilizer(self.degree, self.generators, point)
+        """A copy of the transversal of ``point``'s orbit and the generators
+        of its stabilizer, off the descent: at the base point beta of an
+        automorphism group's chain, its own transversal and G_beta's strong
+        generators."""
+        _check_points(self.degree, (point,))
+        trans, stabilizer = self._stabilizer(point)
+        return dict(trans), list(stabilizer.generators)
 
     def least_image(self, tup: Sequence[int]) -> tuple[int, ...]:
         """The lexicographically least image of a point tuple under the group.
@@ -606,14 +568,13 @@ class PermutationGroup:
         once H is trivial, and the last point needs its orbit alone.
         """
         pts = list(tup)
-        for p in pts:
-            if not 0 <= p < self.degree:
-                raise BadParameters(f"point {p} outside degree {self.degree}")
+        _check_points(self.degree, pts)
         gens, start, a = self.generators, 0, self.identity
-        if pts and self._chain is not None and pts[0] in self._chain[1]:
-            _, trans, stabilizer = self._chain
-            back = trans[pts[0]].inverse()
-            pts, gens, start = [back[p] for p in pts], stabilizer.generators, 1
+        if pts and self._base is not None and self._base < self.degree:
+            trans, stabilizer = self._stabilizer(self._base)
+            if pts[0] in trans:
+                back = trans[pts[0]].inverse()
+                pts, gens, start = [back[p] for p in pts], stabilizer.generators, 1
         for k in range(start, len(pts)):
             if not gens:
                 break

@@ -45,8 +45,9 @@ def group_answers_rederived():
     stabilizer chain, built without the constructor, when its elements are
     expanded, whose count must then be its order.  Every transporter answer
     must map ``src`` onto ``dst``, and every nonempty one must be the coset
-    G_(src) * g0 of its least element g0, which keeps the check on the
-    route that ``src`` selects.  That covers every shunt set, and with it
+    G_(src) * g0 of its least element g0, G_(src) read as the transporter
+    of ``src`` onto itself, where the descent through ``src`` ends with no
+    lift to multiply.  That covers every shunt set, and with it
     every successor set: apply_perm(h * g0, w) == apply_perm(g0,
     apply_perm(h, w)).  The methods are wrapped on the class itself, so
     every caller in every module goes through the checks.

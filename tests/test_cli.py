@@ -378,6 +378,50 @@ def test_malformed_input_refused_before_building(name, tmp_path, monkeypatch, ca
     assert built == []
 
 
+HUGE_INTEGER = "9" * 5000
+
+
+# json.loads raises a plain ValueError, not JSONDecodeError, for an integer
+# of more than 4,300 digits, and RecursionError for deep nesting
+@pytest.mark.parametrize("where,text", [
+    ("graph", f'{{"vertices": {HUGE_INTEGER}, "edges": [[0, 1]]}}'),
+    ("group", f"[[{HUGE_INTEGER}, 2, 3, 4, 5, 0]]"),
+    ("group", "[" * 100_000 + "]" * 100_000),
+], ids=["graph-integer", "group-integer", "group-nesting"])
+def test_unreadable_json_is_a_parse_error(where, text, tmp_path, monkeypatch, capsys):
+    built = record_graph_sizes(monkeypatch)
+    graph_file = tmp_path / "graph.json"
+    args = ["orbits", "--graph", str(graph_file)]
+    if where == "graph":
+        bad = graph_file
+    else:
+        bad = tmp_path / "group.json"
+        graph_file.write_text(json.dumps({"vertices": 6, "edges": C6_EDGES}))
+        args += ["--group-file", str(bad)]
+    bad.write_text(text)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    message = json.loads(err)
+    assert message["error"] == "ParseError", message
+    assert message["message"].startswith(f"{bad}: unreadable JSON: "), message
+    assert built == []
+
+
+@pytest.mark.parametrize("dimension", [33, 14000, 99999999])
+def test_huge_hypercube_refused_by_its_dimension(dimension, monkeypatch, capsys):
+    # 2**dimension is never built: formatting it failed past 4,300 digits,
+    # and hypercube:14000 printed a 4,215-digit vertex count
+    built = record_graph_sizes(monkeypatch)
+    started = time.perf_counter()
+    code, out, err = run_cli(["orbits", "--graph", f"hypercube:{dimension}"], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "CapExceeded", "message":
+                               f"hypercube dimension {dimension} exceeds the limit of 32"}
+    assert built == []
+
+
 def test_oversized_named_spec_and_blowup_refused_before_building(monkeypatch, capsys):
     built = record_graph_sizes(monkeypatch)
     for args, n in ((["orbits", "--graph", "complete:1200"], 1200),
@@ -671,9 +715,10 @@ def test_generators_and_blowup_demo_read_the_census(argv, blowup_files, monkeypa
     payload, built = payload_with_groups(argv, monkeypatch, capsys, lambda group: group)
     levels = []
     for group in built:
-        while group is not None:
+        levels.append(group)
+        while group._base < group.degree:
+            group = group._stabilizers[group._base][1]
             levels.append(group)
-            group = group._chain[2] if group._chain is not None else None
     exact = [aut for aut in built if argv[0] == "generators"
              and aut.order <= EXACT_DELTA_ORDER_LIMIT]
     assert not [g for g in expanded

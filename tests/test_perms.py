@@ -203,7 +203,8 @@ def test_transporter_matches_plain_scan(family):
 
 
 def test_transporter_over_65536_elements_matches_plain_scan():
-    # S_8 x S_2 on 10 points: 80,640 elements, past the 2-byte bucket positions
+    # S_8 x S_2 on 10 points: 80,640 elements, a closed group whose point
+    # stabilizers come from its kept generators
     group = PermutationGroup.close([Perm.from_cycles(10, (0, 1)),
                             Perm.from_cycles(10, tuple(range(8))),
                             Perm.from_cycles(10, (8, 9))])
@@ -585,3 +586,58 @@ def test_least_in_coset_is_the_minimum_of_the_coset(family, c4_wreath):
             g = rng.choice(aut.elements)
             coset = [h * g for h in PermutationGroup.close(gens, degree=aut.degree)]
             assert least_in_coset(gens, g) == min(coset), (name, size)
+
+
+def test_off_base_queries_expand_only_the_final_stabilizer(monkeypatch):
+    # a descent reads the elements of the stabilizer where it ends and
+    # walks every other level by generators: Aut itself is never expanded
+    graph = cw.lex_blowup(cw.named_graph("hypercube:3"), 2)
+    aut = cw.automorphism_group(graph)
+    expand = PermutationGroup._expand
+    expanded = []
+
+    def counting_expand(self):
+        expanded.append(self)
+        return expand(self)
+
+    monkeypatch.setattr(PermutationGroup, "_expand", counting_expand)
+    u = 5
+    v = graph.adj[u][0]
+    walk = (u, v, next(w for w in graph.adj[v] if w != u))
+    final = aut.pointwise_stabilizer(walk[:-1])
+    assert expanded == []
+    found = cw.shunts(aut, graph, walk)
+    assert expanded == [final]
+    successors = cw.successors(aut, graph, walk)
+    assert expanded == [final]
+    stab = aut.pointwise_stabilizer((3, 7))
+    assert stab.order * len(aut.tuple_orbit((3, 7))) == aut.order
+    assert expanded == [final]
+    stab_elements = set(stab.elements)
+    assert expanded == [final, stab]
+    # the oracles scan Aut's elements, so they come last
+    assert stab_elements == set(oracles.oracle_stabilizer(aut, (3, 7)))
+    assert found == oracles.oracle_transporter(aut, walk[:-1], walk[1:])
+    assert successors == sorted({tuple(g[x] for x in walk) for g in found})
+
+
+def test_off_base_stabilizers_are_kept(family):
+    _, aut = family["q3k2"]
+    closed = PermutationGroup.close(family["petersen"][1].generators, degree=10)
+    for group, points in ((aut, (0,)), (aut, (5,)), (aut, (5, 3)), (closed, (4,)),
+                          (closed, (4, 7))):
+        stab = group.pointwise_stabilizer(points)
+        assert group.pointwise_stabilizer(points) is stab, points
+        assert stab.order < group.order, points
+        assert group.pointwise_stabilizer(points[:1]).pointwise_stabilizer(points[1:]) is stab
+
+
+def test_shunts_of_a_two_arc_on_q3_blowup_by_three():
+    # G_(5,0) of |Aut(Q3[3K1])| = 80,621,568 holds 373,248 elements; no
+    # element of Aut is built
+    graph = cw.lex_blowup(cw.named_graph("hypercube:3"), 3)
+    aut = cw.automorphism_group(graph, cap=10**8)
+    found = cw.shunts(aut, graph, (5, 0, 3))
+    assert len(found) == aut.pointwise_stabilizer((0, 3)).order == 373_248
+    assert all(g[5] == 0 and g[0] == 3 for g in found[:: 997])
+    assert aut._elements is None
