@@ -316,13 +316,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ParseError(f"cannot write --out {args.out}: {type(exc).__name__}") from exc
         else:
             sys.stdout.write(text)
-    except CapExceeded as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
-    except MemoryError as exc:
+    except (CapExceeded, MemoryError) as exc:
         # an input too large for this process is refused like one over a cap
-        print(json.dumps({"error": "MemoryError",
+        print(json.dumps({"error": type(exc).__name__,
                           "message": str(exc) or "out of memory"}), file=sys.stderr)
         return 2
     except ConsistentWalksError as exc:

@@ -14,19 +14,23 @@ Group Algorithms*, 2003, ch. 4-5).  :func:`point_stabilizer` gives, for
 any generators and a point, the Schreier-tree transversal of the point's
 orbit and generators of its stabilizer, the Schreier generators kept
 short by Sims' filter.  A group keeps each point stabilizer it builds
-this way, as a group of its own, and answers ``transporter``,
-``pointwise_stabilizer`` and ``orbit_stabilizer`` by walking the points
-down those kept stabilizers.  Such a group is a stabilizer chain down its
-least moved points, built only when its order, its membership or its
-elements are read: its first base point beta is the least point its
-generators move, and the chain goes on in the kept G_beta.  The
+this way, as a group of its own (:meth:`PermutationGroup._stabilizer`,
+the only route to a point stabilizer), and answers ``transporter``,
+``pointwise_stabilizer``, ``orbit_stabilizer`` and ``least_image`` by
+walking the points down those kept stabilizers.  Such a group is a
+stabilizer chain down its least moved points, built only when its order,
+its membership or its elements are read: its first base point beta is
+the least point its generators move, and the chain goes on in the kept
+G_beta.  The
 automorphism group (:meth:`PermutationGroup.from_strong_generators`)
 comes with that chain already built from the search's strong generators.
 A chain's order is a product of orbit lengths, membership is a sift, and
 its elements are expanded from the transversals, already in
-lexicographic order.  :func:`generated_order` and :func:`least_in_coset`
-read the same chain of the group their generators generate, and
-:meth:`PermutationGroup.least_image` walks point stabilizers the same way.
+lexicographic order.  :func:`generated_order` reads the same chain of
+the group its generators generate.  One greedy step down the descent
+(:func:`_least_lift`) answers both :func:`least_in_coset`, over the points
+0, 1, ..., which is that chain, and :meth:`PermutationGroup.least_image`,
+over the tuple's points.
 
 A group built from an element list (:meth:`PermutationGroup.close`,
 Dimino's closure, which grows the subgroup generated so far a whole right
@@ -296,20 +300,30 @@ def generated_order(degree: int, generators: Sequence[Perm]) -> int:
 
 
 def least_in_coset(generators: Sequence[Perm], g: Perm) -> Perm:
-    """The lexicographically least element of the coset <generators> * g.
+    """The lexicographically least element of the coset <generators> * g:
+    :func:`_least_lift` over the points 0, 1, ..., which walks the chain
+    of <generators> down its base points."""
+    return _least_lift(PermutationGroup._generated(len(g), generators), range(len(g)), g)
 
-    Greedy down the chain of H = <generators>: H fixes every point below
-    its base point i, so all of H * g agrees with g there, and the least
-    image of i is the least g-image of i's orbit, reached by u_b * g for
-    the transversal element u_b sending i to that b.  The elements of the
-    coset with that image at i are H_i * u_b * g, so the search goes on in
-    H_i and stops once that is trivial.
+
+def _least_lift(group: "PermutationGroup", points: Iterable[int], a: Perm) -> Perm:
+    """The element of the coset group * a whose images of ``points``, in
+    order, are least, greedy down the descent through them.
+
+    With H the stabilizer of the points handled so far, every element of
+    H * a agrees with a on them, and the least image of the next point p
+    is the least a-image of p's orbit under H, reached by u_b * a for the
+    transversal element u_b sending p to that b.  The elements of the
+    coset with that image at p are H_p * u_b * a, so the search goes on
+    in H_p and stops once that has no generators.  Every step is one
+    :meth:`PermutationGroup._stabilizer`, kept on the group it descends.
     """
-    group = PermutationGroup._generated(len(g), generators)
-    while group._base < group.degree:
-        trans, group = group._stabilizer(group._base)
-        g = trans[min(trans, key=g.__getitem__)] * g
-    return g
+    for p in points:
+        if not group.generators:
+            break
+        trans, group = group._stabilizer(p)
+        a = trans[min(trans, key=a.__getitem__)] * a
+    return a
 
 
 class PermutationGroup:
@@ -558,32 +572,15 @@ class PermutationGroup:
     def least_image(self, tup: Sequence[int]) -> tuple[int, ...]:
         """The lexicographically least image of a point tuple under the group.
 
-        Greedy, point by point: with H the stabilizer of the points handled
-        so far and a the element reaching their least images, the next
-        least image is the least a-image of the next point's orbit under H,
-        reached through its transversal (:func:`point_stabilizer`), and H
-        shrinks to that point's stabilizer.  A chain handles a first point in
-        its base point beta's orbit, whose least member is beta, by moving
-        the tuple to start at beta and continuing in G_beta.  The loop stops
-        once H is trivial, and the last point needs its orbit alone.
+        The images of the tuple under :func:`_least_lift`'s element of the
+        group, greedy down the descent through the tuple's points.  Like
+        ``transporter``, it keeps the stabilizer of each prefix on the
+        group; the CLI asks it only of a group built for one command
+        (``family_orbit_ids`` on the blow-up's automorphism group).
         """
-        pts = list(tup)
-        _check_points(self.degree, pts)
-        gens, start, a = self.generators, 0, self.identity
-        if pts and self._base is not None and self._base < self.degree:
-            trans, stabilizer = self._stabilizer(self._base)
-            if pts[0] in trans:
-                back = trans[pts[0]].inverse()
-                pts, gens, start = [back[p] for p in pts], stabilizer.generators, 1
-        for k in range(start, len(pts)):
-            if not gens:
-                break
-            if k == len(pts) - 1:
-                trans = _transversal(self.degree, pts[k], gens)
-            else:
-                trans, gens = point_stabilizer(self.degree, gens, pts[k])
-            a = trans[min(trans, key=a.__getitem__)] * a
-        return tuple(a[p] for p in pts)
+        _check_points(self.degree, tup)
+        a = _least_lift(self, tup, self.identity)
+        return tuple(a[p] for p in tup)
 
     def is_transitive(self) -> bool:
         """True iff one orbit covers every point."""

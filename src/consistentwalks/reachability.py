@@ -56,7 +56,8 @@ def reachability_by_shunt_group(group: PermutationGroup, graph: Graph,
     compactly.
     """
     w, shs = _consistent_shunts(group, graph, walk)
-    shunt_group = PermutationGroup.close(shs, degree=group.degree)
+    # a subgroup of G, so G's order, which the caller's cap admitted, bounds it
+    shunt_group = PermutationGroup.close(shs, degree=group.degree, cap=group.order)
     verdict = shunt_group.is_transitive()
     return ReachabilityReport(walk=w, verdict=verdict, method="shunt-group",
                            witness={"shunt_group_order": shunt_group.order,

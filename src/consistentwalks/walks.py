@@ -24,16 +24,16 @@ stabilizer.  Each census record keeps its cycle's shunt coset, one shunt
 and generators of the stabilizer of the cycle's support, so the least
 shunt, that stabilizer and the orders the generating sets need are read
 off the census (:meth:`OrbitRecord.least_shunt`) without asking the group
-again.  The rooted enumeration of every cycle through its
-shunts (:func:`enumerate_consistent_cycles`) and its orbit partition
-(:func:`partition_cycles`) remain as full-group references.  Only this
-module lists and names these orbits.
+again.  The census is the only enumerator of cycles: every consistent
+cycle (:func:`enumerate_consistent_cycles`) lies in the G-orbit of one
+record's representative.  The orbit partition of a G-closed set of
+cycles (:func:`partition_cycles`) stays as a reference for the tests.
+Only this module lists and names these orbits.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import InvalidWalk, NotConsistent, invariant
 from .graphs import Graph
@@ -228,32 +228,11 @@ class CycleOrbitTable:
         return rec
 
 
-def _rooted_cycles(group: PermutationGroup, root: int,
-                   starts: Iterable[int]) -> Counter[Walk]:
-    """Every G-consistent rooted directed cycle at ``root`` that leaves it
-    through a neighbor in ``starts`` -> its shunt count.
-
-    A consistent cycle rooted at u with shunt g is the g-cycle through u,
-    and g maps u to a neighbor v; conversely every g in the transporter
-    of u onto a neighbor v shunts its own cycle through u.  Every shunt of
-    a cycle (u, v, ...) sends u to v, so the count is complete.
-    """
-    out: Counter[Walk] = Counter()
-    for v in starts:
-        for g in group.transporter((root,), (v,)):
-            cycle = [root, v]
-            while cycle[-1] != root:
-                cycle.append(g[cycle[-1]])
-            out[tuple(cycle)] += 1
-    return out
-
-
 def enumerate_consistent_cycles(group: PermutationGroup, graph: Graph) -> set[Walk]:
-    """Every G-consistent rooted directed cycle: the union over all roots."""
-    out: set[Walk] = set()
-    for root in range(graph.vertex_count):
-        out.update(_rooted_cycles(group, root, graph.adj[root]))
-    return out
+    """Every G-consistent rooted directed cycle: the union of the census
+    records' orbits."""
+    return {c for r in consistent_cycle_orbits(group, graph).records
+            for c in group.tuple_orbit(r.representative)}
 
 
 def partition_cycles(group: PermutationGroup,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import time
 
 import pytest
@@ -120,6 +121,23 @@ def test_property_r(capsys):
                             "--walk", "0,1", "--target", "99"], capsys)
     assert code == 1
     assert json.loads(err)["error"] == "BadParameters"
+
+
+def test_property_r_closes_its_shunt_group_under_the_group_order(monkeypatch, capsys):
+    # the shunt group is a subgroup of G, whose order --cap-group admitted,
+    # so a raised cap reaches the closure and the default cap does not bound it
+    caps = []
+    close = PermutationGroup.close.__func__
+
+    def recording_close(cls, generators, degree=None, cap=perms_module.DEFAULT_GROUP_CAP):
+        caps.append(cap)
+        return close(cls, generators, degree, cap)
+
+    monkeypatch.setattr(PermutationGroup, "close", classmethod(recording_close))
+    code, out, err = run_cli(["property-r", "--graph", "hypercube:3", "--walk", "0,1,3",
+                              "--cap-group", str(10**16)], capsys)
+    assert code == 0, err
+    assert caps == [json.loads(out)["input"]["group_order"]] == [48]
 
 
 def test_graph_json_file_with_generators(tmp_path, capsys):
@@ -552,6 +570,25 @@ def test_finish_line_q3_blowup_by_three(capsys):
             for r in payload["census"]] == FINISH_LINE_CENSUS
     assert {(e["orbit"], e["fibers"]): e["id"]
             for e in payload["family_orbit_ids"]} == FINISH_LINE_IDS
+
+
+@pytest.mark.parametrize("spec, vertices, aut_order", [("hypercube:3", 8, 48),
+                                                      ("petersen", 10, 120)])
+@pytest.mark.parametrize("m", range(2, 7))
+def test_blowup_demo_sweep_against_closed_forms(spec, vertices, aut_order, m, capsys):
+    # arithmetic that shares no code with the library: |Aut(X[mK1])| =
+    # (m!)^n * |Aut X| for a twin-free X (Sabidussi 1961), and the census of
+    # a 3m-valent arc-transitive graph has 3m records (Miklavic, Potocnik
+    # and Wilson 2007)
+    code, out, err = run_cli(["blowup-demo", "--graph", spec, "--m", str(m),
+                              "--cap-group", str(10**40)], capsys)
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert payload["blowup_vertices"] == vertices * m
+    assert payload["blowup_group_order"] == math.factorial(m) ** vertices * aut_order
+    assert len(payload["census"]) == 3 * m
+    assert payload["no_trivial_stabilizer"] is True
+    assert payload["family_orbits_distinct"] is True
 
 
 # sha256 of the sorted-key payload, recorded before the generating set was

@@ -213,7 +213,8 @@ def test_census_against_oracle(name, lengths, family, censuses):
         assert len(cw.shunts(group, graph, record.representative)) == record.stabilizer_order
         assert record.stabilizer_order == len(
             oracles.oracle_stabilizer(group, record.representative[:-1]))
-    # the full-group references the tests keep
+    # every consistent cycle, read off the census records' orbits, against
+    # the oracle's filtered DFS cycles; partition_cycles is the tests' reference
     cycles = enumerate_consistent_cycles(group, graph)
     assert cycles == {c for orbit in oracle_orbits for c in orbit}
     assert cw.partition_cycles(group, cycles) == oracle_orbits
