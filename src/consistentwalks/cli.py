@@ -228,8 +228,9 @@ def _payload_generators(graph, group, args) -> dict:
 
 def _payload_property_r(graph, group, args) -> dict:
     walk = _parse_walk(args.walk)
-    by_group = reachability_by_shunt_group(group, graph, walk)
+    # the chase refuses a bad target before any group query, so it runs first
     by_chase = reachability_by_chase(group, graph, walk, target=args.target)
+    by_group = reachability_by_shunt_group(group, graph, walk)
     invariant(by_group.verdict == by_chase.verdict, "the two deciders must agree")
     return {"walk": list(walk), "verdict": by_group.verdict,
             "shunt_group": by_group.to_json(), "chase": by_chase.to_json()}

@@ -8,14 +8,14 @@ searches below return the walk plus a machine-checkable certificate.  An
 exhaustive depth-first search covers the other graphs.
 
 The two structural searches extend walks one vertex at a time and carry
-the shunts along: the shunts of an extension are the walk's shunts that
-send its last vertex to the new endpoint.  So only the walk a search
-starts from queries the group, and successor counts and stabilizer orders
-come from the split of the shunts.  The exhaustive search reads the
-census's search over walk classes instead (:func:`walks._walk_classes`):
-it visits one walk per G_r-class, with a shunt and the stabilizer's order
-carried down by generators, and asks the group nothing until it certifies
-the walk it returns.
+the shunt coset along, one shunt and its stabilizer: an extension's
+shunts send the walk's last vertex to the new endpoint, one more step
+down the stabilizer descent.  So only the walk a search starts from
+queries the group, and successor counts are orbit lengths.  The
+exhaustive search reads the census's search over walk classes instead
+(:func:`walks._walk_classes`): it visits one walk per G_r-class, with a
+shunt and the stabilizer's order carried down by generators, and asks
+the group nothing until it certifies the walk it returns.
 """
 
 from __future__ import annotations
@@ -33,15 +33,9 @@ from .errors import (
     invariant,
 )
 from .graphs import Graph, is_arc_transitive, is_n_arc_transitive, local_group
-from .perms import Perm, PermutationGroup, tuple_orbit_under
-from .walks import (
-    Walk,
-    ConsistencyWitness,
-    _split_shunts,
-    _walk_classes,
-    apply_perm,
-    consistent_cycle_orbits,
-)
+from .perms import PermutationGroup, least_in_coset, tuple_orbit_under
+from .walks import (Coset, ConsistencyWitness, Walk, _step_coset, _successor_ends,
+                    _walk_classes, consistent_cycle_orbits)
 from .reachability import _certificate
 
 DEFAULT_WALK_DEPTH = 64
@@ -105,29 +99,28 @@ def weakly_p_subregular(group: PermutationGroup) -> WpsWitness | None:
     return None
 
 
-def _extend_while_branching(walk: Walk, shs: list[Perm]
-                            ) -> tuple[ConsistencyWitness, list[int]]:
+def _extend_while_branching(walk: Walk, coset: Coset) -> tuple[ConsistencyWitness, list[int]]:
     """Greedily extend the walk while some extension keeps >1 successor.
 
     Lexicographically smallest qualifying endpoint at each step.  Returns
     the maximal walk's witness and the successor counts of the walk and
-    each chosen extension.  ``shs`` are the walk's shunts, sorted; each
-    extension's are the shunts sending the last vertex to its new endpoint.
-    The parts of a split keep that sorted order, so the maximal walk's
-    least shunt is the least first member of its parts.
+    each chosen extension.  ``coset`` is the walk's shunt coset; each
+    extension's is one descent step below it, and the maximal walk's
+    least shunt is the least element of its coset.
     """
-    by_end = _split_shunts(shs, walk[-1])
-    counts = [len(by_end)]
+    ends = _successor_ends(coset, walk[-1])
+    counts = [len(ends)]
     while True:
-        for x in sorted(by_end):
-            ext_by_end = _split_shunts(by_end[x], x)
-            if len(ext_by_end) > 1:
-                walk, by_end = walk + (x,), ext_by_end
-                counts.append(len(by_end))
+        for x in ends:
+            ext = _step_coset(coset, walk[-1], x)
+            ext_ends = _successor_ends(ext, x)
+            if len(ext_ends) > 1:
+                walk, coset, ends = walk + (x,), ext, ext_ends
+                counts.append(len(ends))
                 break
         else:
-            least = min(part[0] for part in by_end.values())
-            return ConsistencyWitness(walk=walk, shunt=least), counts
+            shunt = least_in_coset(coset[1].generators, coset[0])
+            return ConsistencyWitness(walk=walk, shunt=shunt), counts
 
 
 def find_trivial_walk_wps(group: PermutationGroup,
@@ -138,9 +131,8 @@ def find_trivial_walk_wps(group: PermutationGroup,
     extends (x, v, y) while more than one successor remains, and certifies:
     the starting 2-arc's shunt group is transitive, every successor count
     along the walk equals the witness prime, the stabilizer fixes all
-    successors, and |shunts| / |successors|, the stabilizer's order, is 1.
-    Its one coset query is rooted at v: g sends (v, y) onto (x, v) exactly
-    when g^-1 shunts (x, v, y), and the search and certificate read those.
+    successors, and the stabilizer's order is 1.  Its one coset query,
+    rooted at v, maps (v, x) onto (y, v): the shunts of (x, v, y).
     """
     if not graph.connected:
         raise NotConnected("the search needs a connected graph")
@@ -153,11 +145,11 @@ def find_trivial_walk_wps(group: PermutationGroup,
         raise NoWitness("the local group is not weakly p-subregular")
     x = local.domain[witness.x]
     y = local.domain[witness.y]
-    shs = sorted(g.inverse() for g in group.transporter((base, y), (x, base)))
-    found, counts = _extend_while_branching((x, base, y), shs)
+    coset = group.coset((base, x), (y, base))
+    found, counts = _extend_while_branching((x, base, y), coset)
     invariant(all(c == witness.prime for c in counts),
               f"successor counts {counts} differ from the witness prime {witness.prime}")
-    cert = _certificate(graph, found.walk, 2, shs)
+    cert = _certificate(graph, found.walk, 2, coset)
     cert.update({"method": "wps", "prime": witness.prime,
                  "base_vertex": base, "local_witness": witness.to_json(),
                  "successor_counts": counts})
@@ -175,8 +167,8 @@ def find_trivial_walk_4valent(group: PermutationGroup,
     local group is dihedral of degree 4, delegate to the subregular search;
     order 3 or 6 -> the action is 2-arc-transitive, extend a 2-arc while
     more than one successor remains.  The one query is the arc's shunt
-    coset; its part at the first w in N(v) minus u, the shunts of (u, v, w),
-    is a coset G_(u,v) * g, so that order counts the part's images of them.
+    coset G_u * a; one step below it, the shunts of (u, v, w), w the first
+    of N(v) minus u, are G_(u,v) * g, and that order is |(N(v) - u)^G_(u,v)|.
     """
     if not graph.connected:
         raise NotConnected("the search needs a connected graph")
@@ -187,23 +179,24 @@ def find_trivial_walk_4valent(group: PermutationGroup,
     u = 0
     v = graph.adj[u][0]
     rest = tuple(z for z in graph.adj[v] if z != u)
-    shs = group.transporter((u,), (v,))
-    part = [g for g in shs if g[v] == rest[0]]
-    h_order = len({apply_perm(g, rest) for g in part})
+    arc = group.coset((u,), (v,))
+    part = _step_coset(arc, v, rest[0])
+    h_order = len(tuple_orbit_under(part[1].generators, rest))
     invariant(h_order in (1, 2, 3, 6), f"impossible arc-local order {h_order}")
     if h_order == 2:
         witness, cert = find_trivial_walk_wps(group, graph)
         cert.update({"method": "4valent", "branch": "dihedral-local"})
         return witness, cert
     if h_order == 1:
-        witness = ConsistencyWitness(walk=(u, v), shunt=shs[0])
+        shunt = least_in_coset(arc[1].generators, arc[0])
+        witness = ConsistencyWitness(walk=(u, v), shunt=shunt)
         branch = "trivial-arc-action"
     else:
         invariant(is_n_arc_transitive(group, graph, 2),
                   "arc-local order 6 without 2-arc transitivity")
         witness, _ = _extend_while_branching((u, v, rest[0]), part)
         branch = "two-arc-transitive"
-    cert = _certificate(graph, witness.walk, 1, shs)
+    cert = _certificate(graph, witness.walk, 1, arc)
     cert.update({"method": "4valent", "branch": branch,
                  "arc_local_order": h_order})
     invariant(cert["certified"] and cert["stabilizer_order"] == 1,

@@ -15,8 +15,8 @@ any generators and a point, the Schreier-tree transversal of the point's
 orbit and generators of its stabilizer, the Schreier generators kept
 short by Sims' filter.  A group keeps each point stabilizer it builds
 this way, as a group of its own (:meth:`PermutationGroup._stabilizer`,
-the only route to a point stabilizer), and answers ``transporter``,
-``pointwise_stabilizer``, ``orbit_stabilizer`` and ``least_image`` by
+the only route to a point stabilizer), and answers :meth:`coset`, one
+element and its stabilizer, ``orbit_stabilizer`` and ``least_image`` by
 walking the points down those kept stabilizers.  Such a group is a
 stabilizer chain down its least moved points, built only when its order,
 its membership or its elements are read: its first base point beta is
@@ -41,9 +41,9 @@ stabilizers and expanded elements are caches of immutable data, and two
 racing builds store equal values.
 
 Each answer is computed once.  A ``PermutationGroup`` trusts its element
-list to be a group in lexicographic order, and a transporter answer is not
-re-derived as a coset; the test suite checks both for every group and
-query it builds (``tests/conftest.py``).
+list to be a group in lexicographic order, and a coset answer is not
+re-derived; the test suite checks both for every group and query it
+builds (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -524,16 +524,13 @@ class PermutationGroup:
         _check_points(self.degree, tup)
         return tuple_orbit_under(self.generators, tup, cap)
 
-    def transporter(self, src: Sequence[int], dst: Sequence[int]) -> list[Perm]:
-        """All elements mapping ``src`` onto ``dst`` pointwise, sorted.
-
-        A coset G_(src) * a of the pointwise stabilizer of ``src``, or
-        empty; the empty tuples give every element.  Down the descent, with
-        H the stabilizer of the points handled so far and every answer in
-        H * a, the next point s goes to d iff an element of H sends s to
-        a^-1[d]: the transversal element u doing so lifts a to u * a, and H
-        shrinks to H_s.  Only the final stabilizer's elements are read.
-        """
+    def coset(self, src: Sequence[int], dst: Sequence[int]
+              ) -> tuple[Perm, "PermutationGroup"] | None:
+        """The elements mapping ``src`` onto ``dst`` pointwise, G_(src) * a,
+        as (a, G_(src)), or None.  Down the descent, with H the stabilizer
+        of the points handled so far, the next point s goes to d iff some u
+        in H sends s to a^-1[d]: the transversal's u lifts a to u * a, and H
+        shrinks to H_s.  No element is listed."""
         if len(src) != len(dst):
             raise BadParameters(f"point tuples {tuple(src)} and {tuple(dst)} differ in length")
         _check_points(self.degree, itertools.chain(src, dst))
@@ -542,10 +539,17 @@ class PermutationGroup:
             trans, group = group._stabilizer(a)
             u = trans.get(lift.inverse()[b])
             if u is None:
-                return []
+                return None
             lift = u * lift
-        if lift.is_identity():
-            return list(group.elements)
+        return lift, group
+
+    def transporter(self, src: Sequence[int], dst: Sequence[int]) -> list[Perm]:
+        """All elements mapping ``src`` onto ``dst`` pointwise, sorted: the
+        :meth:`coset` expanded, which keeps the final stabilizer's elements."""
+        found = self.coset(src, dst)
+        if found is None:
+            return []
+        lift, group = found
         # h * lift for every h, one translate each with lift's table
         return sorted(map(Perm, map(bytes.translate, group.elements,
                                     itertools.repeat(_table(lift)))))
@@ -554,11 +558,7 @@ class PermutationGroup:
         """Subgroup fixing every listed point, where the descent through
         them ends; the empty tuple gives the group itself, and a chain's
         base point beta gives the chain's own G_beta."""
-        _check_points(self.degree, points)
-        group = self
-        for p in points:
-            group = group._stabilizer(p)[1]
-        return group
+        return self.coset(points, points)[1]
 
     def orbit_stabilizer(self, point: int) -> tuple[dict[int, Perm], list[Perm]]:
         """A copy of the transversal of ``point``'s orbit and the generators

@@ -3,7 +3,10 @@
 A consistent walk has the reachability property when every vertex of the graph is the
 last vertex of some walk reachable by repeatedly taking successors; this is
 equivalent to the group generated by the walk's shunts being
-vertex-transitive, which gives two independent deciders.
+vertex-transitive, which gives two independent deciders.  The chase, the
+lifting conditions and the certificate read the walk's shunt coset, a
+shunt and its stabilizer, and descend from it; only the shunt-group
+decider closes the listed coset.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from .errors import (
     invariant,
 )
 from .graphs import Graph, is_arc_transitive
-from .perms import Perm, PermutationGroup, tuple_orbit_under
-from .walks import Walk, _consistent_shunts, _split_shunts, apply_perm, validate_walk
+from .perms import PermutationGroup, tuple_orbit_under
+from .walks import (Coset, Walk, _shunt_coset, _step_coset, _successor_ends, apply_perm,
+                    shunts, validate_walk)
 
 SIM_ORBIT_CAP = 100_000
 
@@ -44,18 +48,18 @@ def reachability_by_shunt_group(group: PermutationGroup, graph: Graph,
                               walk: Sequence[int]) -> ReachabilityReport:
     """Decide reachability via transitivity of the group the shunts generate.
 
-    The whole shunt coset G_prefix * s generates <G_prefix, s>, so the
-    coset the walk query holds is closed as it is, with no G_prefix query.
-    It is the one group this module still closes with Dimino's closure,
-    though |H| = |G_prefix| * |prefix^H| needs only H's generators, as in
-    `check_conditions`.  The walk-queries benchmark runs this call in a
-    time-boxed loop whose child keeps every pass's latencies, so the
-    faster route runs more passes and reads 20% more peak RSS, over that
-    metric's 10% bound, although at a fixed pass count both routes read
-    the same.  The switch waits for a child that stores its latencies
-    compactly.
+    The whole shunt coset G_prefix * s, as :func:`walks.shunts` lists it,
+    generates <G_prefix, s> and is closed as it is: the one walk query that
+    lists a coset and the one closure left here, though |H| = |G_prefix| *
+    |prefix^H| needs only H's generators, as in `check_conditions`.  The
+    walk-queries benchmark's child keeps every latency, so that faster
+    route runs more passes and reads 20% more peak RSS, over the metric's
+    10% bound; the switch waits for a child that stores them compactly.
     """
-    w, shs = _consistent_shunts(group, graph, walk)
+    w = validate_walk(graph, walk)
+    shs = shunts(group, graph, w)
+    if not shs:
+        raise NotConsistent(f"walk {w} has no shunt in the group")
     # a subgroup of G, so G's order, which the caller's cap admitted, bounds it
     shunt_group = PermutationGroup.close(shs, degree=group.degree, cap=group.order)
     verdict = shunt_group.is_transitive()
@@ -72,17 +76,20 @@ def reachability_by_chase(group: PermutationGroup, graph: Graph,
     Successors are explored in lexicographic order, so the witness chain to
     ``target`` is reproducible.  Verdict is true iff every vertex of the
     graph is the last vertex of some reachable walk.  The group is queried
-    once, for the walk's shunts: an element t carries successors to
+    once, after the target is checked, for the walk's shunt coset H * a:
+    u_b * a, u_b in the transversal of w[-1]'s orbit under H, reaches the
+    successor ending in a[b].  An element t carries successors to
     successors, Succ(w^t) = Succ(w)^t, so each reached walk w^t carries its
     t, and a child reached by the shunt h carries h * t.  Any shunt reaching
     a successor will do: two of them differ by an element of G_w, which
     maps Succ(w) onto itself.
     """
-    w, shs = _consistent_shunts(group, graph, walk)
+    w = validate_walk(graph, walk)
     if target is not None and not 0 <= target < graph.vertex_count:
         raise BadParameters(f"target {target} outside 0..{graph.vertex_count - 1}")
-    # each successor of w with one shunt reaching it
-    steps = {w[1:] + (x,): ext[0] for x, ext in _split_shunts(shs, w[-1]).items()}
+    lift, stabilizer = _shunt_coset(group, w)
+    trans, _ = stabilizer.orbit_stabilizer(w[-1])
+    steps = {w[1:] + (lift[b],): u * lift for b, u in trans.items()}
     total = graph.vertex_count
     reached = {w[-1]}
     parent: dict[Walk, Walk | None] = {w: None}
@@ -141,24 +148,25 @@ class ConditionReport:
                 "joined_stabilizer_order": self.joined_stabilizer_order}
 
 
-def _conditions(w: Walk, prefix_shunts: list[Perm]) -> ConditionReport:
-    """The three conditions for the walk ``w``, read off the shunts of w[:-1]."""
-    prefix = w[:-1]
-    by_end = _split_shunts(prefix_shunts, prefix[-1])
-    if w[-1] not in by_end:
+def _conditions(w: Walk, prefix: Coset | None) -> ConditionReport:
+    """The three conditions for the walk ``w``, read off the shunt coset
+    G_(w[:-2]) * a of w[:-1], None if it has none."""
+    step = _step_coset(prefix, w[-2], w[-1])
+    if step is None:
         raise NotConsistent(f"walk {w} has no shunt in the group")
-    own = by_end[w[-1]]
-    ell, k = len(_split_shunts(own, w[-1])), len(by_end)
+    g0, own = step
+    ends = _successor_ends(prefix, w[-2])
+    ell, k = len(own.orbit_stabilizer(w[-1])[0]), len(ends)
     invariant(ell <= k, f"walk {w} has more successors than its prefix")
-    back = own[0].inverse()
-    joined_gens = [g * back for g in own] + [back * g for g in own]
-    joined_order = len(own) * len(tuple_orbit_under(joined_gens, prefix))
+    back = g0.inverse()
+    joined_gens = [*own.generators, *(back * h * g0 for h in own.generators)]
+    joined_order = own.order * len(tuple_orbit_under(joined_gens, w[:-1]))
     cond_a = no_intermediate_divisor(ell, k)
-    prefix_succ = {prefix[1:] + (x,) for x in by_end}
+    prefix_succ = {w[1:-1] + (x,) for x in ends}
     orbit = tuple_orbit_under(joined_gens, min(prefix_succ))
     invariant(orbit <= prefix_succ, "the joined stabilizer leaves the prefix successors")
     cond_b = orbit == prefix_succ
-    cond_c = joined_order == len(prefix_shunts)
+    cond_c = joined_order == prefix[1].order
     invariant(not cond_c or cond_b, "condition (c) must imply condition (b)")
     return ConditionReport(walk=w, succ_count=ell,
                            prefix_succ_count=k, condition_a=cond_a,
@@ -174,39 +182,38 @@ def check_conditions(group: PermutationGroup, graph: Graph,
     of the prefix's shunt image: (a) no intermediate divisor between the
     two successor counts, (b) J transitive on the prefix's successors,
     (c) J equal to the stabilizer of the shared inner subwalk.  One group
-    query, rooted at w[0], gives everything: the prefix's shunt coset,
-    split at its last vertex into the successors.  The coset's part at
-    w[-1] holds the walk's shunts, G_prefix * g0 for its least g0, so
-    G_prefix is {g * g0^-1} and the shifted stabilizer g0^-1 * G_prefix * g0
-    is {g0^-1 * g}, over those shunts g.  J is never built: it contains
-    G_prefix, so |J| = |G_prefix| * |prefix^J| (orbit–stabilizer).
-    Both stabilizers fix the inner subwalk, so J <= G_inner and (c) holds
-    iff |J| == |G_inner|, the prefix's shunt count, as its shunts are a
-    coset of G_(w[:-2]) carrying w[:-2] onto the inner subwalk.
+    query, rooted at w[0], gives everything: the prefix's shunt coset
+    G_(w[:-2]) * a and, one descent step below it, the walk's, G_prefix *
+    g0, so g0^-1 * G_prefix * g0 is generated by the conjugates of
+    G_prefix's generators.  J is never built: it contains G_prefix, so
+    |J| = |G_prefix| * |prefix^J| (orbit–stabilizer).  Both stabilizers fix
+    the inner subwalk, so J <= G_inner and (c) holds iff |J| == |G_inner|
+    = |G_(w[:-2])|.
     """
     w = validate_walk(graph, walk)
     if len(w) < 3:
         raise WalkTooShort(f"conditions need walk length >= 2, got {w}")
-    return _conditions(w, group.transporter(w[:-2], w[1:-1]))
+    return _conditions(w, group.coset(w[:-2], w[1:-1]))
 
 
-def _fixes_successors(w: Walk, shs: list[Perm]) -> bool:
-    """`stabilizer_fixes_successors`, read off the walk's shunts."""
-    return all(len(_split_shunts(ext, x)) == 1
-               for x, ext in _split_shunts(shs, w[-1]).items())
+def _fixes_successors(w: Walk, coset: Coset) -> bool:
+    """Every generator of G_(w) fixes every successor endpoint."""
+    lift, stabilizer = coset
+    trans, fixing = stabilizer.orbit_stabilizer(w[-1])
+    return all(h[lift[b]] == lift[b] for b in trans for h in fixing)
 
 
 def stabilizer_fixes_successors(group: PermutationGroup, graph: Graph,
                                 walk: Sequence[int]) -> bool:
     """True iff the walk's stabilizer fixes every successor pointwise.
 
-    The stabilizer fixes every vertex of a successor but its last one, x,
-    since those lie on the walk, so it fixes the successor exactly when the
-    orbit of x under it is {x}.  The shunts sending v_n to x are the coset
-    G_(w) * g of any one of them, g, so they send x to |x^G_(w)| vertices:
-    the walk's shunt coset decides the check, and no stabilizer is built.
+    It fixes every vertex of a successor but its last one, x, which lie on
+    the walk, so it fixes the successor iff it fixes x.  For the walk's
+    shunt coset H * a the x are a applied to v_n's orbit under H, and G_(w)
+    is H_(v_n).
     """
-    return _fixes_successors(*_consistent_shunts(group, graph, walk))
+    w = validate_walk(graph, walk)
+    return _fixes_successors(w, _shunt_coset(group, w))
 
 
 def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
@@ -219,9 +226,9 @@ def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
     its shunts; each longer proper prefix must satisfy one of the three
     lifting conditions; the stabilizer must fix all successors.  On failure
     the certificate carries the first obstruction instead.  The seed's
-    shunts are the one group query: those of w[:k + 1] are those of w[:k]
-    sending w[k - 1] to w[k], and |G_(w)| is |shunts(w)| / |Succ(w)|.
-    A ``seed_length`` below 1 is refused before any group query.
+    shunt coset is the one group query: that of w[:k + 1] is one descent
+    step below that of w[:k], down to G_(w).  A ``seed_length`` below 1 is
+    refused before any group query.
     """
     if seed_length < 1:
         raise BadParameters(f"seed length {seed_length} is below 1")
@@ -231,44 +238,45 @@ def certify_trivial_stabilizer(group: PermutationGroup, graph: Graph,
     if not is_arc_transitive(group, graph):
         raise NotArcTransitive("certification needs an arc-transitive group")
     first = min(seed_length, len(w) - 1)
-    return _certificate(graph, w, seed_length, group.transporter(w[:first], w[1:first + 1]))
+    return _certificate(graph, w, seed_length, group.coset(w[:first], w[1:first + 1]))
 
 
-def _certificate(graph: Graph, w: Walk, seed_length: int, seed_shunts: list[Perm]) -> dict:
+def _certificate(graph: Graph, w: Walk, seed_length: int, seed: Coset | None) -> dict:
     """`certify_trivial_stabilizer` for a checked walk and a seed of at
-    least one arc, from its seed's shunts."""
+    least one arc, from its seed's shunt coset, None if it has none."""
     r = len(w) - 1
     seed_walk = w[: seed_length + 1]
-    # shunts[n] holds the shunts of w[:n + 1]
+    # cosets[n] is the shunt coset of w[:n + 1]
     first = min(seed_length, r)
-    shunts = {first: seed_shunts}
+    cosets = {first: seed}
     for n in range(first + 1, r + 1):
-        shunts[n] = _split_shunts(shunts[n - 1], w[n - 1]).get(w[n], [])
-    if not shunts[r]:
+        cosets[n] = _step_coset(cosets[n - 1], w[n - 1], w[n])
+    if cosets[r] is None:
         raise NotConsistent(f"walk {w} has no shunt in the group")
     # an arc's H = <G_u, s> is G: u^H holds N(u) = v^(G_u) and, with each
     # vertex, its neighbours, so on a connected graph it is every vertex
+    lift, stabilizer = cosets[first]
     seed_transitive = seed_length == 1 or len(
-        tuple_orbit_under(shunts[min(seed_length, r)], (0,))) == graph.vertex_count
+        tuple_orbit_under([*stabilizer.generators, lift], (0,))) == graph.vertex_count
     cert: dict = {
         "walk": list(w),
         "seed": {"length": seed_length, "walk": list(seed_walk),
                  "shunt_group_transitive": seed_transitive},
         "prefix_conditions": [],
-        "stabilizer_order": len(shunts[r]) // len(_split_shunts(shunts[r], w[-1])),
+        "stabilizer_order": cosets[r][1].pointwise_stabilizer(w[-1:]).order,
     }
     if not seed_transitive:
         return {**cert, "certified": False,
                 "failure_reason": f"seed walk {list(seed_walk)} is not reaching every vertex"}
     for n in range(seed_length, r):
-        report = _conditions(w[: n + 2], shunts[n])
+        report = _conditions(w[: n + 2], cosets[n])
         cert["prefix_conditions"].append(
             {"n": n, "a": report.condition_a, "b": report.condition_b,
              "c": report.condition_c})
         if not (report.condition_a or report.condition_b or report.condition_c):
             return {**cert, "certified": False,
                     "failure_reason": f"prefix of length {n} violates all three conditions"}
-    if not _fixes_successors(w, shunts[r]):
+    if not _fixes_successors(w, cosets[r]):
         return {**cert, "certified": False, "failure_reason": "final fix check"}
     invariant(cert["stabilizer_order"] == 1,
               "conditions certified but the directly computed stabilizer is nontrivial")
@@ -284,23 +292,25 @@ def successor_reachability_classes(group: PermutationGroup, graph: Graph,
     full walk contributes the edge (its prefix -> its tail).  The classes,
     components of the symmetrized relation, are the G-images of the block
     p^H of H = <G_p, s>, as edges leave p*x only for p*s*h*x with h in G_p.
-    The block is p's orbit under the shunt coset G_p * s; H is never built.
-    ``cap`` bounds the prefix orbit, no longer the walk orbit.
+    The block is p's orbit under G_p's generators and s, and the lift of
+    p's coset onto t carries it onto t's class; H is never built.  ``cap``
+    bounds the prefix orbit, no longer the walk orbit.
     """
-    w, shs = _consistent_shunts(group, graph, walk)
+    w = validate_walk(graph, walk)
     if len(w) < 3:
         raise WalkTooShort(f"the relation needs walk length >= 2, got {w}")
+    lift, stabilizer = _shunt_coset(group, w)
     prefix = w[:-1]
     try:
         prefix_orbit = group.tuple_orbit(prefix, cap=cap)
     except CapExceeded as exc:
         raise OrbitTooLarge(str(exc)) from exc
-    block = tuple_orbit_under(shs, prefix)
+    block = tuple_orbit_under([*stabilizer.generators, lift], prefix)
     classes: list[frozenset[Walk]] = []
     placed: set[Walk] = set()
     for t in sorted(prefix_orbit):
         if t not in placed:
-            g = group.transporter(prefix, t)[0]
+            g = group.coset(prefix, t)[0]
             cls = frozenset(apply_perm(g, b) for b in block)
             placed |= cls
             classes.append(cls)

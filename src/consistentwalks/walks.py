@@ -5,30 +5,29 @@ G-consistent when some g in G maps (v_0..v_{n-1}) onto (v_1..v_n)
 pointwise; every such g is a shunt.  Rooted directed cycles carry their
 closing vertex, e.g. the trivial cycle on an edge is (u, v, u).
 
+A walk's shunts are one coset H * a of H = G_(v_0..v_{n-1}), held as the
+lift a and H (:meth:`PermutationGroup.coset`).  The successors' endpoints
+are a applied to v_n's orbit under H, and an extension's shunts are one
+descent step below; only :func:`shunts` lists a coset.
+
 One depth-first search, :func:`_walk_classes`, lists the G_r-classes of
 consistent walks rooted at the least vertex r of each vertex orbit, one
 walk per class, each its class's least member.  It starts from r's orbit
-and G_r as the group holds them (a chain based at r, as on a
-vertex-transitive graph, hands over its own transversal and strong
-generators), and a walk carries one shunt and generators of its pointwise
-stabilizer, each read off its parent's by :func:`perms.point_stabilizer`;
-its steps are its shunt applied to its last vertex's orbit under the
-stabilizer of the rest, and it keeps the least step of each orbit of its
-own stabilizer.  So the search asks the group no transporter query and
-expands no element.  It serves two consumers: the census, which reads the
-walks that close back to their root (each orbit of consistent cycles
-meets the cycles rooted at r in a single G_r-orbit; Miklavič, Potočnik and
-Wilson, 2007), and the exhaustive trivial-walk search in
-:mod:`localactions`, which stops at the first walk with a trivial
-stabilizer.  Each census record keeps its cycle's shunt coset, one shunt
-and generators of the stabilizer of the cycle's support, so the least
-shunt, that stabilizer and the orders the generating sets need are read
-off the census (:meth:`OrbitRecord.least_shunt`) without asking the group
-again.  The census is the only enumerator of cycles: every consistent
-cycle (:func:`enumerate_consistent_cycles`) lies in the G-orbit of one
-record's representative.  The orbit partition of a G-closed set of
-cycles (:func:`partition_cycles`) stays as a reference for the tests.
-Only this module lists and names these orbits.
+and G_r as the group holds them, and a walk carries one shunt and
+generators of its pointwise stabilizer, each read off its parent's by
+:func:`perms.point_stabilizer`, so it asks the group no coset query and
+expands no element.  Its consumers are the census, which reads the walks
+that close back to their root (each orbit of consistent cycles meets the
+cycles rooted at r in a single G_r-orbit; Miklavič, Potočnik and Wilson,
+2007), and the exhaustive trivial-walk search in :mod:`localactions`.
+Each census record keeps its cycle's shunt coset, one shunt and
+generators of the stabilizer of the cycle's support, so the least shunt,
+that stabilizer and the orders the generating sets need are read off the
+census (:meth:`OrbitRecord.least_shunt`).  The census is the only cycle
+enumerator: every consistent cycle (:func:`enumerate_consistent_cycles`)
+lies in the G-orbit of one record's representative; the orbit partition
+of a G-closed set of cycles (:func:`partition_cycles`) stays as a
+reference for the tests.
 """
 from __future__ import annotations
 
@@ -40,6 +39,8 @@ from .graphs import Graph
 from .perms import Perm, PermutationGroup, least_in_coset, point_stabilizer
 
 Walk = tuple[int, ...]
+# a shunt coset H * a as its lift a and its stabilizer H
+Coset = tuple[Perm, PermutationGroup]
 
 
 def validate_walk(graph: Graph, walk: Sequence[int]) -> Walk:
@@ -73,12 +74,9 @@ class ConsistencyWitness:
 
 
 def shunts(group: PermutationGroup, graph: Graph, walk: Sequence[int]) -> list[Perm]:
-    """All g in G mapping the walk's prefix onto its suffix, sorted.
-
-    This is the transporter of (v_0..v_{n-1}) onto (v_1..v_n): the coset
-    g0 * G_{(v_1..v_n)} of the suffix stabilizer for any shunt g0, or empty
-    when the walk is not consistent.
-    """
+    """All g in G mapping the walk's prefix onto its suffix, sorted: the
+    shunt coset listed, G_(v_0..v_{n-1}) * g0 = g0 * G_(v_1..v_n) for any
+    shunt g0, or empty when the walk is not consistent."""
     w = validate_walk(graph, walk)
     return group.transporter(w[:-1], w[1:])
 
@@ -87,59 +85,53 @@ def is_consistent(group: PermutationGroup, graph: Graph,
                   walk: Sequence[int]) -> ConsistencyWitness | None:
     """A witness with the lexicographically smallest shunt, or None."""
     w = validate_walk(graph, walk)
-    found = group.transporter(w[:-1], w[1:])
-    if not found:
-        return None
-    return ConsistencyWitness(walk=w, shunt=found[0])
+    found = group.coset(w[:-1], w[1:])
+    return found and ConsistencyWitness(walk=w,
+                                        shunt=least_in_coset(found[1].generators, found[0]))
 
 
-def _split_shunts(shs: Sequence[Perm], last: int) -> dict[int, list[Perm]]:
-    """Each image of ``last`` under the shunts ``shs`` -> the shunts sending it there.
-
-    For shunts of a walk ending in ``last``, the keys are the successor
-    endpoints, and the list at x holds the shunts of the walk extended by
-    x.  Each list keeps the order of ``shs``.
-    """
-    split: dict[int, list[Perm]] = {}
-    for g in shs:
-        split.setdefault(g[last], []).append(g)
-    return split
-
-
-def _consistent_shunts(group: PermutationGroup, graph: Graph,
-                       walk: Sequence[int]) -> tuple[Walk, list[Perm]]:
-    """The validated walk and its sorted shunts, the one coset every walk
+def _shunt_coset(group: PermutationGroup, w: Walk) -> Coset:
+    """The checked walk's shunts G_(w[:-1]) * a, the one coset every walk
     query reads; refuses a walk with none."""
-    w = validate_walk(graph, walk)
-    shs = group.transporter(w[:-1], w[1:])
-    if not shs:
+    found = group.coset(w[:-1], w[1:])
+    if found is None:
         raise NotConsistent(f"walk {w} has no shunt in the group")
-    return w, shs
+    return found
+
+
+def _step_coset(coset: Coset | None, last: int, end: int) -> Coset | None:
+    """The shunts sending ``last``, a walk's last vertex, to ``end``: one
+    descent step below the walk's shunt coset H * a, or None if none does."""
+    if coset is None:
+        return None
+    lift, stabilizer = coset
+    step = stabilizer.coset((last,), (lift.inverse()[end],))
+    return step and (step[0] * lift, step[1])
+
+
+def _successor_ends(coset: Coset, last: int) -> list[int]:
+    """The sorted successor endpoints of a walk ending in ``last`` with
+    shunt coset H * a: a applied to the orbit of ``last`` under H, read off
+    the descent step below H, which extensions take too."""
+    return sorted(coset[0][b] for b in coset[1].orbit_stabilizer(last)[0])
 
 
 def successors(group: PermutationGroup, graph: Graph,
                walk: Sequence[int]) -> list[Walk]:
-    """All walks (v_1..v_n, v_n^g) over shunts g, sorted.
-
-    The shunt images of the walk: a shunt maps (v_0..v_{n-1}) onto
-    (v_1..v_n), so only the image of v_n is new.  Since the shunts are
-    the coset g0 * G_{(v_1..v_n)}, these are also the orbit of one
-    successor under the suffix stabilizer.
-    """
-    w, shs = _consistent_shunts(group, graph, walk)
-    return [w[1:] + (x,) for x in sorted(_split_shunts(shs, w[-1]))]
+    """All walks (v_1..v_n, v_n^g) over shunts g, sorted: the shunt images
+    of the walk, where only the image of v_n is new, a applied to v_n's
+    orbit under H for the walk's shunt coset H * a."""
+    w = validate_walk(graph, walk)
+    return [w[1:] + (x,) for x in _successor_ends(_shunt_coset(group, w), w[-1])]
 
 
 def successor_count(group: PermutationGroup, graph: Graph,
                     walk: Sequence[int]) -> int:
-    """|Succ(walk)|, which equals |G_prefix| / |G_walk| in every group.
-
-    The successor endpoints are the images of v_n under the coset
-    G_prefix * g0 of shunts, and two shunts give the same image exactly
-    when they lie in one coset of G_walk (orbit–stabilizer).
-    """
-    w, shs = _consistent_shunts(group, graph, walk)
-    return len(_split_shunts(shs, w[-1]))
+    """|Succ(walk)|, which equals |G_prefix| / |G_walk| in every group:
+    the length of v_n's orbit under G_prefix, the stabilizer of the walk's
+    shunt coset (orbit–stabilizer)."""
+    w = validate_walk(graph, walk)
+    return len(_shunt_coset(group, w)[1].orbit_stabilizer(w[-1])[0])
 
 
 def induced_cycle(witness: ConsistencyWitness) -> Walk:

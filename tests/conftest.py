@@ -36,14 +36,18 @@ def time_limit():
 
 @pytest.fixture(scope="session", autouse=True)
 def group_answers_rederived():
-    """Re-derive every group and transporter answer the suite builds.
+    """Re-derive every group, coset and transporter answer the suite builds.
 
     The library computes each answer once.  Here, for the whole session,
     every ``PermutationGroup`` is checked to list its elements in strictly
     increasing order, which its constructor trusts, and to be closed under
     inverses: a group built by the constructor when it is built, and a
     stabilizer chain, built without the constructor, when its elements are
-    expanded, whose count must then be its order.  Every transporter answer
+    expanded, whose count must then be its order.  Every coset answer's
+    lift must map ``src`` onto ``dst``, every generator of its stabilizer
+    must fix ``src``, and the stabilizer must be the very group
+    ``pointwise_stabilizer(src)`` returns, whose levels
+    ``stabilizer_answers_rederived`` re-derives.  Every transporter answer
     must map ``src`` onto ``dst``, and every nonempty one must be the coset
     G_(src) * g0 of its least element g0, G_(src) read as the transporter
     of ``src`` onto itself, where the descent through ``src`` ends with no
@@ -53,7 +57,7 @@ def group_answers_rederived():
     every caller in every module goes through the checks.
     """
     init, expand = PermutationGroup.__init__, PermutationGroup._expand
-    transporter = PermutationGroup.transporter
+    transporter, coset = PermutationGroup.transporter, PermutationGroup.coset
 
     def check_elements(group, elements):
         assert all(a < b for a, b in zip(elements, elements[1:])), (
@@ -74,6 +78,21 @@ def group_answers_rederived():
         assert len(elements) == self.order, f"{self!r} expanded to {len(elements)} elements"
         return elements
 
+    @functools.wraps(coset)
+    def checked_coset(self, src, dst):
+        found = coset(self, src, dst)
+        if found is not None:
+            lift, stabilizer = found
+            assert all(lift[a] == b for a, b in zip(src, dst)), (
+                f"coset {tuple(src)} -> {tuple(dst)} has a lift that does not transport")
+            assert all(h[a] == a for h in stabilizer.generators for a in src), (
+                f"a stabilizer generator of coset {tuple(src)} -> {tuple(dst)} moves src")
+            # pointwise_stabilizer asks coset(src, src), so only other answers compare
+            if tuple(src) != tuple(dst):
+                assert stabilizer is self.pointwise_stabilizer(src), (
+                    f"coset {tuple(src)} -> {tuple(dst)} is not over G_{tuple(src)}")
+        return found
+
     @functools.wraps(transporter)
     def checked_transporter(self, src, dst):
         found = transporter(self, src, dst)
@@ -89,12 +108,14 @@ def group_answers_rederived():
     PermutationGroup.__init__ = checked_init
     PermutationGroup._expand = checked_expand
     PermutationGroup.transporter = checked_transporter
+    PermutationGroup.coset = checked_coset
     try:
         yield
     finally:
         PermutationGroup.__init__ = init
         PermutationGroup._expand = expand
         PermutationGroup.transporter = transporter
+        PermutationGroup.coset = coset
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -156,7 +177,7 @@ def stabilizer_answers_rederived():
 
 @pytest.fixture
 def group_queries(monkeypatch):
-    """``record(group, call)`` -> (``call()``, the transporter and
+    """``record(group, call)`` -> (``call()``, the coset, transporter and
     pointwise_stabilizer queries it made on ``group``).
 
     A query is recorded as (method name, *its point tuples).  Queries
@@ -177,7 +198,7 @@ def group_queries(monkeypatch):
                 depth[0] -= 1
         return counted
 
-    for method_name in ("transporter", "pointwise_stabilizer"):
+    for method_name in ("coset", "transporter", "pointwise_stabilizer"):
         monkeypatch.setattr(PermutationGroup, method_name, counting(method_name))
 
     def record(group, call):

@@ -111,6 +111,61 @@ def oracle_arc_local_order(group: cw.PermutationGroup, graph: cw.Graph,
     return len({tuple(h[w] for w in rest) for h in oracle_stabilizer(group, (u, v))})
 
 
+def oracle_successors(group: cw.PermutationGroup, walk) -> list[tuple[int, ...]]:
+    """The shunt images of the walk, sorted, from one scan of its shunts."""
+    return sorted({tuple(g[v] for v in walk) for g in oracle_shunts(group, walk)})
+
+
+def oracle_conditions(group: cw.PermutationGroup, walk) -> dict:
+    """``ConditionReport.to_json`` by element scans: the successor counts
+    off the shunt images, and J = <G_prefix, G_shifted> closed from the two
+    stabilizers' element lists, its orbit an image scan."""
+    walk = tuple(walk)
+    prefix = walk[:-1]
+    ell, k = len(oracle_successors(group, walk)), len(oracle_successors(group, prefix))
+    joined = cw.PermutationGroup.close(
+        oracle_stabilizer(group, prefix) + oracle_stabilizer(group, walk[1:]),
+        degree=group.degree)
+    prefix_succ = set(oracle_successors(group, prefix))
+    least = min(prefix_succ)
+    return {"walk": list(walk), "walk_successor_count": ell, "prefix_successor_count": k,
+            "a": not any(k % i == 0 for i in range(ell, k)),
+            "b": {tuple(g[v] for v in least) for g in joined.elements} == prefix_succ,
+            "c": set(joined.elements) == set(oracle_stabilizer(group, walk[1:-1])),
+            "joined_stabilizer_order": joined.order}
+
+
+def oracle_certificate(group: cw.PermutationGroup, graph: cw.Graph, walk,
+                       seed_length: int) -> dict:
+    """``certify_trivial_stabilizer`` by element scans: the seed's orbit
+    of 0 under its shunts, every longer prefix's conditions from
+    :func:`oracle_conditions`, the fix check and |G_(w)| by scans."""
+    walk = tuple(walk)
+    r = len(walk) - 1
+    seed = walk[: seed_length + 1]
+    gens, orbit, frontier = oracle_shunts(group, seed), {0}, [0]
+    while frontier:
+        frontier = {g[x] for x in frontier for g in gens} - orbit
+        orbit.update(frontier)
+    cert = {"walk": list(walk),
+            "seed": {"length": seed_length, "walk": list(seed),
+                     "shunt_group_transitive": len(orbit) == graph.vertex_count},
+            "prefix_conditions": [],
+            "stabilizer_order": len(oracle_stabilizer(group, walk))}
+    if len(orbit) < graph.vertex_count:
+        return {**cert, "certified": False,
+                "failure_reason": f"seed walk {list(seed)} is not reaching every vertex"}
+    for n in range(seed_length, r):
+        report = oracle_conditions(group, walk[: n + 2])
+        cert["prefix_conditions"].append({"n": n, **{c: report[c] for c in "abc"}})
+        if not (report["a"] or report["b"] or report["c"]):
+            return {**cert, "certified": False,
+                    "failure_reason": f"prefix of length {n} violates all three conditions"}
+    if not oracle_fixes_successors(group, walk):
+        return {**cert, "certified": False, "failure_reason": "final fix check"}
+    return {**cert, "certified": True}
+
+
 def oracle_fixes_successors(group: cw.PermutationGroup, walk) -> bool:
     """Every stabilizer element fixes every successor (a shunt image of
     the walk) pointwise."""

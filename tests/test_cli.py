@@ -140,6 +140,22 @@ def test_property_r_closes_its_shunt_group_under_the_group_order(monkeypatch, ca
     assert caps == [json.loads(out)["input"]["group_order"]] == [48]
 
 
+def test_property_r_refuses_a_bad_target_before_closing(monkeypatch, capsys):
+    closed = []
+    close = PermutationGroup.close.__func__
+
+    def recording_close(cls, generators, degree=None, cap=perms_module.DEFAULT_GROUP_CAP):
+        closed.append(cap)
+        return close(cls, generators, degree, cap)
+
+    monkeypatch.setattr(PermutationGroup, "close", classmethod(recording_close))
+    code, out, err = run_cli(["property-r", "--graph", "hypercube:3", "--walk", "0,1,3",
+                              "--target", "99"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "BadParameters"
+    assert closed == []
+
+
 def test_graph_json_file_with_generators(tmp_path, capsys):
     data = {"vertices": 6,
             "edges": [[i, (i + 1) % 6] for i in range(6)],

@@ -166,7 +166,7 @@ def test_find_trivial_walk_4valent_trivial_arc_branch(group_queries):
     assert (cert["branch"], cert["arc_local_order"]) == ("trivial-arc-action", 1)
     assert cert["certified"] and cert["stabilizer_order"] == 1
     assert witness == cw.is_consistent(affine, k5, (0, 1))
-    assert calls == [("transporter", (0,), (1,))]
+    assert calls == [("coset", (0,), (1,))]
 
 
 def test_find_trivial_walk_4valent_errors(family):
@@ -351,7 +351,7 @@ def test_extend_while_branching_matches_successor_queries(name, finder, family):
     graph, group = family[name]
     witness, _ = finder(group, graph)
     start = witness.walk[:3]
-    extended, counts = _extend_while_branching(start, cw.shunts(group, graph, start))
+    extended, counts = _extend_while_branching(start, group.coset(start[:-1], start[1:]))
     walk = extended.walk
     assert walk == witness.walk
     assert extended == cw.is_consistent(group, graph, walk)
@@ -371,7 +371,7 @@ def test_extend_while_branching_matches_successor_queries(name, finder, family):
     ("k5", cw.find_trivial_walk_4valent), ("q4", cw.find_trivial_walk_4valent),
 ])
 def test_search_returns_the_witness_it_holds(name, finder, family, group_queries):
-    # the extension's split holds the witness and the certificate reads the
+    # the extension's descent holds the witness and the certificate reads the
     # search's coset, so the returned walk's coset is asked only when the
     # walk is the arc the search asked, and no query repeats; the public
     # certificate asks its seed's coset alone
@@ -380,9 +380,9 @@ def test_search_returns_the_witness_it_holds(name, finder, family, group_queries
     walk, seed = witness.walk, tuple(cert["seed"]["walk"])
     _, cert_calls = group_queries(group, lambda: cw.certify_trivial_stabilizer(
         group, graph, walk, seed_length=cert["seed"]["length"]))
-    assert cert_calls == [("transporter", seed[:-1], seed[1:])]
+    assert cert_calls == [("coset", seed[:-1], seed[1:])]
     assert len(set(calls)) == len(calls), calls
-    assert calls.count(("transporter", walk[:-1], walk[1:])) == (len(walk) == 2), calls
+    assert calls.count(("coset", walk[:-1], walk[1:])) == (len(walk) == 2), calls
 
 
 @pytest.mark.parametrize("method", ["wps", "4valent", "exhaustive"])
@@ -403,7 +403,8 @@ def test_trivial_walk_methods_ask_no_coset_twice(method, family, group_queries):
 
 def test_structural_searches_ask_one_coset_at_the_base_point(family, group_queries):
     # 4valent asks its arc's coset alone; wps reads G_0 for the local
-    # action, then asks one coset rooted at 0, whose inverses are its shunts
+    # action, then asks one coset rooted at 0, (0, x) onto (y, 0), which
+    # holds the shunts of (x, 0, y)
     searched = []
     for name, (graph, group) in sorted(family.items()):
         for method, finder in (("4valent", cw.find_trivial_walk_4valent),
@@ -414,9 +415,9 @@ def test_structural_searches_ask_one_coset_at_the_base_point(family, group_queri
                 continue
             searched.append((name, method))
             if method == "4valent":
-                assert calls == [("transporter", (0,), (graph.adj[0][0],))], (name, calls)
+                assert calls == [("coset", (0,), (graph.adj[0][0],))], (name, calls)
                 continue
-            cosets = [call for call in calls if call[0] == "transporter"]
+            cosets = [call for call in calls if call[0] == "coset"]
             assert len(cosets) == 1 and cosets[0][1][0] == 0, (name, calls)
             assert [call for call in calls if call not in cosets] == [
                 ("pointwise_stabilizer", (0,))], (name, calls)

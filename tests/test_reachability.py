@@ -252,12 +252,12 @@ def test_check_conditions_queries_the_group_once_at_the_first_vertex(family, c4_
     for graph, group in cases:
         for walk in all_consistent_walks_up_to(group, graph, 3):
             _, calls = group_queries(group, lambda: cw.check_conditions(group, graph, walk))
-            assert calls == [("transporter", walk[:-2], walk[1:-1])], (walk, calls)
+            assert calls == [("coset", walk[:-2], walk[1:-1])], (walk, calls)
 
 
 def test_walk_queries_ask_the_group_once(family, group_queries):
     # each answer is read off the walk's shunt coset, asked once; the shunt
-    # group closes that coset and asks for no G_prefix
+    # group closes that coset, listed, and asks for no G_prefix
     k4, _ = family["k4"]
     a4 = cw.PermutationGroup.close([cw.Perm.from_cycles(4, (0, 1, 2)),
                                     cw.Perm.from_cycles(4, (1, 2, 3))])
@@ -267,11 +267,12 @@ def test_walk_queries_ask_the_group_once(family, group_queries):
             oracles.random_consistent_walk(group, graph, rng, max_length=4)
             for _ in range(2)]
         for walk in walks:
-            coset = [("transporter", walk[:-1], walk[1:])]
             for query in (cw.successors, cw.successor_count, cw.reachability_by_chase,
                           cw.stabilizer_fixes_successors, cw.reachability_by_shunt_group):
+                method = ("transporter" if query is cw.reachability_by_shunt_group
+                          else "coset")
                 _, calls = group_queries(group, lambda: query(group, graph, walk))
-                assert calls == coset, (query.__name__, walk, calls)
+                assert calls == [(method, walk[:-1], walk[1:])], (query.__name__, walk, calls)
 
 
 def test_conditions_lift_property_r_exhaustively(family):
@@ -359,7 +360,7 @@ def test_certify_failure_reasons(family):
 
 def test_certify_asks_the_group_once(family, group_queries):
     # only the seed's shunt coset; every prefix's conditions, the fix check
-    # and the stabilizer order are read off its splits down the walk
+    # and the stabilizer order are read off its descent down the walk
     rng = random.Random(23)
     for name, (graph, group) in sorted(family.items()):
         walks = [(0, graph.adj[0][0])] + [
@@ -370,7 +371,7 @@ def test_certify_asks_the_group_once(family, group_queries):
                 k = min(seed_length, len(walk) - 1)
                 _, calls = group_queries(group, lambda: cw.certify_trivial_stabilizer(
                     group, graph, walk, seed_length=seed_length))
-                assert calls == [("transporter", walk[:k], walk[1:k + 1])], (name, walk, calls)
+                assert calls == [("coset", walk[:k], walk[1:k + 1])], (name, walk, calls)
 
 
 def test_certify_seed_edge_cases(family, group_queries):
@@ -477,3 +478,24 @@ def test_sim_alpha_errors(family):
         cw.successor_reachability_classes(aut, c6, (0, 1))
     with pytest.raises(OrbitTooLarge):
         cw.successor_reachability_classes(aut, c6, (0, 1, 2), cap=3)
+
+
+def test_bad_parameters_refused_before_any_group_query(group_queries):
+    # a bad target and a walk too short for the relation are refused before
+    # the walk's coset is asked, also on a walk that no element shunts
+    c6 = cw.named_graph("cycle:6")
+    trivial = cw.PermutationGroup.close([], degree=6)
+
+    def refusal(query, exc):
+        try:
+            query()
+        except exc as caught:
+            return type(caught)
+        raise AssertionError(f"{exc.__name__} was not raised")
+
+    for query, exc in (
+            (lambda: cw.reachability_by_chase(trivial, c6, (0, 1), target=99), BadParameters),
+            (lambda: cw.reachability_by_chase(trivial, c6, (0, 1), target=-1), BadParameters),
+            (lambda: cw.successor_reachability_classes(trivial, c6, (0, 1)), WalkTooShort)):
+        refused, calls = group_queries(trivial, lambda: refusal(query, exc))
+        assert (refused, calls) == (exc, [])
