@@ -33,7 +33,7 @@ from .errors import (
     invariant,
 )
 from .graphs import Graph, is_arc_transitive, is_n_arc_transitive, local_group
-from .perms import PermutationGroup, least_in_coset, tuple_orbit_under
+from .perms import PermutationGroup, tuple_orbit_under
 from .walks import (Coset, ConsistencyWitness, Walk, _step_coset, _successor_ends,
                     _walk_classes, consistent_cycle_orbits)
 from .reachability import _certificate
@@ -119,7 +119,7 @@ def _extend_while_branching(walk: Walk, coset: Coset) -> tuple[ConsistencyWitnes
                 counts.append(len(ends))
                 break
         else:
-            shunt = least_in_coset(coset[1].generators, coset[0])
+            shunt = coset[1].least_in_coset(coset[0])
             return ConsistencyWitness(walk=walk, shunt=shunt), counts
 
 
@@ -188,7 +188,7 @@ def find_trivial_walk_4valent(group: PermutationGroup,
         cert.update({"method": "4valent", "branch": "dihedral-local"})
         return witness, cert
     if h_order == 1:
-        shunt = least_in_coset(arc[1].generators, arc[0])
+        shunt = arc[1].least_in_coset(arc[0])
         witness = ConsistencyWitness(walk=(u, v), shunt=shunt)
         branch = "trivial-arc-action"
     else:

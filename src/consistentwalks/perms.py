@@ -9,46 +9,44 @@ a breadth-first closure over a group's one generator tuple
 (:func:`tuple_orbit_under` runs it over any generators, so an orbit under
 a generated group needs no closure of that group).
 
-Every stabilizer query walks one descent (Sims 1970; Seress, *Permutation
-Group Algorithms*, 2003, ch. 4-5).  :func:`point_stabilizer` gives, for
-any generators and a point, the Schreier-tree transversal of the point's
-orbit and generators of its stabilizer, the Schreier generators kept
-short by Sims' filter.  A group keeps each point stabilizer it builds
-this way, as a group of its own (:meth:`PermutationGroup._stabilizer`,
-the only route to a point stabilizer), and answers :meth:`coset`, one
-element and its stabilizer, ``orbit_stabilizer`` and ``least_image`` by
-walking the points down those kept stabilizers.  Such a group is a
-stabilizer chain down its least moved points, built only when its order,
-its membership or its elements are read: its first base point beta is
-the least point its generators move, and the chain goes on in the kept
-G_beta.  The
-automorphism group (:meth:`PermutationGroup.from_strong_generators`)
-comes with that chain already built from the search's strong generators.
-A chain's order is a product of orbit lengths, membership is a sift, and
-its elements are expanded from the transversals, already in
-lexicographic order.  :func:`generated_order` reads the same chain of
+A group is its generators, a stabilizer chain down its least moved
+points and its order.  Every stabilizer query walks one descent (Sims
+1970; Seress, *Permutation Group Algorithms*, 2003, ch. 4-5).
+:func:`point_stabilizer` gives, for any generators and a point, the
+Schreier-tree transversal of the point's orbit and generators of its
+stabilizer, the Schreier generators kept short by Sims' filter.  A group
+keeps each point stabilizer it builds this way, as a group of its own
+(:meth:`PermutationGroup._stabilizer`, the only route to a point
+stabilizer), and answers :meth:`coset`, one element and its stabilizer,
+``orbit_stabilizer`` and ``least_image`` by walking the points down those
+kept stabilizers.  The chain is built only when a query needs it: its
+first base point beta is the least point the generators move, and it goes
+on in the kept G_beta.  The automorphism group
+(:meth:`PermutationGroup.from_strong_generators`) comes with its chain
+already built from the search's strong generators.  The order is a
+product of orbit lengths, kept once known and handed to each stabilizer
+built after that; membership is a sift; the elements are expanded from
+the transversals and sorted.  :func:`generated_order` reads the chain of
 the group its generators generate.  One greedy step down the descent
-(:func:`_least_lift`) answers both :func:`least_in_coset`, over the points
-0, 1, ..., which is that chain, and :meth:`PermutationGroup.least_image`,
-over the tuple's points.
+(:func:`_least_lift`) answers both :meth:`PermutationGroup.least_in_coset`,
+over the points 0, 1, ..., which is the group's chain, and
+:meth:`PermutationGroup.least_image`, over the tuple's points.
 
-A group built from an element list (:meth:`PermutationGroup.close`,
-Dimino's closure, which grows the subgroup generated so far a whole right
-coset at a time) is materialized instead; its point stabilizers come from
-its generators all the same.  No other module reads how a group is
+:meth:`PermutationGroup.close` runs Dimino's closure, which grows the
+subgroup generated so far a whole right coset at a time, and keeps it,
+sorted, as the group's elements.  No other module reads how a group is
 stored.  Everything here is immutable and safe to share: kept
-stabilizers and expanded elements are caches of immutable data, and two
-racing builds store equal values.
+stabilizers, orders and expanded elements are caches of immutable data,
+and two racing builds store equal values.
 
-Each answer is computed once.  A ``PermutationGroup`` trusts its element
-list to be a group in lexicographic order, and a coset answer is not
-re-derived; the test suite checks both for every group and query it
-builds (``tests/conftest.py``).
+Each answer is computed once.  A closure or an expansion is trusted to be
+a group in lexicographic order, and a coset answer is not re-derived; the
+test suite checks both for every group and query it builds
+(``tests/conftest.py``).
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections.abc import Iterable, Sequence
@@ -296,14 +294,14 @@ def _least_moved(degree: int, generators: Sequence[Perm]) -> int:
 def generated_order(degree: int, generators: Sequence[Perm]) -> int:
     """|H| for H = <generators>: the product of its basic orbit lengths
     down its chain of point stabilizers, so no group is closed."""
-    return PermutationGroup._generated(degree, generators).order
+    return PermutationGroup(degree, generators).order
 
 
 def least_in_coset(generators: Sequence[Perm], g: Perm) -> Perm:
-    """The lexicographically least element of the coset <generators> * g:
-    :func:`_least_lift` over the points 0, 1, ..., which walks the chain
-    of <generators> down its base points."""
-    return _least_lift(PermutationGroup._generated(len(g), generators), range(len(g)), g)
+    """The lexicographically least element of the coset <generators> * g,
+    for a caller that holds generators and no group: a fresh group's
+    :meth:`PermutationGroup.least_in_coset`."""
+    return PermutationGroup(len(g), generators).least_in_coset(g)
 
 
 def _least_lift(group: "PermutationGroup", points: Iterable[int], a: Perm) -> Perm:
@@ -315,11 +313,11 @@ def _least_lift(group: "PermutationGroup", points: Iterable[int], a: Perm) -> Pe
     is the least a-image of p's orbit under H, reached by u_b * a for the
     transversal element u_b sending p to that b.  The elements of the
     coset with that image at p are H_p * u_b * a, so the search goes on
-    in H_p and stops once that has no generators.  Every step is one
+    in H_p and stops once that is trivial.  Every step is one
     :meth:`PermutationGroup._stabilizer`, kept on the group it descends.
     """
     for p in points:
-        if not group.generators:
+        if group._base == group.degree:
             break
         trans, group = group._stabilizer(p)
         a = trans[min(trans, key=a.__getitem__)] * a
@@ -327,35 +325,29 @@ def _least_lift(group: "PermutationGroup", points: Iterable[int], a: Perm) -> Pe
 
 
 class PermutationGroup:
-    """A finite permutation group, materialized or a stabilizer chain.
+    """A finite permutation group: its generators, its stabilizer chain and
+    its order.
 
-    ``elements`` is a group in lexicographic order, so every iteration
-    order downstream is deterministic and the identity comes first.  A
-    group built by the constructor holds them from the start: it checks
-    only that the identity comes first, in O(1), not order, closure or
-    inverses, and its one library caller, :meth:`close`, passes a Dimino
-    closure sorted once.  Membership is then a bisection.
-
-    Any other group is given by generators, and its chain is its descent
-    at its base point, the least point they move: the transversal of that
-    point's orbit and the kept stabilizer, itself such a group.  Its order,
-    membership test and elements read that chain; the elements are
-    expanded on first read.  Every group keeps the point stabilizers its
-    queries build (:meth:`_stabilizer`).
+    The chain is the descent at the base point beta, the least point the
+    generators move: the transversal of beta's orbit and the kept
+    stabilizer G_beta, itself such a group, built when a query first needs
+    it.  ``elements`` is the group in lexicographic order, so every
+    iteration order downstream is deterministic and the identity comes
+    first; :meth:`close` keeps its closure as them, and any other group
+    expands them from the chain on first read.
     """
 
-    __slots__ = ("degree", "_elements", "_generators", "_base", "_stabilizers")
+    __slots__ = ("degree", "_generators", "_base", "_order", "_elements", "_stabilizers")
 
-    def __init__(self, degree: int, elements: Iterable[Perm], generators=None):
+    def __init__(self, degree: int, generators: Iterable[Perm]):
         self.degree = degree
-        self._elements: tuple[Perm, ...] | None = tuple(elements)
-        self._generators = tuple(generators) if generators is not None else None
-        # the chain's base point, degree for a trivial chain; None when materialized
-        self._base: int | None = None
+        self._generators: tuple[Perm, ...] = tuple(generators)
+        # the chain's base point, degree for the trivial group
+        self._base = _least_moved(degree, self._generators)
+        self._order: int | None = 1 if self._base == degree else None
+        self._elements: tuple[Perm, ...] | None = None
         # point a -> (a's orbit point b -> u with u[a] == b, the stabilizer G_a)
         self._stabilizers: dict[int, tuple[dict[int, Perm], PermutationGroup]] = {}
-        if not self._elements or self._elements[0] != Perm.identity(degree):
-            raise BadParameters("identity missing from element set")
 
     # -- construction ------------------------------------------------------
 
@@ -364,7 +356,8 @@ class PermutationGroup:
               cap: int = DEFAULT_GROUP_CAP) -> "PermutationGroup":
         """The group generated by ``generators``, closed coset by coset.
 
-        Its generators are those the closure kept.  Raises
+        Its generators are those the closure kept, and it keeps the closure,
+        sorted, as its elements and their count as its order.  Raises
         :class:`CapExceeded` once the closure holds over ``cap`` elements.
         """
         gens = _as_perms(generators)
@@ -381,16 +374,9 @@ class PermutationGroup:
         if len(elements) > cap:
             raise CapExceeded(f"group closure reached {len(elements)} elements, "
                               f"over the cap of {cap}")
-        return cls(degree, sorted(map(Perm, elements)), generators=kept)
-
-    @classmethod
-    def _generated(cls, degree: int, generators: Sequence[Perm]) -> "PermutationGroup":
-        """The group ``generators`` generate, as a chain down its least moved
-        points: nothing is built until a query reads it."""
-        group = cls.__new__(cls)
-        group.degree, group._generators, group._stabilizers = degree, tuple(generators), {}
-        group._base = _least_moved(degree, group._generators)
-        group._elements = (Perm.identity(degree),) if group._base == degree else None
+        group = cls(degree, kept)
+        group._elements = tuple(sorted(map(Perm, elements)))
+        group._order = len(elements)
         return group
 
     @classmethod
@@ -407,7 +393,7 @@ class PermutationGroup:
         G_beta as its stabilizer at beta, and ``order`` is the orbit length
         times |G_beta|.
         """
-        group = cls._generated(degree, generators)
+        group = cls(degree, generators)
         beta = group._base
         if beta < degree:
             rest = [g for g in group._generators if g[beta] == beta]
@@ -418,23 +404,26 @@ class PermutationGroup:
     def _stabilizer(self, point: int) -> tuple[dict[int, Perm], "PermutationGroup"]:
         """The descent's one step: the transversal of ``point``'s orbit and
         the stabilizer G_point, as :func:`point_stabilizer` gives them from
-        the generators, kept on the group from the first query on.
+        the generators, kept on the group from the first query on.  A group
+        whose order is known hands G_point its order, |G| / |point^G|.
 
         At a chain's base point this is the chain's own level.  A point
         every generator fixes has the group itself as its stabilizer.
         """
         level = self._stabilizers.get(point)
         if level is None:
-            gens = self.generators
+            gens = self._generators
             if all(g[point] == point for g in gens):
                 return {point: self.identity}, self
-            trans, stabilizer = point_stabilizer(self.degree, gens, point)
-            level = self._stabilizers[point] = (
-                trans, PermutationGroup._generated(self.degree, stabilizer))
+            trans, generators = point_stabilizer(self.degree, gens, point)
+            stabilizer = PermutationGroup(self.degree, generators)
+            if self._order is not None:
+                stabilizer._order = self._order // len(trans)
+            level = self._stabilizers[point] = (trans, stabilizer)
         return level
 
     def _expand(self) -> tuple[Perm, ...]:
-        """A chain's elements in lexicographic order, from its transversals.
+        """The elements in lexicographic order, from the chain's transversals.
 
         Every element of a chain group is h*u for one h in G_beta and one u
         in the transversal, so every element is u_k * ... * u_1, one
@@ -463,10 +452,11 @@ class PermutationGroup:
 
     @property
     def order(self) -> int:
-        if self._elements is not None:
-            return len(self._elements)
-        trans, stabilizer = self._stabilizer(self._base)
-        return len(trans) * stabilizer.order
+        """|G|, the orbit length at the base point times |G_beta|, kept."""
+        if self._order is None:
+            trans, stabilizer = self._stabilizer(self._base)
+            self._order = len(trans) * stabilizer.order
+        return self._order
 
     @property
     def identity(self) -> Perm:
@@ -474,26 +464,23 @@ class PermutationGroup:
 
     @property
     def generators(self) -> tuple[Perm, ...]:
-        if self._generators is None:
-            self._generators = self.small_generating_set()
         return self._generators
 
     def __contains__(self, p) -> bool:
-        """A bisection of the elements, or down a chain a sift: p lies in
-        the chain group iff u = u_(p[beta]) exists and p * u^-1 lies in G_beta."""
+        """A sift down the chain: p lies in the group iff u = u_(p[beta])
+        exists and p * u^-1 lies in G_beta, and in the trivial group iff it
+        is the identity."""
         if sorted(p) != list(self.identity):  # no permutation of the degree
             return False
         group, p = self, Perm(p)
-        while group._elements is None:
+        while group._base < group.degree:
             beta = group._base
             trans, group = group._stabilizer(beta)
             u = trans.get(p[beta])
             if u is None:
                 return False
             p = p * u.inverse()
-        elements = group.elements
-        i = bisect.bisect_left(elements, p)
-        return i < len(elements) and elements[i] == p
+        return p.is_identity()
 
     def __iter__(self):
         return iter(self.elements)
@@ -509,7 +496,8 @@ class PermutationGroup:
 
         Each element, in lexicographic order, that lies outside the subgroup
         H generated so far joins the sequence, and H grows to <H, p> coset
-        by coset (Dimino's closure) until it is the whole group.
+        by coset (Dimino's closure) until it is the whole group.  No library
+        path calls it; the tests and ``perfbench/tracer.py`` call it by name.
         """
         return tuple(_dimino(self.degree, self.elements, self.order - 1)[1])
 
@@ -568,6 +556,12 @@ class PermutationGroup:
         _check_points(self.degree, (point,))
         trans, stabilizer = self._stabilizer(point)
         return dict(trans), list(stabilizer.generators)
+
+    def least_in_coset(self, a: Perm) -> Perm:
+        """The lexicographically least element of the coset G * a:
+        :func:`_least_lift` over the points 0, 1, ..., which walks the
+        group's own chain down its base points and keeps what it builds."""
+        return _least_lift(self, range(self.degree), a)
 
     def least_image(self, tup: Sequence[int]) -> tuple[int, ...]:
         """The lexicographically least image of a point tuple under the group.

@@ -51,10 +51,14 @@ def reachability_by_shunt_group(group: PermutationGroup, graph: Graph,
     The whole shunt coset G_prefix * s, as :func:`walks.shunts` lists it,
     generates <G_prefix, s> and is closed as it is: the one walk query that
     lists a coset and the one closure left here, though |H| = |G_prefix| *
-    |prefix^H| needs only H's generators, as in `check_conditions`.  The
-    walk-queries benchmark's child keeps every latency, so that faster
-    route runs more passes and reads 20% more peak RSS, over the metric's
-    10% bound; the switch waits for a child that stores them compactly.
+    |prefix^H| needs only H's generators, as in `check_conditions`.
+    Sorting the closure into the elements that ``close`` keeps is most of
+    a walk-queries pass: without it a pass takes about 0.04 s instead of
+    0.10 s (seed 1, in one process, best of 15, 2-core machine).  The
+    walk-queries benchmark's child keeps every latency, so either faster
+    route runs more passes and reads over 20% more peak RSS, over the
+    metric's 10% bound; the switch waits for a child that stores them
+    compactly, and until then ``close`` keeps its sorted closure.
     """
     w = validate_walk(graph, walk)
     shs = shunts(group, graph, w)

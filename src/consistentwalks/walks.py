@@ -86,8 +86,7 @@ def is_consistent(group: PermutationGroup, graph: Graph,
     """A witness with the lexicographically smallest shunt, or None."""
     w = validate_walk(graph, walk)
     found = group.coset(w[:-1], w[1:])
-    return found and ConsistencyWitness(walk=w,
-                                        shunt=least_in_coset(found[1].generators, found[0]))
+    return found and ConsistencyWitness(walk=w, shunt=found[1].least_in_coset(found[0]))
 
 
 def _shunt_coset(group: PermutationGroup, w: Walk) -> Coset:

@@ -40,12 +40,13 @@ def group_answers_rederived():
 
     The library computes each answer once.  Here, for the whole session,
     every ``PermutationGroup`` is checked to list its elements in strictly
-    increasing order, which its constructor trusts, and to be closed under
-    inverses: a group built by the constructor when it is built, and a
-    stabilizer chain, built without the constructor, when its elements are
-    expanded, whose count must then be its order.  Every coset answer's
-    lift must map ``src`` onto ``dst``, every generator of its stabilizer
-    must fix ``src``, and the stabilizer must be the very group
+    increasing order, which the library trusts, and to be closed under
+    inverses: a group built by ``close`` when it is built, and any other
+    group when its elements are expanded, whose count must then be its
+    order.  No check wraps the constructor, since reading the elements of
+    every group it builds would expand every chain in the suite.  Every
+    coset answer's lift must map ``src`` onto ``dst``, every generator of
+    its stabilizer must fix ``src``, and the stabilizer must be the very group
     ``pointwise_stabilizer(src)`` returns, whose levels
     ``stabilizer_answers_rederived`` re-derives.  Every transporter answer
     must map ``src`` onto ``dst``, and every nonempty one must be the coset
@@ -56,7 +57,7 @@ def group_answers_rederived():
     apply_perm(h, w)).  The methods are wrapped on the class itself, so
     every caller in every module goes through the checks.
     """
-    init, expand = PermutationGroup.__init__, PermutationGroup._expand
+    close, expand = PermutationGroup.close.__func__, PermutationGroup._expand
     transporter, coset = PermutationGroup.transporter, PermutationGroup.coset
 
     def check_elements(group, elements):
@@ -66,10 +67,11 @@ def group_answers_rederived():
         for p in elements:
             assert p.inverse() in members, f"inverse of {p} missing from {group!r}"
 
-    @functools.wraps(init)
-    def checked_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        check_elements(self, self.elements)
+    @functools.wraps(close)
+    def checked_close(cls, *args, **kwargs):
+        group = close(cls, *args, **kwargs)
+        check_elements(group, group.elements)
+        return group
 
     @functools.wraps(expand)
     def checked_expand(self):
@@ -105,14 +107,14 @@ def group_answers_rederived():
                 f"transporter {tuple(src)} -> {tuple(dst)} is not a coset of G_{tuple(src)}")
         return found
 
-    PermutationGroup.__init__ = checked_init
+    PermutationGroup.close = classmethod(checked_close)
     PermutationGroup._expand = checked_expand
     PermutationGroup.transporter = checked_transporter
     PermutationGroup.coset = checked_coset
     try:
         yield
     finally:
-        PermutationGroup.__init__ = init
+        PermutationGroup.close = classmethod(close)
         PermutationGroup._expand = expand
         PermutationGroup.transporter = transporter
         PermutationGroup.coset = coset

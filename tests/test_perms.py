@@ -83,6 +83,42 @@ def test_close_group_transpositions_give_symmetric_group():
     assert set(group.elements) == {Perm(p) for p in permutations(range(5))}
 
 
+def test_constructor_equals_close_on_generator_and_element_lists(family):
+    # a group is the chain of whatever list generates it: generators, a
+    # whole element list with or without the identity, or nothing at all
+    d4 = PermutationGroup.close([ROTATION, REFLECTION])
+    lists = [(4, [ROTATION, REFLECTION]), (4, list(d4.elements)),
+             (4, list(d4.elements[1:])), (4, [])]
+    for name in ("k4", "petersen", "c4k2"):
+        aut = family[name][1]
+        local = aut.pointwise_stabilizer((0,))
+        lists += [(aut.degree, list(aut.generators)), (aut.degree, list(local.elements))]
+    for degree, generators in lists:
+        chain = PermutationGroup(degree, generators)
+        closed = PermutationGroup.close(generators, degree=degree)
+        assert chain.order == closed.order, (degree, len(generators))
+        assert chain.elements == closed.elements, (degree, len(generators))
+
+
+def test_a_stabilizer_of_a_group_of_known_order_keeps_its_order(monkeypatch):
+    # |G_p| = |G| / |p^G|: once |G| is read, a new point stabilizer reads
+    # its order without building a chain of its own; a fresh Aut(Q3[2K1]),
+    # so no earlier query has built that chain
+    aut = cw.automorphism_group(cw.lex_blowup(cw.named_graph("hypercube:3"), 2))
+    assert aut.order == 12288
+    stab = aut.pointwise_stabilizer((5,))  # off the chain's base point 0
+    built = []
+    point_stabilizer = perms_module.point_stabilizer
+
+    def counting(degree, generators, point):
+        built.append(point)
+        return point_stabilizer(degree, generators, point)
+
+    monkeypatch.setattr(perms_module, "point_stabilizer", counting)
+    assert stab.order == aut.order // len(aut.orbit(5))
+    assert built == []
+
+
 def test_close_group_cap(family):
     with pytest.raises(CapExceeded):
         PermutationGroup.close([ROTATION, REFLECTION], cap=5)
@@ -351,13 +387,6 @@ def test_membership_of_plain_tuples(family):
         assert images not in aut
 
 
-def test_group_without_identity_refused():
-    d4 = PermutationGroup.close([ROTATION, REFLECTION])
-    for elements in ([g for g in d4.elements if not g.is_identity()], []):
-        with pytest.raises(BadParameters, match="identity missing"):
-            PermutationGroup(4, elements)
-
-
 def test_close_group_orders_match_sympy(ladder):
     combinatorics = pytest.importorskip("sympy.combinatorics")
     for name, (graph, group) in ladder.items():
@@ -423,7 +452,8 @@ def test_transversal_expansion_is_closed_under_strong_generators(ladder):
     # |G| is the orbit product by construction, so closure is the real check
     for name, (graph, group) in ladder.items():
         strong = graphs_module._strong_generators(graph)[0]
-        assert all(p * g in group for p in group.elements for g in strong), name
+        members = set(group.elements)
+        assert all(p * g in members for p in group.elements for g in strong), name
 
 
 def base_point(group: PermutationGroup) -> int:
@@ -584,8 +614,10 @@ def test_least_in_coset_is_the_minimum_of_the_coset(family, c4_wreath):
         for size in (0, 1, 2, 3):
             gens = rng.sample(aut.elements, size)
             g = rng.choice(aut.elements)
-            coset = [h * g for h in PermutationGroup.close(gens, degree=aut.degree)]
-            assert least_in_coset(gens, g) == min(coset), (name, size)
+            group = PermutationGroup.close(gens, degree=aut.degree)
+            coset = [h * g for h in group]
+            assert least_in_coset(gens, g) == group.least_in_coset(g) == min(coset), (
+                name, size)
 
 
 def test_off_base_queries_expand_only_the_final_stabilizer(monkeypatch):

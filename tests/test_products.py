@@ -69,7 +69,7 @@ def test_family_orbit_ids_match_transporter_oracle(spec):
     base = cw.named_graph(spec)
     fam = cw.blowup_cycle_family(base, cw.automorphism_group(base), 2)
     aut = cw.automorphism_group(fam.blowup)
-    # the chain, and the same group materialized
+    # the chain, and the same group closed
     for group in (aut, cw.PermutationGroup.close(aut.generators, degree=aut.degree)):
         table = cw.consistent_cycle_orbits(group, fam.blowup)
         assert cw.family_orbit_ids(fam, group, table) == (
