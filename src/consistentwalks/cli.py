@@ -33,7 +33,7 @@ from .graphs import (
     NAMED_KINDS,
     Graph,
     automorphism_group,
-    check_search_size,
+    check_graph_size,
     local_group,
     parse_edge_list_text,
     parse_named_spec,
@@ -135,7 +135,7 @@ def parse_inputs(args: argparse.Namespace) -> tuple[Graph, PermutationGroup, str
     The generators come from the group file, else from the graph file,
     else from the automorphism search.  Before the :class:`Graph` is built
     the vertex count is checked against the group file's declared degree
-    and the length of every generator, or against the search's limit.
+    and the length of every generator, or against the largest degree.
     Supplied generators are then verified to be automorphisms.
     """
     n, edges, raw = _read_graph(args.graph)
@@ -147,7 +147,7 @@ def parse_inputs(args: argparse.Namespace) -> tuple[Graph, PermutationGroup, str
             raise ParseError(f"{args.group_file}: declared degree {declared} differs "
                              f"from the graph's {n} vertices")
     if raw is None:
-        check_search_size(n)
+        check_graph_size(n)
         graph = Graph(n, edges)
         return graph, automorphism_group(graph, cap=args.cap_group), "aut"
     for images in raw:
@@ -205,7 +205,7 @@ def _payload_wps_check(graph, group, args) -> dict:
 
 
 def _payload_blowup_demo(graph, group, args) -> dict:
-    check_search_size(graph.vertex_count * args.m)
+    check_graph_size(graph.vertex_count * args.m)
     family = blowup_cycle_family(graph, group, args.m)
     blowup_group = automorphism_group(family.blowup, cap=args.cap_group)
     table = consistent_cycle_orbits(blowup_group, family.blowup)

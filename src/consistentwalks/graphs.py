@@ -1,19 +1,25 @@
 """Finite simple graphs and their automorphisms.
 
-Vertices are 0..n-1.  The automorphism search is a candidate-mask
-backtracking along the base 0..n-1, run level by level from the deepest
-point: at each level it looks for one automorphism per point that the
-stabilizer found so far does not yet reach, so it returns a strong
+Vertices are 0..n-1.  Open twins, vertices with one neighborhood, split
+the vertices into classes that every automorphism permutes, and Aut is
+the product of the symmetric groups of the classes extended by the
+automorphisms of the twin quotient that keep class sizes (Sabidussi 1961;
+Hemminger 1968).  So the automorphism search runs on that quotient, which
+is twin-free: a candidate-mask backtracking along its base, run level by
+level from the deepest point, that looks for one automorphism per point
+the stabilizer found so far does not yet reach.  It returns a strong
 generating set and |Aut| as a product of orbit lengths, not one leaf per
-automorphism.  An image that fails for a vertex fails for its twins too,
-which are then skipped.  Once the order has been checked against the cap,
-the group is kept as the stabilizer chain of those generators, and no
-element is built until one is read.  Graphs are limited to 64 vertices, so
-neighborhoods fit in machine-int bitmasks.
+automorphism, and its generators are lifted class to class, with the
+transpositions inside each class added.  Once the order has been checked
+against the cap, the group is kept as the stabilizer chain of those
+generators, and no element is built until one is read.  The search takes
+quotients of up to 64 vertices and graphs of up to 256, the largest
+permutation degree.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
@@ -29,7 +35,7 @@ from .errors import (
     UnknownSpec,
     invariant,
 )
-from .perms import DEFAULT_GROUP_CAP, Perm, PermutationGroup
+from .perms import DEFAULT_GROUP_CAP, DEGREE_LIMIT, Perm, PermutationGroup
 
 AUTOMORPHISM_VERTEX_LIMIT = 64
 # a hypercube:a spec above this has over 2**32 vertices, no graph ever built
@@ -228,7 +234,7 @@ def _refine(adj: Sequence[int], v: int, u: int, cand: list[int],
     return nxt
 
 
-def _first_completion(adj: Sequence[int], twins: Sequence[int], level: int, u: int,
+def _first_completion(adj: Sequence[int], level: int, u: int,
                       cand: list[int]) -> Perm | None:
     """The least automorphism fixing 0..level-1 and sending level to u, or None.
 
@@ -236,11 +242,6 @@ def _first_completion(adj: Sequence[int], twins: Sequence[int], level: int, u: i
     search with one stack frame (candidate masks, used mask, untried
     images) per assigned vertex after ``level``.  Each leaf is an
     automorphism by construction, so the first one is returned unchecked.
-    ``twins[w]`` is the mask of the vertices whose neighborhood is w's.
-    Once the image w of v has been tried without a completion, w's twins
-    are dropped from v's untried images: the transposition of w and an
-    unused twin w' is an automorphism fixing every image assigned so far,
-    so it would map a completion sending v to w' onto one sending v to w.
     """
     n = len(cand)
     used = (1 << level) - 1 | 1 << u
@@ -256,7 +257,7 @@ def _first_completion(adj: Sequence[int], twins: Sequence[int], level: int, u: i
         if avail:
             bit = avail & -avail
             w = bit.bit_length() - 1
-            avail &= ~twins[w]
+            avail ^= bit
             nxt = _refine(adj, v, w, cand, used | bit)
             if nxt is not None:
                 images[v] = w
@@ -271,32 +272,27 @@ def _first_completion(adj: Sequence[int], twins: Sequence[int], level: int, u: i
     return Perm(images)
 
 
-def _strong_generators(graph: Graph) -> tuple[list[Perm], list[int]]:
-    """Strong generators of Aut(graph) for the base 0..n-1, and its basic orbit lengths.
+def _search(adj: Sequence[int], colours: Sequence) -> tuple[list[Perm], list[int]]:
+    """Strong generators for the base 0..n-1 of the automorphisms of the
+    graph with bitmask rows ``adj`` that keep ``colours``, and its basic
+    orbit lengths.
 
     Level i runs from n-1 down to 0.  Every generator found at level i or
     deeper fixes 0..i-1.  For each candidate u of i, in increasing order,
     that is not yet in the orbit of i under those generators, the first
     automorphism fixing 0..i-1 and sending i to u (if any) joins them,
-    and the orbit grows by the new points it reaches.  When u has none, no
-    twin u' of u has one either: the transposition of u and u' fixes
-    0..i-1, so u's twin class leaves the level's candidates.  When level i
-    ends they generate the pointwise stabilizer of 0..i-1, and
-    ``lengths[i]`` is the length of its orbit of i, so |Aut| is the
-    product of the lengths (Sims 1970; Butler 1991).  Each completion
-    search is a subtree of the full backtrack tree, and no subtree is
-    searched twice.
+    and the orbit grows by the new points it reaches.  When level i ends
+    they generate the pointwise stabilizer of 0..i-1, and ``lengths[i]``
+    is the length of its orbit of i, so the group's order is the product
+    of the lengths (Sims 1970; Butler 1991).  Each completion search is a
+    subtree of the full backtrack tree, and no subtree is searched twice.
     """
-    n = graph.vertex_count
-    adj, degs = graph.masks, graph.degrees
-    by_degree: dict[int, int] = {}
-    by_row: dict[int, int] = {}
-    for v in range(n):
-        by_degree[degs[v]] = by_degree.get(degs[v], 0) | 1 << v
-        by_row[adj[v]] = by_row.get(adj[v], 0) | 1 << v
-    twins = [by_row[row] for row in adj]
+    n = len(adj)
+    by_colour: dict = {}
+    for v, c in enumerate(colours):
+        by_colour[c] = by_colour.get(c, 0) | 1 << v
     # path[i]: the candidate masks of the identity path with 0..i-1 fixed
-    path = [[by_degree[d] for d in degs]]
+    path = [[by_colour[c] for c in colours]]
     for i in range(n - 1):
         path.append(_refine(adj, i, i, path[i], (1 << i + 1) - 1))
     gens: list[Perm] = []
@@ -310,9 +306,8 @@ def _strong_generators(graph: Graph) -> tuple[list[Perm], list[int]]:
             u = bit.bit_length() - 1
             if u in orbit:
                 continue
-            g = _first_completion(adj, twins, i, u, path[i])
+            g = _first_completion(adj, i, u, path[i])
             if g is None:
-                avail &= ~twins[u]
                 continue
             gens.append(g)
             # the orbit was closed under the others: old points see g alone
@@ -326,32 +321,93 @@ def _strong_generators(graph: Graph) -> tuple[list[Perm], list[int]]:
     return gens, lengths
 
 
-def check_search_size(vertex_count: int) -> None:
-    """Raise CapExceeded for a graph too large for the automorphism search."""
-    if vertex_count > AUTOMORPHISM_VERTEX_LIMIT:
-        raise CapExceeded(f"automorphism search on {vertex_count} vertices exceeds "
-                          f"the limit of {AUTOMORPHISM_VERTEX_LIMIT}")
+def twin_classes(graph: Graph) -> list[tuple[int, ...]]:
+    """The open-twin classes (vertices with one neighborhood), each sorted,
+    in the order of their least vertices."""
+    classes: dict[int, list[int]] = {}
+    for v, row in enumerate(graph.masks):
+        classes.setdefault(row, []).append(v)
+    return [tuple(members) for members in classes.values()]
+
+
+def _strong_generators(graph: Graph) -> tuple[list[Perm], list[int]]:
+    """Strong generators of Aut(graph) for the base 0..n-1, and its basic orbit lengths.
+
+    The quotient by open twins, class c for the c-th class by least
+    vertex, coloured by (class size, degree), is searched by
+    :func:`_search`.  Each of its generators is lifted class to class,
+    the j-th member onto the j-th, and the transpositions of consecutive
+    members of each class are added.  Those fixing 0..v-1 generate the
+    stabilizer of 0..v-1 for every v: the classes meeting 0..v-1 are a
+    prefix of the quotient's base, and the members of a class below v are
+    its least ones.  The basic orbit of a class's least vertex is the
+    class times the class's quotient orbit, and of its j-th member the
+    |C| - j + 1 members from there on.  The list is sorted by first moved
+    point, deepest first, then by that point's image: the order in which
+    the search on the graph itself finds its generators, and that list is
+    this one when every class is a run of consecutive vertices, as the
+    fibers of a blow-up and the one-vertex classes of a twin-free graph
+    are.
+    """
+    n = graph.vertex_count
+    classes = twin_classes(graph)
+    if len(classes) > AUTOMORPHISM_VERTEX_LIMIT:
+        raise CapExceeded(f"automorphism search on a twin quotient of {len(classes)} "
+                          f"vertices exceeds the limit of {AUTOMORPHISM_VERTEX_LIMIT}")
+    # place[v]: v's class and v's rank in it
+    place = [(0, 0)] * n
+    for c, members in enumerate(classes):
+        for j, v in enumerate(members):
+            place[v] = (c, j)
+    bits = [1 << c for c, _ in place]
+    adj = [sum({bits[w] for w in graph.adj[members[0]]}) for members in classes]
+    colours = [(len(members), len(graph.adj[members[0]])) for members in classes]
+    quotient_gens, quotient_lengths = _search(adj, colours)
+    keyed = []
+    for q in quotient_gens:
+        images = [classes[q[c]][j] for c, j in place]
+        first = classes[next(c for c, d in enumerate(q) if c != d)][0]
+        keyed.append(((-first, images[first]), Perm(images)))
+    lengths = [1] * n
+    for c, members in enumerate(classes):
+        lengths[members[0]] = quotient_lengths[c] * len(members)
+        for j in range(1, len(members)):
+            v, w = members[j - 1], members[j]
+            images = list(range(n))
+            images[v], images[w] = w, v
+            keyed.append(((-v, w), Perm(images)))
+            lengths[w] = len(members) - j
+    keyed.sort()
+    return [g for _, g in keyed], lengths
+
+
+def check_graph_size(vertex_count: int) -> None:
+    """Raise CapExceeded for a graph over the largest permutation degree."""
+    if vertex_count > DEGREE_LIMIT:
+        raise CapExceeded(f"graph on {vertex_count} vertices exceeds "
+                          f"the limit of {DEGREE_LIMIT}")
 
 
 def automorphism_group(graph: Graph, cap: int = DEFAULT_GROUP_CAP) -> PermutationGroup:
     """The full automorphism group, as the stabilizer chain of its strong generators.
 
-    The level-by-level search (:func:`_strong_generators`) gives |Aut| as
-    a product of orbit lengths before any element is built, so a group
-    over ``cap`` is refused with its exact order.  Otherwise the group
-    keeps the search's strong generators as its generators and as a
-    stabilizer chain (:meth:`PermutationGroup.from_strong_generators`):
-    queries rooted at its first base point, 0 on a vertex-transitive
-    graph, are answered inside that point's stabilizer, queries rooted
-    elsewhere inside a stabilizer built from the generators and kept, and
-    no element is expanded until one is read.
-    Candidate masks are machine-int bitmasks, so graphs over
-    ``AUTOMORPHISM_VERTEX_LIMIT`` vertices are refused.
+    The level-by-level search of the twin quotient, lifted to the graph
+    (:func:`_strong_generators`), gives |Aut| as a product of orbit
+    lengths before any element is built, so a group over ``cap`` is
+    refused with its exact order.  Otherwise the group keeps those strong
+    generators as its generators and as a stabilizer chain
+    (:meth:`PermutationGroup.from_strong_generators`): queries rooted at
+    its first base point, 0 on a vertex-transitive graph, are answered
+    inside that point's stabilizer, queries rooted elsewhere inside a
+    stabilizer built from the generators and kept, and no element is
+    expanded until one is read.  A graph over ``DEGREE_LIMIT`` vertices,
+    or one whose twin quotient has over ``AUTOMORPHISM_VERTEX_LIMIT``, is
+    refused.
     """
     if cap < 1:
         raise BadParameters("cap must be >= 1")
     n = graph.vertex_count
-    check_search_size(n)
+    check_graph_size(n)
     gens, lengths = _strong_generators(graph)
     order = math.prod(lengths)
     if order > cap:
@@ -420,14 +476,9 @@ def is_arc_transitive(group: PermutationGroup, graph: Graph) -> bool:
 
 
 def twin_vertices(graph: Graph) -> list[tuple[int, int]]:
-    """All unordered pairs with identical neighborhoods."""
-    groups: dict[int, list[int]] = {}
-    for v in range(graph.vertex_count):
-        groups.setdefault(graph.masks[v], []).append(v)
-    pairs = []
-    for vs in groups.values():
-        pairs.extend((vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs)))
-    return sorted(pairs)
+    """All unordered pairs with identical neighborhoods, from :func:`twin_classes`."""
+    return sorted(pair for members in twin_classes(graph)
+                  for pair in itertools.combinations(members, 2))
 
 
 def blowup_point(v: int, i: int, m: int) -> int:

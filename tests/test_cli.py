@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -226,7 +230,10 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
                             "--cap-group", "10"], capsys)
     assert code == 2
     assert json.loads(err)["error"] == "CapExceeded"
-    for spec, n in (("cycle:65", 65), ("cycle:2000", 2000), ("cycle:20000", 20000)):
+    # cycle:65 is twin-free, so its quotient is over the search's 64 vertices;
+    # the longer cycles are over the 256-vertex limit and never built
+    for spec, n, limit in (("cycle:65", 65, "64"), ("cycle:2000", 2000, "256"),
+                           ("cycle:20000", 20000, "256")):
         started = time.perf_counter()
         code, out, err = run_cli(["orbits", "--graph", spec], capsys)
         assert time.perf_counter() - started < 10  # building the graph stays near-linear
@@ -234,7 +241,7 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
         assert len(err.splitlines()) == 1
         message = json.loads(err)
         assert message["error"] == "CapExceeded"
-        assert str(n) in message["message"] and "64" in message["message"]
+        assert str(n) in message["message"] and limit in message["message"]
     code, out, _ = run_cli(["orbits", "--graph", "cycle:64"], capsys)
     assert code == 0
     assert json.loads(out)["payload"]["orbit_count"] == 2
@@ -273,8 +280,8 @@ def test_oversized_graph_file_refused_before_building(tmp_path, monkeypatch, cap
         assert len(err.splitlines()) == 1
         message = json.loads(err)
         assert message["error"] == "CapExceeded"
-        assert "2000001" in message["message"] and "64" in message["message"]
-    assert all(n <= 64 for n in built)
+        assert "2000001" in message["message"] and "256" in message["message"]
+    assert all(n <= 256 for n in built)
 
 
 def test_group_file_degree_refuses_graph_before_building(tmp_path, monkeypatch, capsys):
@@ -466,8 +473,8 @@ def test_oversized_named_spec_and_blowup_refused_before_building(monkeypatch, ca
         assert len(err.splitlines()) == 1
         message = json.loads(err)
         assert message["error"] == "CapExceeded"
-        assert str(n) in message["message"] and "64" in message["message"]
-    assert built and all(n <= 64 for n in built)
+        assert str(n) in message["message"] and "256" in message["message"]
+    assert built and all(n <= 256 for n in built)
 
 
 def test_invariant_violation_exit_code(monkeypatch, capsys):
@@ -605,6 +612,53 @@ def test_blowup_demo_sweep_against_closed_forms(spec, vertices, aut_order, m, ca
     assert len(payload["census"]) == 3 * m
     assert payload["no_trivial_stabilizer"] is True
     assert payload["family_orbits_distinct"] is True
+
+
+def run_cli_process(args):
+    """``cwalks args`` in a child process: (exit code, stdout, stderr).
+
+    The session's hooks in ``conftest.py`` re-derive every point stabilizer
+    with sympy's Schreier-Sims, about 3 s each at degree 100 and over a
+    hundred of them in one census at that scale, so the scale tests run
+    the CLI on its own and check it against closed forms alone.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "consistentwalks.cli", *args],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("spec, vertices, aut_order, m", [("hypercube:3", 8, 48, 16),
+                                                         ("petersen", 10, 120, 10)])
+def test_blowup_demo_past_the_search_limit(spec, vertices, aut_order, m):
+    # Q3[16K1] and Petersen[10K1] have 128 and 100 vertices, over the 64 of
+    # the search; their 8- and 10-vertex twin quotients are searched
+    # instead.  The closed forms are those of the sweep above.
+    code, out, err = run_cli_process(["blowup-demo", "--graph", spec, "--m", str(m),
+                                      "--cap-group", str(10**200)])
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert payload["blowup_vertices"] == vertices * m
+    assert payload["blowup_group_order"] == math.factorial(m) ** vertices * aut_order
+    assert len(payload["census"]) == 3 * m
+    assert payload["no_trivial_stabilizer"] is True
+    assert payload["family_orbits_distinct"] is True
+
+
+def test_orbits_on_a_128_vertex_blowup_file(tmp_path):
+    # Q4[8K1]: |Aut| = (8!)^16 * 384, and a 4m-valent arc-transitive graph
+    # has 4m census records
+    graph = lex_blowup(named_graph("hypercube:4"), 8)
+    path = tmp_path / "q4-by-8.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in graph.edges()))
+    code, out, err = run_cli_process(["orbits", "--graph", str(path),
+                                      "--cap-group", str(10**100)])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["input"]["vertices"] == 128
+    assert report["input"]["group_order"] == math.factorial(8) ** 16 * 384
+    assert report["payload"]["orbit_count"] == 32
 
 
 # sha256 of the sorted-key payload, recorded before the generating set was

@@ -1,5 +1,7 @@
 import gc
 import hashlib
+import math
+import random
 import time
 
 import pytest
@@ -180,9 +182,10 @@ def blowup_graph(name: str) -> Graph:
     return cw.lex_blowup(cw.named_graph(base), int(m[:-2]))
 
 
-# sha256 of the concatenated strong generators, recorded before the search
-# pruned twin images (Q3[8K1]: before a level dropped the twins of a
-# failed candidate)
+# sha256 of the concatenated strong generators, recorded when the search
+# ran on the whole graph, before it pruned twin images (Q3[8K1]: before a
+# level dropped the twins of a failed candidate); the quotient's lifted
+# generators, sorted by first moved point from the deepest, give the same
 STRONG_GENERATOR_DIGESTS = {
     "cycle:4[2K1]": "7f996afff5d112e72458f43a925804c3f6cf0a233c8191d5adb5035eb0154ebb",
     "hypercube:3[2K1]": "5a85055366d0be7e538a64c42c4781321f89cb65e260ea7bd75d8b8bcfa7a6a9",
@@ -201,25 +204,60 @@ def test_twin_pruning_keeps_the_strong_generators(name):
     assert hashlib.sha256(b"".join(gens)).hexdigest() == STRONG_GENERATOR_DIGESTS[name]
 
 
-def test_twin_pruning_cuts_the_completion_search(monkeypatch):
-    # C8[5K1]: each completion tries one image per twin class, not all five
-    # fiber points, and a level starts no completion for a twin of a
-    # candidate that had none; without the pruning inside completions the
-    # same search refines 1,267,826 times, without the level's 2,210 times
-    # in 154 completions
-    calls = {"_first_completion": 0, "_refine": 0}
+def test_search_runs_on_the_twin_quotient(monkeypatch):
+    # C8[5K1] has 40 vertices in 8 twin classes, and the search refines
+    # candidate lists of the 8-vertex quotient alone
+    sizes = []
+    refine = graphs_module._refine
 
-    def counting(name):
-        function = getattr(graphs_module, name)
+    def recording(adj, v, u, cand, used):
+        sizes.append(len(cand))
+        return refine(adj, v, u, cand, used)
 
-        def counted(*args):
-            calls[name] += 1
-            return function(*args)
-        return counted
-    for name in calls:
-        monkeypatch.setattr(graphs_module, name, counting(name))
-    graphs_module._strong_generators(blowup_graph("cycle:8[5K1]"))
-    assert calls == {"_first_completion": 58, "_refine": 1074}
+    monkeypatch.setattr(graphs_module, "_refine", recording)
+    gens, lengths = graphs_module._strong_generators(blowup_graph("cycle:8[5K1]"))
+    assert sizes and set(sizes) == {8}
+    assert math.prod(lengths) == math.factorial(5) ** 8 * 16
+
+
+# closed forms: |Aut(X[mK1])| = (m!)^n * |Aut X| for a twin-free X, and
+# |Aut K_{a,b}| = a! * b! for a != b
+RELABELED_ORDERS = [
+    ("hypercube:3[2K1]", 2 ** 8 * 48),
+    ("cycle:8[4K1]", 24 ** 8 * 16),
+    ("petersen[3K1]", 6 ** 10 * 120),
+    ("complete_bipartite:3:4", 6 * 24),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name,order", RELABELED_ORDERS)
+def test_relabeled_twin_classes(name, order, seed):
+    # a seeded relabeling scatters each twin class, so the quotient's lifted
+    # generators are no longer those of the search on the graph itself
+    graph = blowup_graph(name) if "[" in name else cw.named_graph(name)
+    n = graph.vertex_count
+    label = list(range(n))
+    random.Random(f"{name}/{seed}").shuffle(label)
+    other = Graph(n, [(label[u], label[v]) for u, v in graph.edges()])
+    assert any(members != tuple(range(members[0], members[0] + len(members)))
+               for members in graphs_module.twin_classes(other))
+    aut = cw.automorphism_group(other, cap=order)
+    assert aut.order == order
+    if n <= 12:
+        nx = pytest.importorskip("networkx")
+        nx_graph = nx.Graph(other.edges())
+        matcher = nx.algorithms.isomorphism.GraphMatcher(nx_graph, nx_graph)
+        assert sum(1 for _ in matcher.isomorphisms_iter()) == order
+    for g in cw.automorphism_group(graph, cap=order).generators:
+        images = [0] * n
+        for v in range(n):
+            images[label[v]] = label[g[v]]
+        assert cw.Perm(images) in aut
+    gens, _ = graphs_module._strong_generators(other)
+    verify_automorphisms(other, gens)
+    assert (PermutationGroup.from_strong_generators(n, gens).order
+            == PermutationGroup(n, gens).order == order)
 
 
 @pytest.mark.parametrize("name", ["cycle:6", "petersen", "hypercube:5", "hypercube:3[2K1]"])
@@ -324,6 +362,8 @@ def test_twin_vertices():
     assert cw.twin_vertices(cw.named_graph("cycle:6")) == []
     k23 = cw.named_graph("complete_bipartite:2:3")
     assert cw.twin_vertices(k23) == [(0, 1), (2, 3), (2, 4), (3, 4)]
+    assert graphs_module.twin_classes(k23) == [(0, 1), (2, 3, 4)]
+    assert graphs_module.twin_classes(cw.named_graph("cycle:4")) == [(0, 2), (1, 3)]
     blowup = cw.lex_blowup(cw.named_graph("cycle:4"), 2)
     pairs = cw.twin_vertices(blowup)
     for v in range(4):
